@@ -4,8 +4,9 @@
     fsj run FILE [--fuel N]      evaluate and summarize the final state
     fsj trace FILE [--fuel N] [--format text|structured]
                                  print every reduction and store event
-    fsj meta [--seed S] [--n COUNT] [--fuel N]
-                                 run the generative soundness campaign
+    fsj meta [--seed S] [--n COUNT] [--fuel N] [--mutate NAME]
+                                 run the generative soundness campaign and
+                                 count the reduction rules it exercised
 
 Every flag can also be set through an environment variable with the
 FSJ_ prefix (FSJ_FUEL, FSJ_FORMAT, FSJ_SEED, FSJ_N); an explicit flag
@@ -154,6 +155,8 @@ def cmd_meta(args) -> int:
     for prop, counts in sorted(result.tally().items()):
         shown = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"tally theorem={prop} {shown}")
+    for rule, count in result.rules.most_common():
+        print(f"rule={rule} count={count}")
     print(
         f"programs={result.count} violations={len(result.violations)}"
         f" elapsed={result.elapsed:.1f}s"

@@ -50,6 +50,7 @@ from .syntax import (
     Var,
     iter_subexprs,
 )
+from .typecheck import is_subtype
 
 _CLASS_NAMES = ["A", "B", "C", "D", "E", "F", "G", "H", "J", "K", "L", "M"]
 
@@ -65,10 +66,6 @@ class GenConfig:
     subscribe_probability: float = 0.5
     handlers_write_signals: bool = False
     seed: int = 0
-
-
-def _is_sub(ct: ClassTable, sub: str, sup: str) -> bool:
-    return any(a == sup for a in ct.ancestry(sub))
 
 
 def _ground_new(ct: ClassTable, cls: str) -> Expr:
@@ -100,17 +97,17 @@ def _pure_expr(
     """An expression of a subtype of target, built without side effects."""
     options: list[Expr | str] = []
     for x, t in env.items():
-        if _is_sub(ct, t, target):
+        if is_subtype(ct, t, target):
             options += [Var(x)] * 2
         for sf in ct.source(t):
-            if _is_sub(ct, sf.ftype, target):
+            if is_subtype(ct, sf.ftype, target):
                 options += [FieldAccess(Var(x), sf.name)] * 3
     if depth > 0:
         options += ["new"] * 2
         if allow_calls:
             for x, t in env.items():
                 for m in _chain_methods(ct, t):
-                    if m.ret != UNIT and _is_sub(ct, m.ret, target):
+                    if m.ret != UNIT and is_subtype(ct, m.ret, target):
                         options.append(("call", x, m))  # type: ignore[arg-type]
     if not options:
         return _ground_new(ct, rng.choice(subs[target]))
@@ -172,7 +169,7 @@ def generate_program(cfg: GenConfig) -> Program:
 
     skeleton = build_class_table(Program(decls, EMPTY))
     universe = [OBJECT] + names
-    subs = {t: [c for c in universe if _is_sub(skeleton, c, t)] for t in universe}
+    subs = {t: [c for c in universe if is_subtype(skeleton, c, t)] for t in universe}
 
     # pass 2: call-free method bodies
     for decl in decls:

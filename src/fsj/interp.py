@@ -1,11 +1,10 @@
 """Small-step interpreter for the calculus.
 
-A machine state is (handlers, store, expr, store_typing): the handler
-store maps field keys (location, field name) to the accumulated handler
-expression registered on that key, the object store maps locations to
-(class, field locations) records indexed like the class's uninitialized
-fields, and store_typing records the class each location was allocated
-at.  The only values are locations; `unit` is a terminal form but not a
+A machine state is (handlers, store, expr): the handler store maps
+field keys (location, field name) to the accumulated handler expression
+registered on that key, and the object store maps locations to (class,
+field locations) records indexed like the class's uninitialized fields.
+The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
 
 Reduction is deterministic: subexpressions evaluate left to right
@@ -30,6 +29,8 @@ handler, or inside a let body.  The rules:
   R-CAT         drop a finished unit left of `;`
   R-LET         substitute the bound location into the body
 
+`run` is the only loop that calls `step`.  The soundness oracles ride
+along as per-step observers instead of stepping the machine themselves.
 `mutations` deliberately breaks the machine for sensitivity testing of
 the soundness oracles; production callers leave it empty.
 """
@@ -37,7 +38,8 @@ the soundness oracles; production callers leave it empty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 from .classtable import ClassTable
 from .syntax import (
@@ -77,18 +79,24 @@ class MachineState:
     expr: Expr
     store: dict[int, StoredObject]
     handlers: dict[Key, Expr]
-    store_typing: dict[int, str]
-    handler_counts: dict[Key, int]  # registrations per key, trace metadata
     next_loc: int = 0
     steps: int = 0
 
 
 def initial_state(main: Expr) -> MachineState:
-    return MachineState(main, {}, {}, {}, {})
+    return MachineState(main, {}, {})
 
 
 def lookup_handler(handlers: dict[Key, Expr], key: Key) -> Expr:
     return handlers.get(key, EMPTY)
+
+
+def _registrations(e: Expr) -> int:
+    """Subscriptions in a handler chain: each one wrapped it in a left `Seq`."""
+    n = 0
+    while isinstance(e, Seq):
+        n, e = n + 1, e.first
+    return n
 
 
 def is_terminal(e: Expr) -> bool:
@@ -261,8 +269,6 @@ class _Red:
     rule: str
     store: dict[int, StoredObject]
     handlers: dict[Key, Expr]
-    store_typing: dict[int, str]
-    handler_counts: dict[Key, int]
     next_loc: int
     events: list[TraceEvent]
 
@@ -280,8 +286,7 @@ class StepOutcome:
 
 def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _Red | None:
     def unchanged(expr: Expr, rule: str, events=()) -> _Red:
-        return _Red(expr, rule, st.store, st.handlers, st.store_typing,
-                    st.handler_counts, st.next_loc, list(events))
+        return _Red(expr, rule, st.store, st.handlers, st.next_loc, list(events))
 
     match e:
         case FieldAccess(recv=Loc(loc=l), fname=f):
@@ -336,10 +341,8 @@ def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _
             l = st.next_loc
             store = dict(st.store)
             store[l] = StoredObject(c, tuple(a.loc for a in args))
-            typing = dict(st.store_typing)
-            typing[l] = c
             red = unchanged(Loc(l), "R-NEW", [TraceEvent(st.steps, "alloc", loc=l, cls=c)])
-            red.store, red.store_typing, red.next_loc = store, typing, l + 1
+            red.store, red.next_loc = store, l + 1
             return red
 
         case Assign(recv=Loc(loc=l) as recv, fname=f, value=Loc(loc=v)):
@@ -368,7 +371,7 @@ def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _
                         TraceEvent(st.steps, "signal-write", loc=l, fname=f, old=old, new=v),
                         TraceEvent(
                             st.steps, "handler-enqueue", loc=l, fname=f,
-                            count=st.handler_counts.get(key, 0),
+                            count=_registrations(pending),
                         ),
                     ],
                 )
@@ -401,10 +404,8 @@ def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _
             key = (l, f)
             handlers = dict(st.handlers)
             handlers[key] = Seq(lookup_handler(st.handlers, key), h)
-            counts = dict(st.handler_counts)
-            counts[key] = counts.get(key, 0) + 1
             red = unchanged(EMPTY, "R-SUBSCRIBE", [TraceEvent(st.steps, "subscribe", loc=l, fname=f)])
-            red.handlers, red.handler_counts = handlers, counts
+            red.handlers = handlers
             return red
         case Subscribe(recv=r, fname=f, handler=h):
             red = _reduce(ct, st, r, mut)
@@ -432,8 +433,6 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         expr=red.expr,
         store=red.store,
         handlers=red.handlers,
-        store_typing=red.store_typing,
-        handler_counts=red.handler_counts,
         next_loc=red.next_loc,
         steps=st.steps + 1,
     )
@@ -487,6 +486,7 @@ class RunResult:
     trace: list[TraceEvent]
     pending: Key | None = None
     stuck_message: str | None = None
+    violation: object = None  # the first one an observer returned
 
     @property
     def final(self) -> Expr:
@@ -499,25 +499,43 @@ def run(
     fuel: int = DEFAULT_FUEL,
     mutations: frozenset[str] = frozenset(),
     collect_trace: bool = True,
+    observers: Sequence[Callable[[MachineState, StepOutcome, MachineState], object]] = (),
 ) -> RunResult:
+    """Step main until it is terminal, stuck, or out of fuel.
+
+    After every step each `observer(before, outcome, after)` is called in
+    order, until one returns a violation (anything but None).  From then
+    on the machine runs on unobserved, so the final status never depends
+    on the observers.  While they listen, `before` holds its own copies
+    of both stores, so a step that changed a store in place still shows.
+    """
     st = initial_state(main)
     trace: list[TraceEvent] = []
+    violation = None
     while st.steps < fuel:
+        watching = observers and violation is None
+        if watching:
+            before = replace(st, store=dict(st.store), handlers=dict(st.handlers))
         try:
             out = step(ct, st, mutations)
         except StuckError as err:
-            return RunResult("stuck", st, trace, stuck_message=str(err))
+            return RunResult("stuck", st, trace, stuck_message=str(err), violation=violation)
         if out is None:
-            return RunResult("terminal", st, trace)
+            return RunResult("terminal", st, trace, violation=violation)
         if collect_trace:
             trace.append(
                 TraceEvent(st.steps, "step", rule=out.rule, expr=render_expr(out.state.expr))
             )
             trace.extend(out.events)
+        if watching:
+            for observe in observers:
+                violation = observe(before, out, out.state)
+                if violation is not None:
+                    break
         st = out.state
     if is_terminal(st.expr):
-        return RunResult("terminal", st, trace)
-    return RunResult("fuel", st, trace, pending=pending_key(st.expr))
+        return RunResult("terminal", st, trace, violation=violation)
+    return RunResult("fuel", st, trace, pending=pending_key(st.expr), violation=violation)
 
 
 def chain_depth(store: dict[int, StoredObject], l: int) -> int:

@@ -18,33 +18,35 @@ about the two propagation styles:
   source-only-writes  no reduction ever writes an initialized field,
                       statically rejected and dynamically re-checked
 
-`audit_run` drives the machine one step at a time and re-derives every
-one of these from the public interpreter and checker APIs only; it never
-peeks at interpreter internals, so an interpreter bug cannot silently
-excuse itself.  The generative campaign feeds it seeded random programs;
-scenario checks replay curated programs with structural assertions.
+There is one stepping loop, `interp.run`; every oracle is one of its
+per-step observers `(before, outcome, after) -> violation | None`.
+`audit_run` attaches the audit.  It re-derives the per-step theorems from
+the public interpreter and checker APIs only, keeping its own store
+typing, so an interpreter bug cannot silently excuse itself.  The
+campaign audits each seeded program once and reads both its
+subject-reduction and its progress report off that run; `Scenario`
+observers replay curated corpus programs with structural assertions.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .classtable import ClassTable, build_class_table
 from .gen import GenConfig, generate_program, shrink
 from .interp import (
     MachineState,
-    StuckError,
+    RunResult,
     effect,
     handlers_of,
-    initial_state,
-    is_terminal,
     run,
-    step,
+    step,  # unused here; the benchmark's tracer wraps `metatheory.step`
 )
 from .syntax import (
+    EffectBrace,
     Empty,
     Expr,
     Key,
@@ -56,7 +58,7 @@ from .syntax import (
     iter_subexprs,
     parse_program,
 )
-from .typecheck import UNIT, TypingError, check_program, is_subtype, type_expr
+from .typecheck import UNIT, ErrKind, TypingError, check_program, is_subtype, type_expr
 
 CAMPAIGN_FUEL = 2_000
 
@@ -122,13 +124,40 @@ def check_store_typing(
     return None
 
 
+# =========================================================================
+# the audit
+
+
 @dataclass
 class AuditResult:
-    status: str  # "terminal" | "fuel" | "stuck" | "violated"
-    steps: int
-    violation: PropertyReport | None
-    rules: Counter = field(default_factory=Counter)
-    state: MachineState | None = None
+    subject: str
+    run: RunResult  # the machine's own outcome, which observers never change
+    rules: Counter
+
+    @property
+    def violation(self) -> PropertyReport | None:
+        return self.run.violation
+
+    @property
+    def status(self) -> str:  # "terminal" | "fuel" | "stuck" | "violated"
+        return "violated" if self.violation is not None else self.run.status
+
+    def reports(self) -> list[PropertyReport]:
+        """Subject reduction (or the first violation), then progress."""
+        res = self.run
+        outcome = "pass" if res.status == "terminal" else res.status
+        first = res.violation or PropertyReport(
+            P_SUBJECT_REDUCTION, self.subject, outcome, res.state.steps
+        )
+        return [first, _verdict(P_PROGRESS, self.subject, res)]
+
+
+def _verdict(prop: str, subject: str, res: RunResult) -> PropertyReport:
+    """A stuck run violates every property; otherwise pass, or fuel if cut short."""
+    if res.status == "stuck":
+        return PropertyReport(prop, subject, "violation", res.state.steps, res.stuck_message)
+    outcome = "pass" if res.status == "terminal" else "fuel"
+    return PropertyReport(prop, subject, outcome, res.state.steps)
 
 
 def audit_run(
@@ -138,82 +167,74 @@ def audit_run(
     fuel: int = CAMPAIGN_FUEL,
     mutations: frozenset[str] = frozenset(),
 ) -> AuditResult:
-    """Step the machine under every per-step soundness check at once."""
+    """Step the machine once under every per-step soundness check at once.
+
+    The checks are observers of `run`, called in this order: rule
+    counts, subject reduction, pull purity, write discipline.  The first
+    violation silences them all, and the machine runs on to its own
+    final status, which the progress report reads.
+    """
     rules: Counter = Counter()
+    sigma: dict[int, str] = {}  # the audit's own store typing
     t_prev = type_expr(ct, {}, {}, main)  # caller guarantees this succeeds
-    st = initial_state(main)
 
-    def bad(prop: str, msg: str) -> AuditResult:
-        report = PropertyReport(prop, subject, "violation", step=st.steps, detail=msg)
-        return AuditResult("violated", st.steps, report, rules, st)
+    def bad(after: MachineState, msg: str, prop: str = P_SUBJECT_REDUCTION) -> PropertyReport:
+        return PropertyReport(prop, subject, "violation", step=after.steps, detail=msg)
 
-    while st.steps < fuel:
-        before_store = dict(st.store)
-        before_handlers = dict(st.handlers)
-        before_typing = dict(st.store_typing)
-        try:
-            out = step(ct, st, mutations)
-        except StuckError:
-            return AuditResult("stuck", st.steps, None, rules, st)
-        if out is None:
-            return AuditResult("terminal", st.steps, None, rules, st)
+    def count_rule(before, out, after):
         rules[out.rule] += 1
-        nst = out.state
 
+    def subject_reduction(before, out, after):
+        nonlocal t_prev
+        # Σ learns each location the first time it shows up in the store,
+        # so a location the machine later drops or retypes is caught
+        for l, obj in after.store.items():
+            sigma.setdefault(l, obj.cls)
         try:
-            t_now = type_expr(ct, {}, nst.store_typing, nst.expr)
+            t_now = type_expr(ct, {}, sigma, after.expr)
         except TypingError as err:
-            st = nst
-            return bad(P_SUBJECT_REDUCTION, f"untypable after {out.rule}: {err.message}")
+            return bad(after, f"untypable after {out.rule}: {err.message}")
         if not is_subtype(ct, t_now, t_prev):
-            st = nst
-            return bad(P_SUBJECT_REDUCTION, f"type grew from {t_prev} to {t_now} on {out.rule}")
-        missing = [l for l in before_typing if nst.store_typing.get(l) != before_typing[l]]
-        if missing:
-            st = nst
-            return bad(P_SUBJECT_REDUCTION, f"store typing dropped or retyped @{missing[0]}")
-        msg = check_store_typing(ct, nst.store, nst.handlers, nst.store_typing)
+            return bad(after, f"type grew from {t_prev} to {t_now} on {out.rule}")
+        lost = [l for l, c in sigma.items() if l not in after.store or after.store[l].cls != c]
+        if lost:
+            return bad(after, f"store typing dropped or retyped @{lost[0]}")
+        msg = check_store_typing(ct, after.store, after.handlers, sigma)
         if msg is not None:
-            st = nst
-            return bad(P_SUBJECT_REDUCTION, f"after {out.rule}: {msg}")
-
-        if out.rule == "R-FIELDS" and (
-            nst.store != before_store
-            or nst.handlers != before_handlers
-            or nst.store_typing != before_typing
-        ):
-            st = nst
-            return bad(P_PULL_PURE, "a pull changed a store")
-
-        if out.rule in ("R-ASSIGN", "R-ASSIGNS"):
-            ev = next(e for e in out.events if e.kind in ("plain-write", "signal-write"))
-            cls = nst.store[ev.loc].cls
-            sf = next((s for s in ct.source(cls) if s.name == ev.fname), None)
-            if sf is None:
-                st = nst
-                return bad(P_SOURCE_ONLY, f"{out.rule} wrote initialized field {cls}.{ev.fname}")
-            enqueued = any(e.kind == "handler-enqueue" for e in out.events)
-            if sf.modifier is Modifier.SIGNAL and (out.rule != "R-ASSIGNS" or not enqueued):
-                st = nst
-                return bad(
-                    P_DELIVERY,
-                    f"write to signal field {cls}.{ev.fname} scheduled no notification",
-                )
-            if sf.modifier is not Modifier.SIGNAL and (
-                out.rule != "R-ASSIGN" or enqueued or nst.handlers != before_handlers
-            ):
-                st = nst
-                return bad(
-                    P_PLAIN_SILENT,
-                    f"write to unmodified field {cls}.{ev.fname} scheduled notification work",
-                )
-
+            return bad(after, f"after {out.rule}: {msg}")
         t_prev = t_now
-        st = nst
+        return None
 
-    if is_terminal(st.expr):
-        return AuditResult("terminal", st.steps, None, rules, st)
-    return AuditResult("fuel", st.steps, None, rules, st)
+    def pull_purity(before, out, after):
+        if out.rule != "R-FIELDS":
+            return None
+        if (after.store, after.handlers) != (before.store, before.handlers):
+            return bad(after, "a pull changed a store", P_PULL_PURE)
+        return None
+
+    def write_discipline(before, out, after):
+        if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
+            return None
+        ev = next(e for e in out.events if e.kind in ("plain-write", "signal-write"))
+        cls = after.store[ev.loc].cls
+        sf = next((s for s in ct.source(cls) if s.name == ev.fname), None)
+        where = f"{cls}.{ev.fname}"
+        if sf is None:
+            return bad(after, f"{out.rule} wrote initialized field {where}", P_SOURCE_ONLY)
+        enqueued = any(e.kind == "handler-enqueue" for e in out.events)
+        if sf.modifier is Modifier.SIGNAL and (out.rule != "R-ASSIGNS" or not enqueued):
+            msg = f"write to signal field {where} scheduled no notification"
+            return bad(after, msg, P_DELIVERY)
+        if sf.modifier is not Modifier.SIGNAL and (
+            out.rule != "R-ASSIGN" or enqueued or after.handlers != before.handlers
+        ):
+            msg = f"write to unmodified field {where} scheduled notification work"
+            return bad(after, msg, P_PLAIN_SILENT)
+        return None
+
+    observers = (count_rule, subject_reduction, pull_purity, write_discipline)
+    res = run(ct, main, fuel, mutations, collect_trace=False, observers=observers)
+    return AuditResult(subject, res, rules)
 
 
 def check_subject_reduction(
@@ -224,12 +245,7 @@ def check_subject_reduction(
     mutations: frozenset[str] = frozenset(),
 ) -> PropertyReport:
     """Per-step typing preservation; stuck and fuel are distinct outcomes."""
-    res = audit_run(ct, main, subject, fuel, mutations)
-    if res.status == "violated":
-        return res.violation
-    if res.status in ("stuck", "fuel"):
-        return PropertyReport(P_SUBJECT_REDUCTION, subject, res.status, step=res.steps)
-    return PropertyReport(P_SUBJECT_REDUCTION, subject, "pass", step=res.steps)
+    return audit_run(ct, main, subject, fuel, mutations).reports()[0]
 
 
 def check_progress(
@@ -241,58 +257,60 @@ def check_progress(
 ) -> PropertyReport:
     """A well-typed program only stops at a location or unit."""
     res = run(ct, main, fuel=fuel, mutations=mutations, collect_trace=False)
-    if res.status == "stuck":
-        return PropertyReport(
-            P_PROGRESS, subject, "violation", step=res.state.steps, detail=res.stuck_message
-        )
-    if res.status == "fuel":
-        return PropertyReport(P_PROGRESS, subject, "fuel", step=res.state.steps)
-    return PropertyReport(P_PROGRESS, subject, "pass", step=res.state.steps)
+    return _verdict(P_PROGRESS, subject, res)
 
 
 # =========================================================================
 # curated scenario checks
 
 
-def plain_write_silent(
-    ct: ClassTable, main: Expr, subject: str, fuel: int = CAMPAIGN_FUEL
-) -> PropertyReport:
+class Scenario:
+    """A curated oracle for one property of one program, run as an observer.
+
+    `exercised` counts the steps it judged; a scenario with a `vacuous`
+    message fails a run that exercised nothing.  A run silences all its
+    observers at the first violation, so the others judge only the steps
+    before it.
+    """
+
+    prop = ""
+    vacuous: str | None = None
+
+    def __init__(self, ct: ClassTable, subject: str):
+        self.ct, self.subject, self.exercised = ct, subject, 0
+        self.failed: PropertyReport | None = None
+
+    def fail(self, before: MachineState, detail: str) -> PropertyReport:
+        self.failed = PropertyReport(self.prop, self.subject, "violation", before.steps, detail)
+        return self.failed
+
+    def report(self, res: RunResult) -> PropertyReport:
+        if self.failed is not None:
+            return self.failed
+        verdict = _verdict(self.prop, self.subject, res)
+        if verdict.ok and self.vacuous and not self.exercised:
+            return PropertyReport(self.prop, self.subject, "violation", None, self.vacuous)
+        return verdict
+
+
+class PlainWriteSilent(Scenario):
     """Plain-field writes reduce to unit and never touch handler state."""
-    st = initial_state(main)
-    writes = 0
-    while st.steps < fuel:
-        before_handlers = dict(st.handlers)
-        try:
-            out = step(ct, st)
-        except StuckError as err:
-            return PropertyReport(P_PLAIN_SILENT, subject, "violation", st.steps, str(err))
-        if out is None:
-            break
-        if out.rule == "R-ASSIGN":
-            writes += 1
-            if any(e.kind == "handler-enqueue" for e in out.events):
-                return PropertyReport(
-                    P_PLAIN_SILENT, subject, "violation", st.steps,
-                    "plain write enqueued handlers",
-                )
-            if out.state.handlers != before_handlers:
-                return PropertyReport(
-                    P_PLAIN_SILENT, subject, "violation", st.steps,
-                    "plain write changed the handler store",
-                )
-        st = out.state
-    if writes == 0:
-        return PropertyReport(
-            P_PLAIN_SILENT, subject, "violation", None, "scenario exercised no plain write"
-        )
-    if not isinstance(st.expr, (Empty, Loc)):
-        return PropertyReport(P_PLAIN_SILENT, subject, "fuel", st.steps)
-    return PropertyReport(P_PLAIN_SILENT, subject, "pass", st.steps)
+
+    prop = P_PLAIN_SILENT
+    vacuous = "scenario exercised no plain write"
+
+    def __call__(self, before, out, after):
+        if out.rule != "R-ASSIGN":
+            return None
+        self.exercised += 1
+        if any(e.kind == "handler-enqueue" for e in out.events):
+            return self.fail(before, "plain write enqueued handlers")
+        if after.handlers != before.handlers:
+            return self.fail(before, "plain write changed the handler store")
+        return None
 
 
-def handler_delivery(
-    ct: ClassTable, main: Expr, subject: str, fuel: int = CAMPAIGN_FUEL
-) -> PropertyReport:
+class HandlerDelivery(Scenario):
     """Every registered handler reachable from a write is delivered.
 
     Handlers sitting on the written field itself must show up in the work
@@ -301,65 +319,52 @@ def handler_delivery(
     recomputed from the public dependency functions and compared against
     the machine's actual next expression.
     """
-    st = initial_state(main)
-    registered: list[tuple[Key, Expr]] = []
-    delivered = 0
-    while st.steps < fuel:
-        try:
-            out = step(ct, st)
-        except StuckError as err:
-            return PropertyReport(P_DELIVERY, subject, "violation", st.steps, str(err))
-        if out is None:
-            break
+
+    prop = P_DELIVERY
+    vacuous = "scenario delivered no handler"
+
+    def __init__(self, ct: ClassTable, subject: str):
+        super().__init__(ct, subject)
+        self.registered: list[tuple[Key, Expr]] = []
+
+    def __call__(self, before, out, after):
         if out.rule == "R-SUBSCRIBE":
             ev = next(e for e in out.events if e.kind == "subscribe")
             key = (ev.loc, ev.fname)
-            stored = out.state.handlers[key]
+            stored = after.handlers[key]
             assert isinstance(stored, Seq)
-            registered.append((key, stored.second))
+            self.registered.append((key, stored.second))
         if out.rule == "R-ASSIGNS":
             # handlers on the written field run as the scheduled payload
             ev = next(e for e in out.events if e.kind == "signal-write")
             key = (ev.loc, ev.fname)
-            for hkey, h in registered:
+            for hkey, h in self.registered:
                 if hkey == key:
-                    delivered += 1
-                    if not _occurs(h, out.state.expr):
-                        return PropertyReport(
-                            P_DELIVERY, subject, "violation", st.steps,
-                            f"handler on @{key[0]}.{key[1]} missing from its write",
+                    self.exercised += 1
+                    if not _occurs(h, after.expr):
+                        return self.fail(
+                            before, f"handler on @{key[0]}.{key[1]} missing from its write"
                         )
         if out.rule == "R-ASSIGNCONT":
             # the brace that just finished names the written key
-            key = _finished_brace_key(st.expr)
+            key = _finished_brace_key(before.expr)
             if key is not None:
-                affected = effect(ct, st.store, key)
-                expansion = handlers_of(ct, st.handlers, st.store, key)
-                for hkey, h in registered:
+                affected = effect(self.ct, before.store, key)
+                expansion = handlers_of(self.ct, before.handlers, before.store, key)
+                for hkey, h in self.registered:
                     if hkey in affected:
-                        delivered += 1
+                        self.exercised += 1
                         if not _occurs(h, expansion):
-                            return PropertyReport(
-                                P_DELIVERY, subject, "violation", st.steps,
-                                f"handler on @{hkey[0]}.{hkey[1]} missing from expansion",
+                            return self.fail(
+                                before, f"handler on @{hkey[0]}.{hkey[1]} missing from expansion"
                             )
-                        if not _occurs(h, out.state.expr):
-                            return PropertyReport(
-                                P_DELIVERY, subject, "violation", st.steps,
-                                "handler missing from the machine expression",
-                            )
-        st = out.state
-    if delivered == 0:
-        return PropertyReport(
-            P_DELIVERY, subject, "violation", None, "scenario delivered no handler"
-        )
-    return PropertyReport(P_DELIVERY, subject, "pass", st.steps)
+                        if not _occurs(h, after.expr):
+                            return self.fail(before, "handler missing from the machine expression")
+        return None
 
 
 def _finished_brace_key(e: Expr) -> Key | None:
     """Key of the innermost brace whose body is unit, depth first."""
-    from .syntax import EffectBrace
-
     found = None
     for sub in iter_subexprs(e):
         if isinstance(sub, EffectBrace) and isinstance(sub.body, Empty):
@@ -371,57 +376,34 @@ def _occurs(needle: Expr, hay: Expr) -> bool:
     return any(sub == needle for sub in iter_subexprs(hay))
 
 
-def pull_preserves_stores(
-    ct: ClassTable, main: Expr, subject: str, fuel: int = CAMPAIGN_FUEL
-) -> PropertyReport:
-    """Every initialized-field read leaves all three stores untouched."""
-    st = initial_state(main)
-    pulls = 0
-    while st.steps < fuel:
-        snap = (dict(st.store), dict(st.handlers), dict(st.store_typing))
-        try:
-            out = step(ct, st)
-        except StuckError as err:
-            return PropertyReport(P_PULL_PURE, subject, "violation", st.steps, str(err))
-        if out is None:
-            break
-        if out.rule == "R-FIELDS":
-            pulls += 1
-            after = (out.state.store, out.state.handlers, out.state.store_typing)
-            if snap != after:
-                return PropertyReport(
-                    P_PULL_PURE, subject, "violation", st.steps, "pull changed a store"
-                )
-        st = out.state
-    if pulls == 0:
-        return PropertyReport(
-            P_PULL_PURE, subject, "violation", None, "scenario exercised no pull"
-        )
-    return PropertyReport(P_PULL_PURE, subject, "pass", st.steps)
+class PullPreservesStores(Scenario):
+    """Every initialized-field read leaves both stores untouched."""
+
+    prop = P_PULL_PURE
+    vacuous = "scenario exercised no pull"
+
+    def __call__(self, before, out, after):
+        if out.rule != "R-FIELDS":
+            return None
+        self.exercised += 1
+        if (after.store, after.handlers) != (before.store, before.handlers):
+            return self.fail(before, "pull changed a store")
+        return None
 
 
-def source_only_writes(
-    ct: ClassTable, main: Expr, subject: str, fuel: int = CAMPAIGN_FUEL
-) -> PropertyReport:
+class SourceOnlyWrites(Scenario):
     """No write step ever lands on an initialized field."""
-    st = initial_state(main)
-    while st.steps < fuel:
-        try:
-            out = step(ct, st)
-        except StuckError as err:
-            return PropertyReport(P_SOURCE_ONLY, subject, "violation", st.steps, str(err))
-        if out is None:
-            break
-        if out.rule in ("R-ASSIGN", "R-ASSIGNS"):
-            ev = next(e for e in out.events if e.kind.endswith("-write"))
-            cls = out.state.store[ev.loc].cls
-            if not any(sf.name == ev.fname for sf in ct.source(cls)):
-                return PropertyReport(
-                    P_SOURCE_ONLY, subject, "violation", st.steps,
-                    f"wrote initialized field {cls}.{ev.fname}",
-                )
-        st = out.state
-    return PropertyReport(P_SOURCE_ONLY, subject, "pass", st.steps)
+
+    prop = P_SOURCE_ONLY
+
+    def __call__(self, before, out, after):
+        if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
+            return None
+        ev = next(e for e in out.events if e.kind.endswith("-write"))
+        cls = after.store[ev.loc].cls
+        if not any(sf.name == ev.fname for sf in self.ct.source(cls)):
+            return self.fail(before, f"wrote initialized field {cls}.{ev.fname}")
+        return None
 
 
 # =========================================================================
@@ -453,7 +435,11 @@ def campaign(
     config: GenConfig | None = None,
     mutations: frozenset[str] = frozenset(),
 ) -> CampaignResult:
-    """Generate `count` seeded programs and audit each one."""
+    """Generate `count` seeded programs and audit each one.
+
+    Each program is stepped once; its subject-reduction and its progress
+    reports both come from that audited run.
+    """
     started = time.perf_counter()
     reports: list[tuple[int, PropertyReport]] = []
     rules: Counter = Counter()
@@ -472,14 +458,7 @@ def campaign(
             continue
         res = audit_run(ct, program.main, label, fuel, mutations)
         rules.update(res.rules)
-        if res.status == "violated":
-            reports.append((seed, res.violation))
-        else:
-            sr_outcome = {"terminal": "pass", "fuel": "fuel", "stuck": "stuck"}[res.status]
-            reports.append(
-                (seed, PropertyReport(P_SUBJECT_REDUCTION, label, sr_outcome, res.steps))
-            )
-        reports.append((seed, check_progress(ct, program.main, label, fuel, mutations)))
+        reports += [(seed, r) for r in res.reports()]
     return CampaignResult(count, reports, time.perf_counter() - started, rules)
 
 
@@ -522,42 +501,33 @@ def load_corpus(corpus_dir: Path) -> list[tuple[str, Program, ClassTable]]:
     return out
 
 
+# corpus programs with a curated scenario; every program also gets SourceOnlyWrites
+SCENARIOS: dict[str, tuple[type[Scenario], ...]] = {
+    "plain_assign.fsj": (PlainWriteSilent,),
+    "handler_delivery.fsj": (HandlerDelivery,),
+    "peano_pull.fsj": (PullPreservesStores,),
+    "signal_chain.fsj": (PullPreservesStores,),
+}
+
+
 def scenario_suite(corpus_dir: Path, fuel: int = CAMPAIGN_FUEL) -> list[PropertyReport]:
-    """Replay the curated scenarios with structural assertions."""
-    reports: list[PropertyReport] = []
-
-    def load(name: str):
-        program = parse_program((corpus_dir / name).read_text())
-        return build_class_table(program), program
-
-    ct, p = load("plain_assign.fsj")
-    reports.append(plain_write_silent(ct, p.main, "plain_assign.fsj", fuel))
-
-    ct, p = load("handler_delivery.fsj")
-    reports.append(handler_delivery(ct, p.main, "handler_delivery.fsj", fuel))
-
-    for name in ("peano_pull.fsj", "signal_chain.fsj"):
-        ct, p = load(name)
-        reports.append(pull_preserves_stores(ct, p.main, name, fuel))
-
-    # static half of the write restriction: the checker must reject it
-    from .typecheck import ErrKind
-
-    bad_path = corpus_dir / "illtyped" / "composite_assign.fsj"
-    program = parse_program(bad_path.read_text())
-    ct = build_class_table(program)
-    report = check_program(ct, program)
-    rejected = any(e.kind is ErrKind.ASSIGN_TO_COMPOSITE for e in report.errors)
-    reports.append(
+    """Step each corpus program once under its scenarios, plus the static
+    half of the write restriction: the checker must reject it."""
+    program = parse_program((corpus_dir / "illtyped" / "composite_assign.fsj").read_text())
+    errors = check_program(build_class_table(program), program).errors
+    rejected = any(e.kind is ErrKind.ASSIGN_TO_COMPOSITE for e in errors)
+    reports = [
         PropertyReport(
-            P_SOURCE_ONLY,
-            "illtyped/composite_assign.fsj",
-            "pass" if rejected else "violation",
+            P_SOURCE_ONLY, "illtyped/composite_assign.fsj", "pass" if rejected else "violation",
             detail=None if rejected else "checker accepted a write to an initialized field",
         )
-    )
-
-    for name, program, ct in load_corpus(corpus_dir):
-        reports.append(source_only_writes(ct, program.main, name, fuel))
-
+    ]
+    corpus = load_corpus(corpus_dir)
+    missing = SCENARIOS.keys() - {name for name, _, _ in corpus}
+    if missing:
+        raise ValueError(f"scenario programs missing from {corpus_dir}: {sorted(missing)}")
+    for name, program, ct in corpus:
+        scenarios = [kind(ct, name) for kind in (SourceOnlyWrites, *SCENARIOS.get(name, ()))]
+        res = run(ct, program.main, fuel, collect_trace=False, observers=scenarios)
+        reports += [sc.report(res) for sc in scenarios]
     return reports

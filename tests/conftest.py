@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from fsj import build_class_table, check_program, parse_program
+from fsj import build_class_table, check_program, load_corpus, parse_program, scenario_suite
+from fsj.metatheory import audit_run
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -26,6 +27,21 @@ def corpus_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return GOLDEN
+
+
+@pytest.fixture(scope="session")
+def corpus_audits():
+    """One audited run per corpus program at fuel 2500."""
+    return {
+        name: audit_run(ct, program.main, name, fuel=2500)
+        for name, program, ct in load_corpus(CORPUS)
+    }
+
+
+@pytest.fixture(scope="session")
+def scenario_reports():
+    """The curated scenario suite over the corpus, stepped once per program."""
+    return scenario_suite(CORPUS)
 
 
 def run_cli(argv, capsys):

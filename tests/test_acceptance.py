@@ -13,10 +13,8 @@ from fsj import (
     campaign,
     chain_depth,
     check_program,
-    load_corpus,
     parse_program,
     run,
-    scenario_suite,
 )
 from fsj.cli import EXIT_OK, main
 from fsj.interp import (
@@ -27,7 +25,6 @@ from fsj.interp import (
     StuckError,
     step,
 )
-from fsj.metatheory import audit_run, check_progress, handler_delivery, pull_preserves_stores
 from fsj.syntax import Assign, Loc
 from fsj.typecheck import ErrKind
 
@@ -110,12 +107,12 @@ def test_criterion_02_push_golden_trace(capsys):
         )
 
 
-def test_criterion_03_subject_reduction(big_campaign, capsys):
-    corpus_bad = []
-    for name, program, ct in load_corpus(CORPUS):
-        res = audit_run(ct, program.main, name, fuel=2500)
-        if res.status == "violated":
-            corpus_bad.append((name, res.violation.line()))
+def test_criterion_03_subject_reduction(big_campaign, corpus_audits, capsys):
+    corpus_bad = [
+        (name, res.violation.line())
+        for name, res in corpus_audits.items()
+        if res.status == "violated"
+    ]
     sr_violations = [
         (s, r) for s, r in big_campaign.violations if r.prop == "subject_reduction"
     ]
@@ -135,12 +132,8 @@ def test_criterion_03_subject_reduction(big_campaign, capsys):
         )
 
 
-def test_criterion_04_progress(big_campaign, capsys):
-    stuck = []
-    for name, program, ct in load_corpus(CORPUS):
-        rep = check_progress(ct, program.main, name, fuel=2500)
-        if not rep.ok:
-            stuck.append(name)
+def test_criterion_04_progress(big_campaign, corpus_audits, capsys):
+    stuck = [name for name, res in corpus_audits.items() if not res.reports()[1].ok]
     campaign_stuck = [
         (s, r) for s, r in big_campaign.reports if r.prop == "progress" and not r.ok
     ]
@@ -149,8 +142,8 @@ def test_criterion_04_progress(big_campaign, capsys):
         verdict(4, "no well-typed program gets stuck", ok, f"stuck: {stuck or 'none'}")
 
 
-def test_criterion_05_plain_writes_silent(big_campaign, capsys):
-    reports = [r for r in scenario_suite(CORPUS) if r.prop == "plain_write_silent"]
+def test_criterion_05_plain_writes_silent(big_campaign, scenario_reports, capsys):
+    reports = [r for r in scenario_reports if r.prop == "plain_write_silent"]
     ct, program = load_corpus_file("plain_assign.fsj")
     res = run(ct, program.main)
     silent_all = [
@@ -166,9 +159,8 @@ def test_criterion_05_plain_writes_silent(big_campaign, capsys):
         verdict(5, "plain writes schedule nothing", ok)
 
 
-def test_criterion_06_handler_delivery(big_campaign, capsys):
-    ct, program = load_corpus_file("handler_delivery.fsj")
-    rep = handler_delivery(ct, program.main, "handler_delivery.fsj", 2000)
+def test_criterion_06_handler_delivery(big_campaign, scenario_reports, capsys):
+    (rep,) = [r for r in scenario_reports if r.prop == "handler_delivery"]
     delivery_all = [
         (s, r) for s, r in big_campaign.violations if r.prop == "handler_delivery"
     ]
@@ -182,17 +174,24 @@ def test_criterion_06_handler_delivery(big_campaign, capsys):
         )
 
 
-def test_criterion_07_pull_preserves_stores(big_campaign, capsys):
-    failures = []
-    pulls = 0
-    for name, program, ct in load_corpus(CORPUS):
-        rep = pull_preserves_stores(ct, program.main, name, fuel=2500)
-        if rep.outcome == "violation" and "no pull" not in (rep.detail or ""):
-            failures.append(name)
-        res = audit_run(ct, program.main, name, fuel=2500)
-        pulls += res.rules["R-FIELDS"]
+def test_criterion_07_pull_preserves_stores(big_campaign, corpus_audits, scenario_reports, capsys):
+    # the audit compares both stores around every pull of every corpus program
+    failures = [
+        name
+        for name, res in corpus_audits.items()
+        if res.violation is not None and res.violation.prop == "pull_preserves_stores"
+    ]
+    scenarios = [r for r in scenario_reports if r.prop == "pull_preserves_stores"]
+    failures += [r.subject for r in scenarios if not r.ok]
+    pulls = sum(res.rules["R-FIELDS"] for res in corpus_audits.values())
     pull_viol = [(s, r) for s, r in big_campaign.violations if r.prop == "pull_preserves_stores"]
-    ok = not failures and not pull_viol and pulls >= 4 and big_campaign.rules["R-FIELDS"] > 0
+    ok = (
+        len(scenarios) == 2
+        and not failures
+        and not pull_viol
+        and pulls >= 4
+        and big_campaign.rules["R-FIELDS"] > 0
+    )
     with capsys.disabled():
         verdict(
             7,
@@ -217,8 +216,6 @@ def test_criterion_08_composite_writes_rejected(big_campaign, capsys):
     state = MachineState(
         Assign(Loc(0), "echo", Loc(1)),
         {0: StoredObject("Cell", (1, 1)), 1: StoredObject("Nat", ())},
-        {},
-        {0: "Cell", 1: "Nat"},
         {},
         next_loc=2,
     )

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from fsj import campaign
 from fsj.cli import (
     EXIT_FUEL,
     EXIT_OK,
@@ -185,6 +186,12 @@ def test_meta_small_campaign(capsys):
     assert "seed=0 theorem=subject_reduction result=pass" in lines
     assert any(l.startswith("tally theorem=") for l in lines)
     assert lines[-1].startswith("programs=8 violations=0")
+    # one line per exercised rule after the tallies, most common first
+    last_tally = max(i for i, l in enumerate(lines) if l.startswith("tally "))
+    rules = lines[last_tally + 1 : -1]
+    want = campaign(8, base_seed=0).rules.most_common()
+    assert rules == [f"rule={r} count={n}" for r, n in want]
+    assert len(rules) >= 5
 
 
 def test_meta_env_fallbacks(monkeypatch, capsys):

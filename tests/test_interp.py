@@ -66,8 +66,6 @@ def cell_state(expr, handlers=None):
         expr,
         {0: StoredObject("Cell", (1, 2)), 1: StoredObject("Nat", ()), 2: StoredObject("Nat", ())},
         dict(handlers or {}),
-        {0: "Cell", 1: "Nat", 2: "Nat"},
-        {},
         next_loc=3,
     )
 
@@ -88,7 +86,7 @@ def test_rule_fields_substitutes_this(ct):
     assert out.state.expr == FieldAccess(Loc(0), "src")
     assert out.state.store == st0.store
     assert out.state.handlers == st0.handlers
-    assert out.state.store_typing == st0.store_typing
+    assert out.state.next_loc == st0.next_loc
 
 
 def test_rule_invk_binds_this_and_params(ct):
@@ -104,7 +102,6 @@ def test_rule_new_allocates(ct):
     assert out.rule == "R-NEW"
     assert out.state.expr == Loc(3)
     assert out.state.store[3] == StoredObject("Nat", ())
-    assert out.state.store_typing[3] == "Nat"
     assert out.state.next_loc == 4
     kinds = [e.kind for e in out.events]
     assert kinds == ["alloc"]
@@ -159,12 +156,15 @@ def test_rule_subscribe_appends(ct):
     assert out.rule == "R-SUBSCRIBE"
     assert isinstance(out.state.expr, Empty)
     assert out.state.handlers[(0, "src")] == Seq(EMPTY, h1)
-    assert out.state.handler_counts[(0, "src")] == 1
     st1 = out.state
     st1.expr = Subscribe(Loc(0), "src", h2)
     out = step(ct, st1)
     assert out.state.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
-    assert out.state.handler_counts[(0, "src")] == 2
+    # a write reports one registration per subscription on its key
+    st2 = out.state
+    st2.expr = Assign(Loc(0), "src", Loc(2))
+    out = step(ct, st2)
+    assert [e.count for e in out.events if e.kind == "handler-enqueue"] == [2]
 
 
 def test_rule_subscribe_keeps_handler_unevaluated(ct):

@@ -19,13 +19,13 @@ from fsj import (
     parse_program,
     render_program,
     run,
-    scenario_suite,
     type_expr,
 )
+from fsj import interp
 from fsj.gen import GenConfig, generate_program, shrink
 from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, subst
-from fsj.metatheory import audit_run, shrink_campaign_failure
-from fsj.syntax import Loc, Modifier, New, Subscribe, iter_subexprs
+from fsj.metatheory import CAMPAIGN_FUEL, audit_run, shrink_campaign_failure
+from fsj.syntax import EMPTY, Loc, Modifier, New, Subscribe, iter_subexprs
 
 from conftest import CORPUS, load_corpus_file
 
@@ -39,22 +39,26 @@ def settled(name="plain_assign.fsj"):
     return ct, res.state
 
 
+def typing_of(state):
+    return {l: obj.cls for l, obj in state.store.items()}
+
+
 def test_store_typing_accepts_real_state():
     ct, state = settled()
-    assert check_store_typing(ct, state.store, state.handlers, state.store_typing) is None
+    assert check_store_typing(ct, state.store, state.handlers, typing_of(state)) is None
 
 
 def test_store_typing_domain_mismatch():
     ct, state = settled()
     store = dict(state.store)
     store.pop(max(store))
-    msg = check_store_typing(ct, store, state.handlers, state.store_typing)
+    msg = check_store_typing(ct, store, state.handlers, typing_of(state))
     assert msg is not None and "domain" in msg
 
 
 def test_store_typing_wrong_class():
     ct, state = settled()
-    typing = dict(state.store_typing)
+    typing = typing_of(state)
     typing[0] = "Object" if typing[0] != "Object" else "Counter"
     msg = check_store_typing(ct, state.store, state.handlers, typing)
     assert msg is not None
@@ -67,17 +71,17 @@ def test_store_typing_dangling_field():
     store = dict(state.store)
     counter = next(l for l, o in store.items() if o.cls == "Counter")
     store[counter] = StoredObject("Counter", (999,))
-    msg = check_store_typing(ct, store, state.handlers, state.store_typing)
+    msg = check_store_typing(ct, store, state.handlers, typing_of(state))
     assert msg is not None and "@999" in msg
 
 
 def test_store_typing_bad_handler():
     ct, state = settled()
     handlers = {(0, "v"): New("Nat", ())}
-    msg = check_store_typing(ct, state.store, handlers, state.store_typing)
+    msg = check_store_typing(ct, state.store, handlers, typing_of(state))
     assert msg is not None and "Unit" in msg
     handlers = {(999, "v"): parse_expr("unit")}
-    msg = check_store_typing(ct, state.store, handlers, state.store_typing)
+    msg = check_store_typing(ct, state.store, handlers, typing_of(state))
     assert msg is not None and "unknown location" in msg
 
 
@@ -85,11 +89,10 @@ def test_store_typing_bad_handler():
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.fsj")), ids=lambda p: p.name)
-def test_corpus_subject_reduction_and_progress(path):
-    ct, program = load_corpus_file(path.name)
-    sr = check_subject_reduction(ct, program.main, path.name, fuel=2500)
+def test_corpus_subject_reduction_and_progress(path, corpus_audits):
+    sr, pg = corpus_audits[path.name].reports()
+    assert (sr.prop, sr.subject, pg.prop) == ("subject_reduction", path.name, "progress")
     assert sr.ok, sr.line()
-    pg = check_progress(ct, program.main, path.name, fuel=2500)
     assert pg.ok, pg.line()
 
 
@@ -100,11 +103,52 @@ def test_load_corpus_shape(corpus_dir):
     assert names == sorted(names)
 
 
-def test_scenario_suite_passes(corpus_dir):
-    reports = scenario_suite(corpus_dir)
-    assert len(reports) >= 5
-    for r in reports:
+def test_scenario_suite_passes(scenario_reports):
+    assert len(scenario_reports) >= 5
+    for r in scenario_reports:
         assert r.ok, r.line()
+
+
+def corrupting_step(monkeypatch, rule, corrupt):
+    """Make interp.step call corrupt(state_before, outcome) after each `rule` step."""
+    real = interp.step
+
+    def wrapped(ct, st, mutations=frozenset()):
+        out = real(ct, st, mutations)
+        if out is not None and out.rule == rule:
+            corrupt(st, out)
+        return out
+
+    monkeypatch.setattr(interp, "step", wrapped)
+
+
+def test_audit_sees_a_pull_that_changes_handlers_in_place(monkeypatch):
+    """A pull shares its handler dict with the state before it, so only the
+    audit's own copy of the stores can show the change."""
+
+    def add_handler(st, out):
+        st.handlers[(min(st.store), "probe")] = EMPTY  # well typed: unit
+
+    corrupting_step(monkeypatch, "R-FIELDS", add_handler)
+    ct, program = load_corpus_file("peano_pull.fsj")
+    res = audit_run(ct, program.main, "peano_pull.fsj")
+    assert res.status == "violated"
+    assert res.violation.prop == "pull_preserves_stores", res.violation.line()
+
+
+def test_audit_store_typing_only_grows(monkeypatch):
+    """Σ remembers every location it has seen, so dropping one is caught."""
+
+    def drop_first(st, out):
+        if len(out.state.store) > 1:
+            out.state.store = {l: o for l, o in out.state.store.items() if l != min(st.store)}
+
+    corrupting_step(monkeypatch, "R-NEW", drop_first)
+    ct, program = load_corpus_file("peano_pull.fsj")
+    res = audit_run(ct, program.main, "peano_pull.fsj")
+    assert res.status == "violated"
+    assert res.violation.prop == "subject_reduction"
+    assert "dropped or retyped @0" in res.violation.detail
 
 
 def test_audit_statuses():
@@ -272,6 +316,25 @@ def test_campaign_covers_every_rule():
 def test_campaign_detects_broken_machine(mutation):
     res = campaign(120, base_seed=0, mutations=frozenset({mutation}))
     assert len(res.violations) > 0
+
+
+@pytest.mark.parametrize("mutation", sorted([MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN]))
+def test_campaign_reports_match_separate_checks(mutation):
+    """One audited run gives the same two reports as the two checks run apart."""
+    mutations = frozenset({mutation})
+    violated = 0
+    for seed in range(60):
+        program = generate_program(GenConfig(seed=seed))
+        ct = build_class_table(program)
+        label = f"seed={seed}"
+        res = campaign(1, base_seed=seed, mutations=mutations)
+        reports = [r for _, r in res.reports]
+        assert reports == [
+            check_subject_reduction(ct, program.main, label, CAMPAIGN_FUEL, mutations),
+            check_progress(ct, program.main, label, CAMPAIGN_FUEL, mutations),
+        ]
+        violated += not reports[0].ok
+    assert violated > 0
 
 
 def test_report_line_format():
