@@ -16,7 +16,6 @@ from .interp import (
     RunResult,
     StuckError,
     chain_depth,
-    contains,
     effect,
     handlers_of,
     initial_state,
@@ -37,6 +36,7 @@ from .metatheory import (
 from .syntax import (
     ParseError,
     Program,
+    contains,
     parse_expr,
     parse_program,
     render_expr,

@@ -18,21 +18,25 @@ superclass is a typing concern (see typecheck.check_class).
 
 Lookups treat Object as a fieldless, methodless root that is always
 present.  Field lists are ordered superclass-first, which is also the
-argument order of `new C(...)`.
+argument order of `new C(...)`.  The table also answers, per class and
+field, which initialized fields are downstream of it (see `downstream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
     OBJECT,
     ClassDecl,
     CompositeField,
     Expr,
+    Loc,
     Modifier,
     Program,
     SourceField,
+    contains,
+    subst,
 )
 
 
@@ -77,6 +81,7 @@ class ClassTable:
     decls: dict[str, ClassDecl]
     _composites: dict[str, tuple[CompositeField, ...]]
     _sources: dict[str, tuple[SourceField, ...]]
+    _downstream: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def __contains__(self, name: str) -> bool:
         return name == OBJECT or name in self.decls
@@ -113,6 +118,23 @@ class ClassTable:
         if name not in self._sources:
             raise UnknownClassError(name)
         return self._sources[name]
+
+    def downstream(self, name: str, fname: str) -> tuple[str, ...]:
+        """Initialized fields of name whose value depends on its field fname.
+
+        g depends directly on f when g's initializer, with `this` bound to
+        a location, reads f of that location; the result closes that
+        relation transitively, in composite(name) order, and names fname
+        itself only if a dependency cycle leads back to it.  A checked
+        initializer's only free variable is `this`, so this is everything
+        downstream of a field in any store.  Each class's table is built on
+        its first lookup and kept.
+        """
+        if name not in self._downstream:
+            composites = self.composite(name)
+            names = [cf.name for cf in composites] + [sf.name for sf in self.source(name)]
+            self._downstream[name] = _dependents(composites, names)
+        return self._downstream[name].get(fname, ())
 
     def ftype(self, name: str, fname: str) -> tuple[Modifier, str] | None:
         """Modifier and declared type of field fname, or None."""
@@ -238,3 +260,29 @@ def build_class_table(program: Program) -> ClassTable:
         _check_ctor_local(cl)
 
     return table
+
+
+def _dependents(
+    composites: tuple[CompositeField, ...], names: list[str]
+) -> dict[str, tuple[str, ...]]:
+    """For each field name, the composites downstream of it on one object.
+
+    Evaluates the syntactic read test on the initializers instantiated at
+    one placeholder location; names nothing depends on are left out.
+    """
+    inits = [subst(cf.init, {"this": Loc(0)}) for cf in composites]
+    readers = {
+        f: [cf.name for cf, e in zip(composites, inits) if contains(e, (0, f))] for f in names
+    }
+    out = {}
+    for fname in names:
+        found: set[str] = set()
+        frontier = [fname]
+        while frontier:
+            for g in readers[frontier.pop()]:
+                if g not in found:
+                    found.add(g)
+                    frontier.append(g)
+        if found:
+            out[fname] = tuple(cf.name for cf in composites if cf.name in found)
+    return out

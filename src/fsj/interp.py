@@ -29,6 +29,25 @@ handler, or inside a let body.  The rules:
   R-CAT         drop a finished unit left of `;`
   R-LET         substitute the bound location into the body
 
+The expression is held decomposed, as a focus plus the evaluation
+context around it.  The context is a persistent stack of frames,
+innermost first, each naming a node and the subterm slot being
+evaluated in it; frames never change, so states share their stacks and
+a snapshot copies no part of the expression.  A step contracts the
+focus and refocuses from the contractum only (Danvy and Nielsen's
+refocusing): it walks down into the contractum or, when that is a
+location or unit, plugs it into the innermost frame and carries on from
+that node, until it reaches the next redex.  Neither part depends on
+how deep the focus sits, and neither walks the context by recursion.
+`MachineState.expr` plugs the focus back into its context when someone
+asks for the whole expression (the oracles, traces and final results),
+and the innermost brace around the focus is the pending key a fuel-cut
+run reports.
+
+Which initialized fields a write reaches is read off a table the class
+table computes once per class (`ClassTable.downstream`), since a checked
+initializer only reads through `this`.
+
 `run` is the only loop that calls `step`.  The soundness oracles ride
 along as per-step observers instead of stepping the machine themselves.
 `mutations` deliberately breaks the machine for sensitivity testing of
@@ -39,7 +58,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .classtable import ClassTable
 from .syntax import (
@@ -57,8 +77,8 @@ from .syntax import (
     New,
     Seq,
     Subscribe,
-    Var,
     render_expr,
+    subst,
 )
 
 DEFAULT_FUEL = 100_000
@@ -67,6 +87,14 @@ MUT_NO_THIS_SUBST = "fields-no-this-subst"
 MUT_SWAP_ASSIGN = "swap-assign-dispatch"
 MUTATIONS = frozenset({MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN})
 
+# An evaluation context: None when empty, else (node, slot, outer), where
+# node's subterm number `slot` is the hole.  Slots count the subterms in
+# evaluation order: the receiver of FieldAccess, Invoke, Assign and
+# Subscribe is 0, Invoke's arguments are 1.., New's arguments 0.., an
+# assigned value 1, and the left arm of `;`, a let's bound expression and
+# a brace body are 0.
+Stack = Optional[Tuple[Expr, int, "Stack"]]
+
 
 @dataclass(frozen=True)
 class StoredObject:
@@ -74,13 +102,140 @@ class StoredObject:
     fields: tuple[int, ...]  # locations, ordered like source(cls)
 
 
-@dataclass
+def _first_open(args: tuple[Expr, ...]) -> int | None:
+    """Index of the first argument that is not yet a location."""
+    for i, a in enumerate(args):
+        if not isinstance(a, Loc):
+            return i
+    return None
+
+
+def _fill(node: Expr, slot: int, v: Expr) -> Expr:
+    """node with subterm `slot` replaced by v."""
+    match node:
+        case FieldAccess(fname=f):
+            return FieldAccess(v, f, span=node.span)
+        case Invoke(recv=r, method=m, args=args):
+            if slot == 0:
+                return Invoke(v, m, args, span=node.span)
+            return Invoke(r, m, args[: slot - 1] + (v,) + args[slot:], span=node.span)
+        case New(cls=c, args=args):
+            return New(c, args[:slot] + (v,) + args[slot + 1:], span=node.span)
+        case Assign(recv=r, fname=f, value=val):
+            if slot == 0:
+                return Assign(v, f, val, span=node.span)
+            return Assign(r, f, v, span=node.span)
+        case Seq(second=b):
+            return Seq(v, b, span=node.span)
+        case Subscribe(fname=f, handler=h):
+            return Subscribe(v, f, h, span=node.span)
+        case Let(var=x, body=body):
+            return Let(x, v, body, span=node.span)
+        case EffectBrace(key=k):
+            return EffectBrace(v, k, span=node.span)
+    raise ValueError(f"no subterm {slot} in {node!r}")
+
+
+def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
+    """Decompose e, sitting in context k, down to the next redex.
+
+    Descends along the evaluation order, pushing one frame per node, and
+    on reaching a location or unit plugs it into the innermost frame and
+    carries on from that node.  Stops at the first node with no subterm
+    left to evaluate: a redex, a stuck node (no rule will contract it,
+    which includes a node whose next subterm is a finished form of the
+    wrong kind, such as a location left of `;`), or, with the context
+    used up, a terminal.
+    """
+    while True:
+        match e:
+            case Loc() | Empty():
+                if k is None:
+                    return e, None
+                node, slot, k = k
+                e = _fill(node, slot, e)
+                continue
+            case (
+                FieldAccess(recv=c)
+                | Invoke(recv=c)
+                | Assign(recv=c)
+                | Subscribe(recv=c)
+                | Let(bound=c)
+            ) if not isinstance(c, Loc):
+                slot = 0
+            case Invoke(args=args):
+                i = _first_open(args)
+                if i is None:
+                    return e, k
+                c, slot = args[i], i + 1
+            case New(args=args):
+                slot = _first_open(args)
+                if slot is None:
+                    return e, k
+                c = args[slot]
+            case Assign(value=c) if not isinstance(c, Loc):
+                slot = 1
+            case Seq(first=c) | EffectBrace(body=c) if not isinstance(c, Empty):
+                slot = 0
+            case _:
+                return e, k
+        if isinstance(c, (Loc, Empty)):
+            return e, k
+        k = (e, slot, k)
+        e = c
+
+
 class MachineState:
-    expr: Expr
-    store: dict[int, StoredObject]
-    handlers: dict[Key, Expr]
-    next_loc: int = 0
-    steps: int = 0
+    """A configuration: the two stores, and the expression as a focus in
+    its evaluation context.
+
+    `MachineState(expr, store, handlers, next_loc, steps)` decomposes a
+    whole expression; given a `stack`, expr is taken to sit in that
+    context instead.  Either way the focus ends up a redex, a stuck
+    node, or a terminal with an empty stack, so the state is terminal
+    exactly when its focus is.
+    """
+
+    __slots__ = ("focus", "stack", "store", "handlers", "next_loc", "steps", "_expr")
+
+    def __init__(
+        self,
+        expr: Expr,
+        store: dict[int, StoredObject],
+        handlers: dict[Key, Expr],
+        next_loc: int = 0,
+        steps: int = 0,
+        stack: Stack = None,
+    ):
+        self.store, self.handlers, self.next_loc, self.steps = store, handlers, next_loc, steps
+        self.focus, self.stack = _refocus(expr, stack)
+        self._expr = expr if stack is None else None
+
+    @property
+    def expr(self) -> Expr:
+        """The whole expression: the focus plugged into its context, once."""
+        if self._expr is None:
+            e, k = self.focus, self.stack
+            while k is not None:
+                node, slot, k = k
+                e = _fill(node, slot, e)
+            self._expr = e
+        return self._expr
+
+    @expr.setter
+    def expr(self, e: Expr) -> None:
+        self.focus, self.stack = _refocus(e, None)
+        self._expr = e
+
+    @property
+    def pending_key(self) -> Key | None:
+        """Key of the innermost brace at or around the focus."""
+        e, k = self.focus, self.stack
+        while not isinstance(e, EffectBrace):
+            if k is None:
+                return None
+            e, _, k = k
+        return e.key
 
 
 def initial_state(main: Expr) -> MachineState:
@@ -117,56 +272,7 @@ class StuckError(Exception):
 
 
 # =========================================================================
-# substitution
-
-
-def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Capture is impossible because only closed values are substituted."""
-    match e:
-        case Var(name=x):
-            return mapping.get(x, e)
-        case FieldAccess(recv=r, fname=f):
-            return FieldAccess(subst(r, mapping), f, span=e.span)
-        case Invoke(recv=r, method=m, args=args):
-            return Invoke(subst(r, mapping), m, tuple(subst(a, mapping) for a in args), span=e.span)
-        case New(cls=c, args=args):
-            return New(c, tuple(subst(a, mapping) for a in args), span=e.span)
-        case Assign(recv=r, fname=f, value=v):
-            return Assign(subst(r, mapping), f, subst(v, mapping), span=e.span)
-        case Seq(first=a, second=b):
-            return Seq(subst(a, mapping), subst(b, mapping), span=e.span)
-        case Subscribe(recv=r, fname=f, handler=h):
-            return Subscribe(subst(r, mapping), f, subst(h, mapping), span=e.span)
-        case Let(var=x, bound=b, body=body):
-            narrowed = {k: v for k, v in mapping.items() if k != x}
-            return Let(x, subst(b, mapping), subst(body, narrowed), span=e.span)
-        case EffectBrace(body=b, key=k):
-            return EffectBrace(subst(b, mapping), k, span=e.span)
-        case _:
-            return e
-
-
-# =========================================================================
 # dependency tracking
-
-
-def contains(e: Expr, key: Key) -> bool:
-    """Syntactic test: does e read the field named by key?
-
-    Only the expression itself is inspected; bodies of methods it calls
-    are not unfolded.
-    """
-    match e:
-        case FieldAccess(recv=Loc(loc=l), fname=f) if (l, f) == key:
-            return True
-        case FieldAccess(recv=r):
-            return contains(r, key)
-        case Invoke(recv=r, args=args):
-            return contains(r, key) or any(contains(a, key) for a in args)
-        case New(args=args):
-            return any(contains(a, key) for a in args)
-        case _:
-            return False
 
 
 def effect(ct: ClassTable, store: dict[int, StoredObject], key: Key) -> list[Key]:
@@ -177,25 +283,14 @@ def effect(ct: ClassTable, store: dict[int, StoredObject], key: Key) -> list[Key
     transitively, is duplicate-free, never includes key itself unless a
     dependency cycle reaches back to it, and is ordered by location
     then by the field's position in its class's initialized-field list.
+    A checked initializer reads only through `this`, so all of it lies
+    on key's own object, as the class table lists it for that class.
     """
-
-    def direct(k: Key) -> list[tuple[Key, tuple[int, int]]]:
-        out = []
-        for l, obj in store.items():
-            for i, cf in enumerate(ct.composite(obj.cls)):
-                if contains(subst(cf.init, {"this": Loc(l)}), k):
-                    out.append(((l, cf.name), (l, i)))
-        return out
-
-    found: dict[Key, tuple[int, int]] = {}
-    frontier = [key]
-    while frontier:
-        k = frontier.pop(0)
-        for sink, rank in direct(k):
-            if sink not in found:
-                found[sink] = rank
-                frontier.append(sink)
-    return [k for k, _ in sorted(found.items(), key=lambda kv: kv[1])]
+    l, f = key
+    obj = store.get(l)
+    if obj is None:
+        return []
+    return [(l, g) for g in ct.downstream(obj.cls, f)]
 
 
 def handlers_of(
@@ -264,56 +359,35 @@ class TraceEvent:
 
 
 @dataclass
-class _Red:
-    expr: Expr
-    rule: str
-    store: dict[int, StoredObject]
-    handlers: dict[Key, Expr]
-    next_loc: int
-    events: list[TraceEvent]
-
-    def wrap(self, rebuild) -> "_Red":
-        self.expr = rebuild(self.expr)
-        return self
-
-
-@dataclass
 class StepOutcome:
     state: MachineState
     rule: str
     events: list[TraceEvent]
 
 
-def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _Red | None:
-    def unchanged(expr: Expr, rule: str, events=()) -> _Red:
-        return _Red(expr, rule, st.store, st.handlers, st.next_loc, list(events))
-
+def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutcome | None:
+    """Apply the rule for st's focus and refocus in the same context."""
+    e = st.focus
+    store, handlers, next_loc = st.store, st.handlers, st.next_loc
+    events: list[TraceEvent] = []
     match e:
         case FieldAccess(recv=Loc(loc=l), fname=f):
-            obj = st.store.get(l)
+            obj = store.get(l)
             if obj is None:
                 return None
-            for i, sf in enumerate(ct.source(obj.cls)):
-                if sf.name == f:
-                    return unchanged(Loc(obj.fields[i]), "R-FIELD")
-            for cf in ct.composite(obj.cls):
-                if cf.name == f:
-                    if MUT_NO_THIS_SUBST in mut:
-                        return unchanged(cf.init, "R-FIELDS")
-                    return unchanged(subst(cf.init, {"this": Loc(l)}), "R-FIELDS")
-            return None
-        case FieldAccess(recv=r, fname=f):
-            red = _reduce(ct, st, r, mut)
-            return red and red.wrap(lambda r2: FieldAccess(r2, f, span=e.span))
-
-        case Invoke(recv=Loc(loc=l) as recv, method=m, args=args):
-            i = next((i for i, a in enumerate(args) if not isinstance(a, Loc)), None)
+            i = next((i for i, sf in enumerate(ct.source(obj.cls)) if sf.name == f), None)
             if i is not None:
-                red = _reduce(ct, st, args[i], mut)
-                return red and red.wrap(
-                    lambda a2: Invoke(recv, m, args[:i] + (a2,) + args[i + 1:], span=e.span)
-                )
-            obj = st.store.get(l)
+                out, rule = Loc(obj.fields[i]), "R-FIELD"
+            else:
+                cf = next((cf for cf in ct.composite(obj.cls) if cf.name == f), None)
+                if cf is None:
+                    return None
+                out, rule = cf.init, "R-FIELDS"
+                if MUT_NO_THIS_SUBST not in mut:
+                    out = subst(cf.init, {"this": Loc(l)})
+
+        case Invoke(recv=Loc(loc=l) as recv, method=m, args=args) if _first_open(args) is None:
+            obj = store.get(l)
             if obj is None:
                 return None
             found = ct.mbody(m, obj.cls)
@@ -324,159 +398,81 @@ def _reduce(ct: ClassTable, st: MachineState, e: Expr, mut: frozenset[str]) -> _
                 return None
             mapping: dict[str, Expr] = dict(zip(names, args))
             mapping["this"] = recv
-            return unchanged(subst(body, mapping), "R-INVK")
-        case Invoke(recv=r, method=m, args=args):
-            red = _reduce(ct, st, r, mut)
-            return red and red.wrap(lambda r2: Invoke(r2, m, args, span=e.span))
+            out, rule = subst(body, mapping), "R-INVK"
 
-        case New(cls=c, args=args):
-            i = next((i for i, a in enumerate(args) if not isinstance(a, Loc)), None)
-            if i is not None:
-                red = _reduce(ct, st, args[i], mut)
-                return red and red.wrap(
-                    lambda a2: New(c, args[:i] + (a2,) + args[i + 1:], span=e.span)
-                )
+        case New(cls=c, args=args) if _first_open(args) is None:
             if c not in ct or len(ct.source(c)) != len(args):
                 return None
-            l = st.next_loc
-            store = dict(st.store)
+            l = next_loc
+            store = dict(store)
             store[l] = StoredObject(c, tuple(a.loc for a in args))
-            red = unchanged(Loc(l), "R-NEW", [TraceEvent(st.steps, "alloc", loc=l, cls=c)])
-            red.store, red.next_loc = store, l + 1
-            return red
+            out, rule, next_loc = Loc(l), "R-NEW", l + 1
+            events.append(TraceEvent(st.steps, "alloc", loc=l, cls=c))
 
-        case Assign(recv=Loc(loc=l) as recv, fname=f, value=Loc(loc=v)):
-            obj = st.store.get(l)
+        case Assign(recv=Loc(loc=l), fname=f, value=Loc(loc=v)):
+            obj = store.get(l)
             if obj is None:
                 return None
-            hit = next(
-                ((i, sf) for i, sf in enumerate(ct.source(obj.cls)) if sf.name == f), None
-            )
+            hit = next(((i, sf) for i, sf in enumerate(ct.source(obj.cls)) if sf.name == f), None)
             if hit is None:
                 return None
             i, sf = hit
             old = obj.fields[i]
-            store = dict(st.store)
+            store = dict(store)
             store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
             signal = sf.modifier is Modifier.SIGNAL
             if MUT_SWAP_ASSIGN in mut:
                 signal = not signal
             if signal:
                 key = (l, f)
-                pending = lookup_handler(st.handlers, key)
-                red = unchanged(
-                    EffectBrace(pending, key),
-                    "R-ASSIGNS",
-                    [
-                        TraceEvent(st.steps, "signal-write", loc=l, fname=f, old=old, new=v),
-                        TraceEvent(
-                            st.steps, "handler-enqueue", loc=l, fname=f,
-                            count=_registrations(pending),
-                        ),
-                    ],
-                )
+                pending = lookup_handler(handlers, key)
+                out, rule = EffectBrace(pending, key), "R-ASSIGNS"
+                events += [
+                    TraceEvent(st.steps, "signal-write", loc=l, fname=f, old=old, new=v),
+                    TraceEvent(
+                        st.steps, "handler-enqueue", loc=l, fname=f, count=_registrations(pending)
+                    ),
+                ]
             else:
-                red = unchanged(
-                    EMPTY, "R-ASSIGN", [TraceEvent(st.steps, "plain-write", loc=l, fname=f)]
-                )
-            red.store = store
-            return red
-        case Assign(recv=Loc() as recv, fname=f, value=v):
-            red = _reduce(ct, st, v, mut)
-            return red and red.wrap(lambda v2: Assign(recv, f, v2, span=e.span))
-        case Assign(recv=r, fname=f, value=v):
-            red = _reduce(ct, st, r, mut)
-            return red and red.wrap(lambda r2: Assign(r2, f, v, span=e.span))
+                out, rule = EMPTY, "R-ASSIGN"
+                events.append(TraceEvent(st.steps, "plain-write", loc=l, fname=f))
 
         case EffectBrace(body=Empty(), key=key):
-            return unchanged(handlers_of(ct, st.handlers, st.store, key), "R-ASSIGNCONT")
-        case EffectBrace(body=b, key=key):
-            red = _reduce(ct, st, b, mut)
-            return red and red.wrap(lambda b2: EffectBrace(b2, key, span=e.span))
+            out, rule = handlers_of(ct, handlers, store, key), "R-ASSIGNCONT"
 
         case Seq(first=Empty(), second=b):
-            return unchanged(b, "R-CAT")
-        case Seq(first=a, second=b):
-            red = _reduce(ct, st, a, mut)
-            return red and red.wrap(lambda a2: Seq(a2, b, span=e.span))
+            out, rule = b, "R-CAT"
 
         case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
             key = (l, f)
-            handlers = dict(st.handlers)
-            handlers[key] = Seq(lookup_handler(st.handlers, key), h)
-            red = unchanged(EMPTY, "R-SUBSCRIBE", [TraceEvent(st.steps, "subscribe", loc=l, fname=f)])
-            red.handlers = handlers
-            return red
-        case Subscribe(recv=r, fname=f, handler=h):
-            red = _reduce(ct, st, r, mut)
-            return red and red.wrap(lambda r2: Subscribe(r2, f, h, span=e.span))
+            handlers = dict(handlers)
+            handlers[key] = Seq(lookup_handler(handlers, key), h)
+            out, rule = EMPTY, "R-SUBSCRIBE"
+            events.append(TraceEvent(st.steps, "subscribe", loc=l, fname=f))
 
         case Let(var=x, bound=Loc() as b, body=body):
-            return unchanged(subst(body, {x: b}), "R-LET")
-        case Let(var=x, bound=b, body=body):
-            red = _reduce(ct, st, b, mut)
-            return red and red.wrap(lambda b2: Let(x, b2, body, span=e.span))
+            out, rule = subst(body, {x: b}), "R-LET"
 
         case _:
-            # values, unit, and free variables have no reduction
+            # a stuck node: a free variable, or a finished form where the
+            # node needs something else
             return None
+    state = MachineState(out, store, handlers, next_loc, st.steps + 1, st.stack)
+    return StepOutcome(state, rule, events)
 
 
 def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
     """Perform one reduction; None if terminal, StuckError if wedged."""
-    if is_terminal(st.expr):
+    if is_terminal(st.focus):
         return None
-    red = _reduce(ct, st, st.expr, mutations)
-    if red is None:
+    out = _contract(ct, st, mutations)
+    if out is None:
         raise StuckError(st)
-    new_state = MachineState(
-        expr=red.expr,
-        store=red.store,
-        handlers=red.handlers,
-        next_loc=red.next_loc,
-        steps=st.steps + 1,
-    )
-    return StepOutcome(new_state, red.rule, red.events)
+    return out
 
 
 # =========================================================================
 # driver
-
-
-def pending_key(e: Expr) -> Key | None:
-    """Key of the innermost brace on the active evaluation path."""
-    found: Key | None = None
-    while True:
-        match e:
-            case EffectBrace(body=b, key=k):
-                found = k
-                e = b
-            case FieldAccess(recv=r) if not isinstance(r, Loc):
-                e = r
-            case Invoke(recv=r) if not isinstance(r, Loc):
-                e = r
-            case Invoke(args=args):
-                nxt = next((a for a in args if not isinstance(a, Loc)), None)
-                if nxt is None:
-                    return found
-                e = nxt
-            case New(args=args):
-                nxt = next((a for a in args if not isinstance(a, Loc)), None)
-                if nxt is None:
-                    return found
-                e = nxt
-            case Assign(recv=r) if not isinstance(r, Loc):
-                e = r
-            case Assign(value=v) if not isinstance(v, Loc):
-                e = v
-            case Seq(first=a) if not isinstance(a, Empty):
-                e = a
-            case Subscribe(recv=r) if not isinstance(r, Loc):
-                e = r
-            case Let(bound=b) if not isinstance(b, Loc):
-                e = b
-            case _:
-                return found
 
 
 @dataclass
@@ -515,7 +511,9 @@ def run(
     while st.steps < fuel:
         watching = observers and violation is None
         if watching:
-            before = replace(st, store=dict(st.store), handlers=dict(st.handlers))
+            before = MachineState(
+                st.focus, dict(st.store), dict(st.handlers), st.next_loc, st.steps, st.stack
+            )
         try:
             out = step(ct, st, mutations)
         except StuckError as err:
@@ -533,9 +531,9 @@ def run(
                 if violation is not None:
                     break
         st = out.state
-    if is_terminal(st.expr):
+    if is_terminal(st.focus):
         return RunResult("terminal", st, trace, violation=violation)
-    return RunResult("fuel", st, trace, pending=pending_key(st.expr), violation=violation)
+    return RunResult("fuel", st, trace, pending=st.pending_key, violation=violation)
 
 
 def chain_depth(store: dict[int, StoredObject], l: int) -> int:

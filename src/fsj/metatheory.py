@@ -46,8 +46,6 @@ from .interp import (
     step,  # unused here; the benchmark's tracer wraps `metatheory.step`
 )
 from .syntax import (
-    EffectBrace,
-    Empty,
     Expr,
     Key,
     Loc,
@@ -346,8 +344,8 @@ class HandlerDelivery(Scenario):
                             before, f"handler on @{key[0]}.{key[1]} missing from its write"
                         )
         if out.rule == "R-ASSIGNCONT":
-            # the brace that just finished names the written key
-            key = _finished_brace_key(before.expr)
+            # the brace that just finished, the pending one, names the written key
+            key = before.pending_key
             if key is not None:
                 affected = effect(self.ct, before.store, key)
                 expansion = handlers_of(self.ct, before.handlers, before.store, key)
@@ -361,15 +359,6 @@ class HandlerDelivery(Scenario):
                         if not _occurs(h, after.expr):
                             return self.fail(before, "handler missing from the machine expression")
         return None
-
-
-def _finished_brace_key(e: Expr) -> Key | None:
-    """Key of the innermost brace whose body is unit, depth first."""
-    found = None
-    for sub in iter_subexprs(e):
-        if isinstance(sub, EffectBrace) and isinstance(sub.body, Empty):
-            found = sub.key
-    return found
 
 
 def _occurs(needle: Expr, hay: Expr) -> bool:

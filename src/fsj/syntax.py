@@ -675,3 +675,48 @@ def iter_subexprs(e: Expr):
             yield from iter_subexprs(body)
         case EffectBrace(body=b):
             yield from iter_subexprs(b)
+
+
+def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    """Capture is impossible because only closed values are substituted."""
+    match e:
+        case Var(name=x):
+            return mapping.get(x, e)
+        case FieldAccess(recv=r, fname=f):
+            return FieldAccess(subst(r, mapping), f, span=e.span)
+        case Invoke(recv=r, method=m, args=args):
+            return Invoke(subst(r, mapping), m, tuple(subst(a, mapping) for a in args), span=e.span)
+        case New(cls=c, args=args):
+            return New(c, tuple(subst(a, mapping) for a in args), span=e.span)
+        case Assign(recv=r, fname=f, value=v):
+            return Assign(subst(r, mapping), f, subst(v, mapping), span=e.span)
+        case Seq(first=a, second=b):
+            return Seq(subst(a, mapping), subst(b, mapping), span=e.span)
+        case Subscribe(recv=r, fname=f, handler=h):
+            return Subscribe(subst(r, mapping), f, subst(h, mapping), span=e.span)
+        case Let(var=x, bound=b, body=body):
+            narrowed = {k: v for k, v in mapping.items() if k != x}
+            return Let(x, subst(b, mapping), subst(body, narrowed), span=e.span)
+        case EffectBrace(body=b, key=k):
+            return EffectBrace(subst(b, mapping), k, span=e.span)
+        case _:
+            return e
+
+
+def contains(e: Expr, key: Key) -> bool:
+    """Syntactic test: does e read the field named by key?
+
+    Only the expression itself is inspected; bodies of methods it calls
+    are not unfolded.
+    """
+    match e:
+        case FieldAccess(recv=Loc(loc=l), fname=f) if (l, f) == key:
+            return True
+        case FieldAccess(recv=r):
+            return contains(r, key)
+        case Invoke(recv=r, args=args):
+            return contains(r, key) or any(contains(a, key) for a in args)
+        case New(args=args):
+            return any(contains(a, key) for a in args)
+        case _:
+            return False

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from fsj import build_class_table, check_program, load_corpus, parse_program, scenario_suite
 from fsj.metatheory import audit_run
@@ -8,6 +9,11 @@ from fsj.metatheory import audit_run
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = ROOT / "tests" / "golden"
+
+# Every @given test draws the same examples on every run, so a run's
+# coverage and duration do not change from one run to the next.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def load_corpus_file(name: str):

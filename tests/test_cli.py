@@ -108,6 +108,14 @@ def test_run_fuel_exhaustion(capsys):
     assert "status=fuel steps=100 pending=@1.n" in out
 
 
+def test_run_deep_handler_nesting_reaches_fuel(capsys):
+    """Each loop_handler push nests one brace deeper; by step 2981 the
+    context was deeper than Python's recursion limit allowed the machine."""
+    code, out, _ = run_cli(["run", path("loop_handler.fsj"), "--fuel", "5000"], capsys)
+    assert code == EXIT_FUEL
+    assert "status=fuel steps=5000 pending=@1.n" in out
+
+
 def test_run_rejects_illtyped(capsys):
     code, out, err = run_cli(["run", path("illtyped/subscribe_plain.fsj")], capsys)
     assert code == EXIT_SEMANTIC

@@ -1,11 +1,23 @@
 """Small-step machine: one test per rule, then the dependency functions
 against brute-force oracles, then whole-program behaviors."""
 
+import json
+import runpy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsj import build_class_table, chain_depth, parse_expr, parse_program, run, step, subst
+from fsj import (
+    build_class_table,
+    chain_depth,
+    check_program,
+    parse_expr,
+    parse_program,
+    run,
+    step,
+    subst,
+)
 from fsj.gen import GenConfig, generate_program
 from fsj.interp import (
     MUT_NO_THIS_SUBST,
@@ -14,11 +26,9 @@ from fsj.interp import (
     StoredObject,
     StuckError,
     TraceEvent,
-    contains,
     effect,
     handlers_of,
     initial_state,
-    pending_key,
 )
 from fsj.syntax import (
     EMPTY,
@@ -33,9 +43,10 @@ from fsj.syntax import (
     Seq,
     Subscribe,
     Var,
+    contains,
 )
 
-from conftest import load_corpus_file
+from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
 
 CLASSES = """
 class Nat extends Object {
@@ -354,6 +365,59 @@ def test_effect_matches_oracle_on_generated(seed):
             assert effect(ct, store, key) == effect_oracle(ct, store, key)
 
 
+@pytest.mark.parametrize("name", [p.name for p in sorted(CORPUS.glob("*.fsj"))])
+def test_downstream_table_matches_oracle_on_every_corpus_class(name):
+    """One object of every class in one store, so a dependency that left
+    its own object would show up as a difference."""
+    ct, program = load_corpus_file(name)
+    classes = [cl.name for cl in program.classes]
+    store = {l: StoredObject(c, (0,) * len(ct.source(c))) for l, c in enumerate(classes)}
+    for l, c in enumerate(classes):
+        for fld in ct.composite(c) + ct.source(c):
+            key = (l, fld.name)
+            assert effect(ct, store, key) == effect_oracle(ct, store, key), key
+
+
+GAP = """
+class Nat extends Object { Nat() { super(); } }
+class Box extends Object {
+  signal Nat n;
+  Box(Nat n) { super(); this.n = n; }
+}
+class Gap extends Object {
+  signal Nat viaCopy = this.viaOther;
+  signal Nat viaCall = this.get();
+  signal Nat viaOther = this.b.n;
+  signal Nat n;
+  Box b;
+  Gap(Nat n, Box b) { super(); this.n = n; this.b = b; }
+  Nat get() { this.n }
+}
+unit
+"""
+
+
+def test_effect_stays_syntactic_across_calls_and_objects():
+    """The paper's rule reads the initializer's own text: a field read
+    inside a called method, or through another object, is not a
+    dependency, although writing it changes the composite's value.  A
+    composite that names another composite depends on what that one
+    reads, and comes first when it is declared first."""
+    program = parse_program(GAP)
+    ct = build_class_table(program)
+    assert check_program(ct, program).ok
+    store = {
+        0: StoredObject("Gap", (2, 1)),
+        1: StoredObject("Box", (2,)),
+        2: StoredObject("Nat", ()),
+    }
+    for key in [(0, "n"), (1, "n"), (0, "b"), (0, "viaOther")]:
+        assert effect(ct, store, key) == effect_oracle(ct, store, key)
+    assert effect(ct, store, (0, "n")) == []  # viaCall reads this.n only inside get()
+    assert effect(ct, store, (1, "n")) == []  # viaOther reads @1.n only through this.b
+    assert effect(ct, store, (0, "b")) == [(0, "viaCopy"), (0, "viaOther")]
+
+
 def test_effect_separates_objects(ct):
     store = {
         0: StoredObject("Cell", (1, 2)),
@@ -487,8 +551,40 @@ def test_determinism():
 def test_pending_key_names_innermost_brace(ct):
     inner = EffectBrace(Seq(EMPTY, EMPTY), (0, "src"))
     outer = EffectBrace(Seq(inner, EMPTY), (3, "src"))
-    assert pending_key(outer) == (0, "src")
-    assert pending_key(Loc(1)) is None
+    assert MachineState(outer, {}, {}).pending_key == (0, "src")
+    # a brace that is itself the redex is still pending
+    redex = EffectBrace(EMPTY, (3, "src"))
+    assert MachineState(Seq(redex, EMPTY), {}, {}).pending_key == (3, "src")
+    assert MachineState(Loc(1), {}, {}).pending_key is None
+
+
+def test_rule_sequences_match_golden():
+    """Every corpus program and campaign seed steps through the recorded
+    rule sequence (scripts/regen_rule_sequences.py)."""
+    digests = runpy.run_path(str(ROOT / "scripts" / "regen_rule_sequences.py"))["digests"]
+    assert digests() == json.loads((GOLDEN / "rule_sequences.json").read_text())
+
+
+def test_peano_push_512_terminates():
+    """Doubling a numeral of 256 nests about 500 `new Succ(...)` frames."""
+    text = (ROOT / "perfbench" / "peano_push.fsj.tmpl").read_text()
+    program = parse_program(text.replace("{DOUBLES}", ".double()" * 9))
+    ct = build_class_table(program)
+    assert check_program(ct, program).ok
+    res = run(ct, program.main, collect_trace=False)
+    assert res.status == "terminal"
+    assert chain_depth(res.state.store, res.final.loc) == 512
+    assert len(res.state.store) == 4 * 512 + 5
+
+
+@pytest.mark.parametrize("seed", [12, 205])
+def test_cascading_handlers_run_without_crashing(seed):
+    """Handlers that write signals nest the context over 1300 frames deep here."""
+    program = generate_program(GenConfig(handlers_write_signals=True, seed=seed))
+    ct = build_class_table(program)
+    assert check_program(ct, program).ok
+    res = run(ct, program.main, fuel=2000, collect_trace=False)
+    assert res.status in ("terminal", "fuel")
 
 
 def test_chain_depth_handles_cycles():
