@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Regenerate tests/golden/campaign_reports.json.
+
+The file pins what the audit reports, seed by seed: one sha256 per
+campaign over every report's (seed, prop, outcome, step, detail), plus
+the campaign's violation count for a reader.  It covers the default
+campaign of seeds 0-999 and both deliberately broken machines at 120
+seeds, so the tallies and the mutation detail strings are checked by a
+test rather than by hand.
+
+Run from the repository root only after a deliberate change to an
+oracle, the generator or the machine, then review the diff by hand.
+tests/test_metatheory.py recomputes the digests and compares.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fsj import campaign  # noqa: E402
+from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN  # noqa: E402
+
+DEST = ROOT / "tests" / "golden" / "campaign_reports.json"
+# name -> (seed count, mutations); every campaign starts at seed 0
+CAMPAIGNS = {
+    "default": (1000, frozenset()),
+    MUT_NO_THIS_SUBST: (120, frozenset({MUT_NO_THIS_SUBST})),
+    MUT_SWAP_ASSIGN: (120, frozenset({MUT_SWAP_ASSIGN})),
+}
+
+
+def run_campaign(name: str):
+    count, mutations = CAMPAIGNS[name]
+    return campaign(count, base_seed=0, mutations=mutations)
+
+
+def record(name: str, res) -> dict:
+    """The digest of one campaign's reports, with what it covered."""
+    count, mutations = CAMPAIGNS[name]
+    h = hashlib.sha256()
+    for seed, r in res.reports:
+        h.update(json.dumps([seed, r.prop, r.outcome, r.step, r.detail]).encode() + b"\n")
+    return {
+        "seeds": [0, count - 1],
+        "mutations": sorted(mutations),
+        "violations": len(res.violations),
+        "sha256": h.hexdigest(),
+    }
+
+
+def digests(run=run_campaign) -> dict:
+    """run(name) gives the named campaign's result; a caller may pass one
+    that reuses a result it already holds."""
+    return {name: record(name, run(name)) for name in CAMPAIGNS}
+
+
+def main() -> int:
+    DEST.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DEST.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,19 @@ typing, so an interpreter bug cannot silently excuse itself.  The
 campaign audits each seeded program once and reads both its
 subject-reduction and its progress report off that run; `Scenario`
 observers replay curated corpus programs with structural assertions.
+
+The subject-reduction check re-types only what a step changed, and
+finds that out itself rather than from the machine's events: store
+entries that are no longer the very object it last checked, and
+expression nodes it has not typed before, by node identity (a
+`TypeMemo`).  That is sound because terms and `StoredObject`s are
+immutable and the store typing only grows: a location's type, once
+learned, never changes, so anything that typed before types the same
+now.  A location that was dropped or changed class is still caught,
+since Σ remembers it.
+
+A seed whose generation, checking or audit raises becomes a `crash`
+report of its own, and the campaign carries on.
 """
 
 from __future__ import annotations
@@ -56,7 +69,15 @@ from .syntax import (
     iter_subexprs,
     parse_program,
 )
-from .typecheck import UNIT, ErrKind, TypingError, check_program, is_subtype, type_expr
+from .typecheck import (
+    UNIT,
+    ErrKind,
+    TypeMemo,
+    TypingError,
+    check_program,
+    is_subtype,
+    type_expr,
+)
 
 CAMPAIGN_FUEL = 2_000
 
@@ -66,19 +87,20 @@ P_PLAIN_SILENT = "plain_write_silent"
 P_DELIVERY = "handler_delivery"
 P_PULL_PURE = "pull_preserves_stores"
 P_SOURCE_ONLY = "source_only_writes"
+P_NO_CRASH = "no_crash"  # generating, checking and auditing a seed raised nothing
 
 
 @dataclass
 class PropertyReport:
     prop: str
     subject: str  # corpus file name or "seed=<n>"
-    outcome: str  # "pass" | "violation" | "fuel" | "stuck"
+    outcome: str  # "pass" | "violation" | "crash" | "fuel" | "stuck"
     step: int | None = None
     detail: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.outcome != "violation"
+        return self.outcome not in ("violation", "crash")
 
     def line(self) -> str:
         extra = f" step={self.step}" if self.step is not None else ""
@@ -91,16 +113,27 @@ def check_store_typing(
     store: dict,
     handlers: dict[Key, Expr],
     store_typing: dict[int, str],
+    checked: tuple[dict, dict] | None = None,
 ) -> str | None:
     """Both stores well typed against the store typing; None when fine.
 
     Every location is typed at exactly its object's class and each
     stored field location must fit the declared field type; every
     registered handler must type to Unit over locations alone.
+
+    `checked` is a pair of stores that passed this check against a store
+    typing that `store_typing` extends.  Entries still holding the very
+    same `StoredObject` or handler `Expr` (`is`) are then not re-typed:
+    both are immutable, and a store typing only gains locations, never
+    changes one, so whatever typed under the smaller one types the same
+    under the larger.  Every other entry is re-typed, whoever changed it.
     """
+    old_store, old_handlers = checked or ({}, {})
     if store.keys() != store_typing.keys():
         return "object store and store typing have different domains"
     for l, obj in store.items():
+        if old_store.get(l) is obj:
+            continue
         if store_typing[l] != obj.cls:
             return f"@{l} typed {store_typing[l]} but stores a {obj.cls}"
         as_new = New(obj.cls, tuple(Loc(a) for a in obj.fields))
@@ -110,7 +143,10 @@ def check_store_typing(
             return f"@{l} holds an ill-typed object: {err.message}"
         if t != obj.cls:
             return f"@{l} re-types to {t}, expected {obj.cls}"
-    for (l, f), h in handlers.items():
+    for key, h in handlers.items():
+        if old_handlers.get(key) is h:
+            continue
+        l, f = key
         if l not in store_typing:
             return f"handler key @{l}.{f} names an unknown location"
         try:
@@ -158,6 +194,61 @@ def _verdict(prop: str, subject: str, res: RunResult) -> PropertyReport:
     return PropertyReport(prop, subject, outcome, res.state.steps)
 
 
+class SubjectReduction:
+    """The audit's subject-reduction observer.
+
+    After each step: Σ, the audit's own store typing, learns every
+    location the first time it shows up in the store; the whole
+    expression re-types to a subtype of the last type; Σ lost no
+    location and retyped none; and both stores type against Σ.
+
+    Only what changed since the last step that passed is re-typed.  The
+    observer keeps its own copy of the stores it last checked and
+    re-types just the entries that are no longer the same object, and it
+    types the expression with a `TypeMemo` that it rotates every step,
+    so only nodes the step built are typed again.  It computes all of
+    this itself, from the stores and the expression, never from the
+    machine's events.  `type` is the expression's type after the last
+    step that passed.
+    """
+
+    def __init__(self, ct: ClassTable, subject: str, t0: str):
+        self.ct, self.subject, self.type = ct, subject, t0
+        self.sigma: dict[int, str] = {}
+        self.memo = TypeMemo()
+        self.checked: tuple[dict, dict] = ({}, {})
+
+    def fail(self, after: MachineState, msg: str) -> PropertyReport:
+        return PropertyReport(P_SUBJECT_REDUCTION, self.subject, "violation", after.steps, msg)
+
+    def __call__(self, before, out, after):
+        ct, sigma, store = self.ct, self.sigma, after.store
+        # one pass over the store: Σ learns new locations, and a changed
+        # entry whose class differs from Σ's is a retyped location
+        old = self.checked[0]
+        retyped = False
+        for l, obj in store.items():
+            if old.get(l) is not obj and sigma.setdefault(l, obj.cls) != obj.cls:
+                retyped = True
+        self.memo.rotate()
+        try:
+            t_now = type_expr(ct, {}, sigma, after.expr, self.memo)
+        except TypingError as err:
+            return self.fail(after, f"untypable after {out.rule}: {err.message}")
+        if not is_subtype(ct, t_now, self.type):
+            return self.fail(after, f"type grew from {self.type} to {t_now} on {out.rule}")
+        # every stored location is in Σ now, so Σ is larger only if one was dropped
+        if retyped or len(sigma) != len(store):
+            lost = next(l for l, c in sigma.items() if l not in store or store[l].cls != c)
+            return self.fail(after, f"store typing dropped or retyped @{lost}")
+        msg = check_store_typing(ct, store, after.handlers, sigma, self.checked)
+        if msg is not None:
+            return self.fail(after, f"after {out.rule}: {msg}")
+        self.type = t_now
+        self.checked = (dict(store), dict(after.handlers))
+        return None
+
+
 def audit_run(
     ct: ClassTable,
     main: Expr,
@@ -173,35 +264,13 @@ def audit_run(
     final status, which the progress report reads.
     """
     rules: Counter = Counter()
-    sigma: dict[int, str] = {}  # the audit's own store typing
-    t_prev = type_expr(ct, {}, {}, main)  # caller guarantees this succeeds
+    subject_reduction = SubjectReduction(ct, subject, type_expr(ct, {}, {}, main))
 
-    def bad(after: MachineState, msg: str, prop: str = P_SUBJECT_REDUCTION) -> PropertyReport:
+    def bad(after: MachineState, msg: str, prop: str) -> PropertyReport:
         return PropertyReport(prop, subject, "violation", step=after.steps, detail=msg)
 
     def count_rule(before, out, after):
         rules[out.rule] += 1
-
-    def subject_reduction(before, out, after):
-        nonlocal t_prev
-        # Σ learns each location the first time it shows up in the store,
-        # so a location the machine later drops or retypes is caught
-        for l, obj in after.store.items():
-            sigma.setdefault(l, obj.cls)
-        try:
-            t_now = type_expr(ct, {}, sigma, after.expr)
-        except TypingError as err:
-            return bad(after, f"untypable after {out.rule}: {err.message}")
-        if not is_subtype(ct, t_now, t_prev):
-            return bad(after, f"type grew from {t_prev} to {t_now} on {out.rule}")
-        lost = [l for l, c in sigma.items() if l not in after.store or after.store[l].cls != c]
-        if lost:
-            return bad(after, f"store typing dropped or retyped @{lost[0]}")
-        msg = check_store_typing(ct, after.store, after.handlers, sigma)
-        if msg is not None:
-            return bad(after, f"after {out.rule}: {msg}")
-        t_prev = t_now
-        return None
 
     def pull_purity(before, out, after):
         if out.rule != "R-FIELDS":
@@ -427,25 +496,35 @@ def campaign(
     """Generate `count` seeded programs and audit each one.
 
     Each program is stepped once; its subject-reduction and its progress
-    reports both come from that audited run.
+    reports both come from that audited run.  An exception raised while
+    generating, checking or auditing a seed becomes that seed's one
+    report, a `crash` of `no_crash`, and the campaign goes on.
     """
     started = time.perf_counter()
     reports: list[tuple[int, PropertyReport]] = []
     rules: Counter = Counter()
     base_cfg = config or GenConfig()
     for seed in range(base_seed, base_seed + count):
-        cfg = replace(base_cfg, seed=seed)
         label = f"seed={seed}"
-        program = generate_program(cfg)
-        ct = build_class_table(program)
-        report = check_program(ct, program)
+        stage = "generation"
+        try:
+            program = generate_program(replace(base_cfg, seed=seed))
+            ct = build_class_table(program)
+            stage = "checking"
+            report = check_program(ct, program)
+            if report.ok:
+                stage = "audit"
+                res = audit_run(ct, program.main, label, fuel, mutations)
+        except Exception as err:
+            detail = f"{type(err).__name__} in {stage} of seed {seed}: {err}"
+            reports.append((seed, PropertyReport(P_NO_CRASH, label, "crash", None, detail)))
+            continue
         if not report.ok:
             detail = "; ".join(str(e) for e in report.errors[:3])
             reports.append(
                 (seed, PropertyReport("well_typed_generation", label, "violation", None, detail))
             )
             continue
-        res = audit_run(ct, program.main, label, fuel, mutations)
         rules.update(res.rules)
         reports += [(seed, r) for r in res.reports()]
     return CampaignResult(count, reports, time.perf_counter() - started, rules)
@@ -454,21 +533,31 @@ def campaign(
 def shrink_campaign_failure(seed: int, prop: str, fuel: int = CAMPAIGN_FUEL,
                             config: GenConfig | None = None,
                             mutations: frozenset[str] = frozenset()) -> Program:
-    """Re-derive and minimize the failing program for one campaign seed."""
+    """Re-derive and minimize the failing program for one campaign seed.
+
+    A `no_crash` failure still fails when checking or auditing a
+    candidate raises.  Any other exception (a table that does not build,
+    say) rejects the candidate, as `shrink` reads a raising predicate as
+    false.
+    """
     cfg = replace(config or GenConfig(), seed=seed)
     program = generate_program(cfg)
 
     def still_fails(p: Program) -> bool:
-        try:
-            ct = build_class_table(p)
-            if not check_program(ct, p).ok:
-                return prop == "well_typed_generation"
-            res = audit_run(ct, p.main, fuel=fuel, mutations=mutations)
-            if prop == P_PROGRESS:
-                return res.status == "stuck"
-            return res.status == "violated" and res.violation.prop == prop
-        except Exception:
+        ct = build_class_table(p)  # a table error rejects the candidate
+        if prop == P_NO_CRASH:
+            try:
+                if check_program(ct, p).ok:
+                    audit_run(ct, p.main, fuel=fuel, mutations=mutations)
+            except Exception:
+                return True
             return False
+        if not check_program(ct, p).ok:
+            return prop == "well_typed_generation"
+        res = audit_run(ct, p.main, fuel=fuel, mutations=mutations)
+        if prop == P_PROGRESS:
+            return res.status == "stuck"
+        return res.status == "violated" and res.violation.prop == prop
 
     return shrink(program, still_fails)
 

@@ -3,7 +3,14 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from fsj import build_class_table, check_program, load_corpus, parse_program, scenario_suite
+from fsj import (
+    build_class_table,
+    campaign,
+    check_program,
+    load_corpus,
+    parse_program,
+    scenario_suite,
+)
 from fsj.metatheory import audit_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +49,12 @@ def corpus_audits():
         name: audit_run(ct, program.main, name, fuel=2500)
         for name, program, ct in load_corpus(CORPUS)
     }
+
+
+@pytest.fixture(scope="session")
+def big_campaign():
+    """1000 fresh seeded programs, audited once and shared by criteria."""
+    return campaign(1000, base_seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -41,12 +41,6 @@ def verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def big_campaign():
-    """1000 fresh seeded programs, audited once and shared by criteria."""
-    return campaign(1000, base_seed=0)
-
-
 def test_criterion_01_pull_recomputes(capsys):
     depths = {}
     elapsed = {}

@@ -1,6 +1,8 @@
 """Soundness oracles: store typing, per-step audits, the generator, and
 the seeded campaign."""
 
+import json
+import runpy
 from dataclasses import replace
 
 import pytest
@@ -21,13 +23,20 @@ from fsj import (
     run,
     type_expr,
 )
-from fsj import interp
-from fsj.gen import GenConfig, generate_program, shrink
-from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, subst
-from fsj.metatheory import CAMPAIGN_FUEL, audit_run, shrink_campaign_failure
+from fsj import interp, is_subtype, metatheory
+from fsj.gen import GenConfig, _size, generate_program, shrink
+from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, StoredObject, subst
+from fsj.metatheory import (
+    CAMPAIGN_FUEL,
+    P_NO_CRASH,
+    SubjectReduction,
+    audit_run,
+    shrink_campaign_failure,
+)
 from fsj.syntax import EMPTY, Loc, Modifier, New, Subscribe, iter_subexprs
+from fsj.typecheck import TypingError
 
-from conftest import CORPUS, load_corpus_file
+from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
 
 # ------------------------------------------------------------ store typing
 
@@ -149,6 +158,161 @@ def test_audit_store_typing_only_grows(monkeypatch):
     assert res.status == "violated"
     assert res.violation.prop == "subject_reduction"
     assert "dropped or retyped @0" in res.violation.detail
+
+
+def replace_once(monkeypatch, rule, replace_entry):
+    """Let replace_entry(outcome) corrupt the first `rule` step it can; the
+    returned list then holds that step's number."""
+    hit = []
+
+    def corrupt(st, out):
+        if not hit and replace_entry(out):
+            hit.append(out.state.steps)
+
+    corrupting_step(monkeypatch, rule, corrupt)
+    return hit
+
+
+def untouched_object(out):
+    """A location with fields that this allocation did not create, or None."""
+    store, fresh = out.state.store, out.state.next_loc - 1
+    return next((l for l in sorted(store) if l != fresh and store[l].fields), None)
+
+
+def test_audit_retypes_an_untouched_object_replaced_in_place(monkeypatch):
+    """An allocation leaves every other object alone; one swapped behind the
+    step's back for an ill-typed object is still re-typed and caught."""
+
+    def dangle(out):
+        l = untouched_object(out)
+        if l is None:
+            return False
+        obj = out.state.store[l]
+        out.state.store[l] = StoredObject(obj.cls, (999,) * len(obj.fields))
+        return True
+
+    hit = replace_once(monkeypatch, "R-NEW", dangle)
+    ct, program = load_corpus_file("peano_pull.fsj")
+    res = audit_run(ct, program.main, "peano_pull.fsj")
+    assert res.status == "violated"
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", hit[0])
+    assert "after R-NEW: @" in res.violation.detail
+    assert "holds an ill-typed object: location @999 not in store typing" in res.violation.detail
+
+
+def test_audit_retypes_an_untouched_handler_replaced_in_place(monkeypatch):
+    """Same for a handler entry: an allocation never touches the handler store."""
+
+    def retype_handler(out):
+        if not out.state.handlers:
+            return False
+        key = next(iter(out.state.handlers))
+        out.state.handlers[key] = New("Nat", ())
+        return True
+
+    hit = replace_once(monkeypatch, "R-NEW", retype_handler)
+    ct, program = load_corpus_file("handler_delivery.fsj")
+    res = audit_run(ct, program.main, "handler_delivery.fsj")
+    assert res.status == "violated"
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", hit[0])
+    assert res.violation.detail.endswith("have type Nat, expected Unit")
+
+
+def test_audit_accepts_an_equal_copy_of_an_object(monkeypatch):
+    """A store entry that is new by identity but equal in value re-types fine."""
+
+    def copy(out):
+        l = untouched_object(out)
+        if l is None:
+            return False
+        obj = out.state.store[l]
+        out.state.store[l] = StoredObject(obj.cls, tuple(obj.fields))
+        assert out.state.store[l] == obj and out.state.store[l] is not obj
+        return True
+
+    hit = replace_once(monkeypatch, "R-NEW", copy)
+    ct, program = load_corpus_file("peano_pull.fsj")
+    res = audit_run(ct, program.main, "peano_pull.fsj")
+    assert hit and res.status == "terminal" and res.violation is None
+
+
+class FullRecheck:
+    """Subject reduction re-derived from scratch on every step: Σ from the
+    whole store, the expression typed without a memo, both stores typed
+    in full.  Returns the violation's detail, or None."""
+
+    def __init__(self, ct, t0):
+        self.ct, self.type, self.sigma = ct, t0, {}
+
+    def __call__(self, out, after):
+        ct, sigma = self.ct, self.sigma
+        for l, obj in after.store.items():
+            sigma.setdefault(l, obj.cls)
+        try:
+            t_now = type_expr(ct, {}, sigma, after.expr)
+        except TypingError as err:
+            return f"untypable after {out.rule}: {err.message}"
+        if not is_subtype(ct, t_now, self.type):
+            return f"type grew from {self.type} to {t_now} on {out.rule}"
+        lost = [l for l, c in sigma.items() if l not in after.store or after.store[l].cls != c]
+        if lost:
+            return f"store typing dropped or retyped @{lost[0]}"
+        msg = check_store_typing(ct, after.store, after.handlers, sigma)
+        if msg is not None:
+            return f"after {out.rule}: {msg}"
+        self.type = t_now
+        return None
+
+
+def differential_audit(ct, main, fuel, mutations=frozenset()):
+    """Run the audit's incremental observer and the full recheck on the same
+    steps; they must agree on every verdict, type and store typing."""
+    t0 = type_expr(ct, {}, {}, main)
+    incremental, full = SubjectReduction(ct, "<main>", t0), FullRecheck(ct, t0)
+    compared = []
+
+    def observe(before, out, after):
+        got = incremental(before, out, after)
+        want = full(out, after)
+        assert (got and got.detail) == want, after.steps
+        assert (incremental.type, incremental.sigma) == (full.type, full.sigma), after.steps
+        compared.append(got is None)
+        return got
+
+    run(ct, main, fuel, mutations, collect_trace=False, observers=[observe])
+    return compared
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.fsj")), ids=lambda p: p.name)
+def test_incremental_audit_matches_full_recheck_on_corpus(path):
+    """Fuel 1000 takes loop_handler's context some 170 frames deep."""
+    ct, program = load_corpus_file(path.name)
+    assert all(differential_audit(ct, program.main, 1000))
+
+
+@pytest.mark.parametrize(
+    "mutations, seeds, fails",
+    [
+        (frozenset(), range(200), False),
+        (frozenset({MUT_NO_THIS_SUBST}), range(60), True),
+        (frozenset({MUT_SWAP_ASSIGN}), range(60), False),
+    ],
+    ids=["default", MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN],
+)
+def test_incremental_audit_matches_full_recheck_on_seeds(mutations, seeds, fails):
+    """Without `this` substituted, pulls leave `this` free, and both paths
+    must reject the same step with the same message.  A swapped write
+    dispatch breaks the write discipline but never typing."""
+    steps = failed = 0
+    for seed in seeds:
+        program = generate_program(GenConfig(seed=seed))
+        ct = build_class_table(program)
+        assert check_program(ct, program).ok
+        compared = differential_audit(ct, program.main, CAMPAIGN_FUEL, mutations)
+        steps += len(compared)
+        failed += compared.count(False)
+    assert steps > 1000
+    assert (failed > 0) == fails
 
 
 def test_audit_statuses():
@@ -337,6 +501,43 @@ def test_campaign_reports_match_separate_checks(mutation):
     assert violated > 0
 
 
+def test_campaign_reports_match_golden(big_campaign):
+    """Every report of the default campaign and of both broken machines is
+    the recorded one (scripts/regen_campaign_reports.py)."""
+    script = runpy.run_path(str(ROOT / "scripts" / "regen_campaign_reports.py"))
+    digests = script["digests"](
+        lambda name: big_campaign if name == "default" else script["run_campaign"](name)
+    )
+    assert digests == json.loads((GOLDEN / "campaign_reports.json").read_text())
+
+
+@pytest.mark.parametrize("seed", [12, 205])
+def test_campaign_reports_a_crash(seed):
+    """Cascading handlers nest the context deeper than the audit's recursive
+    typing reaches; the campaign records that and returns."""
+    res = campaign(1, base_seed=seed, config=GenConfig(handlers_write_signals=True))
+    [(got_seed, report)] = res.reports
+    assert (got_seed, report.prop, report.outcome, report.ok) == (seed, P_NO_CRASH, "crash", False)
+    assert report.detail.startswith(f"RecursionError in audit of seed {seed}: ")
+    assert res.violations == res.reports
+
+
+def test_campaign_crash_keeps_going_and_shrinks(monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(metatheory, "audit_run", explode)
+    res = campaign(3, base_seed=0)
+    assert [(s, r.outcome, r.detail) for s, r in res.reports] == [
+        (s, "crash", f"RuntimeError in audit of seed {s}: boom") for s in range(3)
+    ]
+    shrunk = shrink_campaign_failure(0, P_NO_CRASH)
+    assert _size(shrunk) < _size(generate_program(GenConfig(seed=0)))
+    # a candidate still fails only if it checks and then the audit raises
+    ct = build_class_table(shrunk)
+    assert check_program(ct, shrunk).ok
+
+
 def test_report_line_format():
     res = campaign(1, base_seed=0)
     seed, report = res.reports[0]
@@ -348,8 +549,6 @@ def test_report_line_format():
 
 
 def test_shrink_keeps_predicate_and_never_grows():
-    from fsj.gen import _size
-
     program = generate_program(GenConfig(seed=77))
 
     def has_let(p):
