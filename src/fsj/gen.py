@@ -48,7 +48,9 @@ from .syntax import (
     SourceField,
     Subscribe,
     Var,
+    children,
     iter_subexprs,
+    with_child,
 )
 from .typecheck import is_subtype
 
@@ -343,58 +345,16 @@ def _rebuild_ctors(program: Program) -> None:
         )
 
 
-def _expr_children(e: Expr) -> tuple[Expr, ...]:
-    match e:
-        case FieldAccess(recv=r):
-            return (r,)
-        case Invoke(recv=r, args=args):
-            return (r, *args)
-        case New(args=args):
-            return args
-        case Assign(recv=r, value=v):
-            return (r, v)
-        case Seq(first=a, second=b):
-            return (a, b)
-        case Subscribe(recv=r, handler=h):
-            return (r, h)
-        case Let(bound=b, body=body):
-            return (b, body)
-        case _:
-            return ()
-
-
-def _replace_child(e: Expr, idx: int, new: Expr) -> Expr:
-    match e:
-        case FieldAccess(fname=f):
-            return FieldAccess(new, f)
-        case Invoke(recv=r, method=m, args=args):
-            if idx == 0:
-                return Invoke(new, m, args)
-            return Invoke(r, m, args[: idx - 1] + (new,) + args[idx:])
-        case New(cls=c, args=args):
-            return New(c, args[:idx] + (new,) + args[idx + 1:])
-        case Assign(recv=r, fname=f, value=v):
-            return Assign(new, f, v) if idx == 0 else Assign(r, f, new)
-        case Seq(first=a, second=b):
-            return Seq(new, b) if idx == 0 else Seq(a, new)
-        case Subscribe(recv=r, fname=f, handler=h):
-            return Subscribe(new, f, h) if idx == 0 else Subscribe(r, f, new)
-        case Let(var=x, bound=b, body=body):
-            return Let(x, new, body) if idx == 0 else Let(x, b, new)
-        case _:
-            raise ValueError(f"{e!r} has no children")
-
-
 def _replace_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new
-    child = _expr_children(e)[path[0]]
-    return _replace_child(e, path[0], _replace_at(child, path[1:], new))
+    child = children(e)[path[0]]
+    return with_child(e, path[0], _replace_at(child, path[1:], new))
 
 
 def _paths(e: Expr, prefix: tuple[int, ...] = ()):
     yield prefix, e
-    for i, c in enumerate(_expr_children(e)):
+    for i, c in enumerate(children(e)):
         yield from _paths(c, prefix + (i,))
 
 

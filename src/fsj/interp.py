@@ -110,7 +110,7 @@ def _first_open(args: tuple[Expr, ...]) -> int | None:
     return None
 
 
-def _fill(node: Expr, slot: int, v: Expr) -> Expr:
+def fill(node: Expr, slot: int, v: Expr) -> Expr:
     """node with subterm `slot` replaced by v."""
     match node:
         case FieldAccess(fname=f):
@@ -153,7 +153,7 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
                 if k is None:
                     return e, None
                 node, slot, k = k
-                e = _fill(node, slot, e)
+                e = fill(node, slot, e)
                 continue
             case (
                 FieldAccess(recv=c)
@@ -218,7 +218,7 @@ class MachineState:
             e, k = self.focus, self.stack
             while k is not None:
                 node, slot, k = k
-                e = _fill(node, slot, e)
+                e = fill(node, slot, e)
             self._expr = e
         return self._expr
 

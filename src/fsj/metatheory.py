@@ -29,13 +29,14 @@ observers replay curated corpus programs with structural assertions.
 
 The subject-reduction check re-types only what a step changed, and
 finds that out itself rather than from the machine's events: store
-entries that are no longer the very object it last checked, and
-expression nodes it has not typed before, by node identity (a
-`TypeMemo`).  That is sound because terms and `StoredObject`s are
-immutable and the store typing only grows: a location's type, once
-learned, never changes, so anything that typed before types the same
-now.  A location that was dropped or changed class is still caught,
-since Σ remembers it.
+entries that are no longer the very object it last checked, and the
+frames of the evaluation context that it has not typed at their current
+hole type.  It types the state as the machine holds it, focus first and
+then frame by frame, never plugging the whole expression.  That is
+sound because terms, frames and `StoredObject`s are immutable, typing
+is syntax-directed, contexts never reach under a binder, and the store
+typing only grows.  A location that was dropped or changed class is
+still caught, since Σ remembers it.
 
 A seed whose generation, checking or audit raises becomes a `crash`
 report of its own, and the campaign carries on.
@@ -54,6 +55,7 @@ from .interp import (
     MachineState,
     RunResult,
     effect,
+    fill,
     handlers_of,
     run,
     step,  # unused here; the benchmark's tracer wraps `metatheory.step`
@@ -66,13 +68,13 @@ from .syntax import (
     New,
     Program,
     Seq,
+    Var,
     iter_subexprs,
     parse_program,
 )
 from .typecheck import (
     UNIT,
     ErrKind,
-    TypeMemo,
     TypingError,
     check_program,
     is_subtype,
@@ -194,32 +196,77 @@ def _verdict(prop: str, subject: str, res: RunResult) -> PropertyReport:
     return PropertyReport(prop, subject, outcome, res.state.steps)
 
 
+HOLE = "□"  # a frame's hole while the audit types it; no identifier can spell it
+
+
 class SubjectReduction:
     """The audit's subject-reduction observer.
 
     After each step: Σ, the audit's own store typing, learns every
-    location the first time it shows up in the store; the whole
-    expression re-types to a subtype of the last type; Σ lost no
-    location and retyped none; and both stores type against Σ.
+    location the first time it shows up in the store; the expression
+    re-types to a subtype of the last type; Σ lost no location and
+    retyped none; and both stores type against Σ.
 
-    Only what changed since the last step that passed is re-typed.  The
-    observer keeps its own copy of the stores it last checked and
-    re-types just the entries that are no longer the same object, and it
-    types the expression with a `TypeMemo` that it rotates every step,
-    so only nodes the step built are typed again.  It computes all of
-    this itself, from the stores and the expression, never from the
-    machine's events.  `type` is the expression's type after the last
-    step that passed.
+    The expression is typed as the machine holds it, never plugged: the
+    focus, then each frame outward with its hole the variable HOLE bound
+    to the type of what fills it.  Frame cells are immutable and shared
+    from step to step, so `frames` caches each cell of the last stack by
+    identity, with the hole type it was typed at and the whole
+    expression's type.  The walk stops at the first cell cached at the
+    same hole type, so a step types its focus, the frames it pushed and
+    one more.  Store entries still the very object last checked are not
+    re-typed either.  What is reused stays right because Σ only grows.
+    The observer works all this out from the state, never from the
+    machine's events.  `type` is the type after the last step that passed.
     """
 
     def __init__(self, ct: ClassTable, subject: str, t0: str):
         self.ct, self.subject, self.type = ct, subject, t0
         self.sigma: dict[int, str] = {}
-        self.memo = TypeMemo()
+        self.frames: dict[int, tuple] = {}  # id(cell) -> (cell, hole type, whole type)
+        self.stack = None  # the stack whose cells `frames` holds
         self.checked: tuple[dict, dict] = ({}, {})
 
     def fail(self, after: MachineState, msg: str) -> PropertyReport:
         return PropertyReport(P_SUBJECT_REDUCTION, self.subject, "violation", after.steps, msg)
+
+    def _type_frame(self, cell, hole: str | None) -> str:
+        node, slot, _ = cell
+        env = {HOLE: hole} if hole else {}
+        return type_expr(self.ct, env, self.sigma, fill(node, slot, Var(HOLE)))
+
+    def type_state(self, st: MachineState) -> str:
+        """The type of st's expression, or the TypingError typing it plugged raises."""
+        frames, fresh, k = self.frames, [], st.stack
+        while k is not None and id(k) not in frames:
+            fresh.append(k)
+            k = k[2]
+        while self.stack is not k:  # drop the cells popped since
+            del frames[id(self.stack)]
+            self.stack = self.stack[2]
+        self.stack, k, typed = st.stack, st.stack, []
+        try:
+            t = type_expr(self.ct, {}, self.sigma, st.focus)
+            while k is not None:
+                _, hole, whole = frames.get(id(k), (k, None, None))
+                if hole == t:
+                    t = whole
+                    break
+                typed.append((k, t))
+                t, k = self._type_frame(k, t), k[2]
+        except TypingError:
+            # the plugged term meets a frame's finished subterms before
+            # its hole, outermost frame first; only new frames can fail so
+            for cell in reversed(fresh):
+                try:
+                    self._type_frame(cell, None)
+                except TypingError as err:
+                    if err.message != f"unbound variable {HOLE}":
+                        raise err from None
+            raise
+        for cell, hole in typed:
+            frames[id(cell)] = (cell, hole, t)
+        return t
 
     def __call__(self, before, out, after):
         ct, sigma, store = self.ct, self.sigma, after.store
@@ -230,9 +277,8 @@ class SubjectReduction:
         for l, obj in store.items():
             if old.get(l) is not obj and sigma.setdefault(l, obj.cls) != obj.cls:
                 retyped = True
-        self.memo.rotate()
         try:
-            t_now = type_expr(ct, {}, sigma, after.expr, self.memo)
+            t_now = self.type_state(after)
         except TypingError as err:
             return self.fail(after, f"untypable after {out.rule}: {err.message}")
         if not is_subtype(ct, t_now, self.type):

@@ -33,7 +33,7 @@ waiting on field `f` of the object at location 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 
@@ -298,10 +298,28 @@ def _lex(text: str) -> list[_Token]:
 # parser
 
 
+# Bounds the levels the parser has open (a parenthesis, argument, let part,
+# `;` rest, handler or assigned value opens one) and the depth of the term
+# it builds (every node, `.f` chains too), far below the recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+def _depth_checked(e: Expr) -> Expr:
+    """e, or a ParseError at a node of e nested more than MAX_DEPTH deep."""
+    level = [e]
+    for _ in range(MAX_DEPTH):
+        level = [c for node in level for c in children(node)]
+        if not level:
+            return e
+    raise ParseError(_TOO_DEEP, level[0].span.line, level[0].span.col)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # nesting levels open, see MAX_DEPTH
 
     def _peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -344,7 +362,7 @@ class _Parser:
         classes = []
         while self._at("class"):
             classes.append(self.class_decl())
-        main = self.expr()
+        main = _depth_checked(self.expr())
         if self._peek().kind != "eof":
             raise self._fail("trailing input after main expression", {"end of input"})
         return Program(classes, main)
@@ -411,7 +429,7 @@ class _Parser:
             self._next()
             # assignment level, so the terminating ';' is unambiguous;
             # sequences or lets in an initializer need parentheses
-            init = self._assign()
+            init = _depth_checked(self._assign())
             self._expect(";")
             return CompositeField(modifier, typ, name, init, span=span)
         self._expect(";")
@@ -446,7 +464,7 @@ class _Parser:
         name = self._ident("method name").text
         params = self._params()
         self._expect("{")
-        body = self.expr()
+        body = _depth_checked(self.expr())
         self._expect("}")
         return MethodDecl(ret, name, params, body, span=span)
 
@@ -466,7 +484,19 @@ class _Parser:
 
     # ---- expressions
 
+    def _deeper(self, parse) -> Expr:
+        """parse() one nesting level further in, unless MAX_DEPTH are open."""
+        if self.depth == MAX_DEPTH:
+            raise self._fail(_TOO_DEEP)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
+
     def expr(self) -> Expr:
+        return self._deeper(self._expr)
+
+    def _expr(self) -> Expr:
         if self._at("let"):
             start = self._next()
             var = self._ident("variable name").text
@@ -490,7 +520,7 @@ class _Parser:
                 raise ParseError(
                     "assignment target must be a field access", eq.line, eq.col
                 )
-            value = self._assign()
+            value = self._deeper(self._assign)
             return Assign(target.recv, target.fname, value, span=target.span)
         return target
 
@@ -559,7 +589,7 @@ def parse_program(text: str) -> Program:
 
 def parse_expr(text: str) -> Expr:
     p = _Parser(_lex(text))
-    e = p.expr()
+    e = _depth_checked(p.expr())
     if p._peek().kind != "eof":
         raise p._fail("trailing input after expression", {"end of input"})
     return e
@@ -648,33 +678,38 @@ def render_program(p: Program) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
+def children(e: Expr) -> list[Expr]:
+    """e's subterms, left to right, which is evaluation order."""
+    out = []
+    for v in vars(e).values():
+        if isinstance(v, Expr):
+            out.append(v)
+        elif isinstance(v, tuple):
+            out += [a for a in v if isinstance(a, Expr)]
+    return out
+
+
+def with_child(e: Expr, i: int, new: Expr) -> Expr:
+    """e with its subterm number i, counted as in `children`, replaced by new."""
+    for name, v in vars(e).items():
+        if isinstance(v, Expr):
+            if i == 0:
+                return replace(e, **{name: new})
+            i -= 1
+        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
+            if i < len(v):
+                return replace(e, **{name: v[:i] + (new,) + v[i + 1:]})
+            i -= len(v)
+    raise ValueError(f"no such subterm in {e!r}")
+
+
 def iter_subexprs(e: Expr):
     """Yield e and every expression nested inside it, outermost first."""
-    yield e
-    match e:
-        case FieldAccess(recv=r):
-            yield from iter_subexprs(r)
-        case Invoke(recv=r, args=args):
-            yield from iter_subexprs(r)
-            for a in args:
-                yield from iter_subexprs(a)
-        case New(args=args):
-            for a in args:
-                yield from iter_subexprs(a)
-        case Assign(recv=r, value=v):
-            yield from iter_subexprs(r)
-            yield from iter_subexprs(v)
-        case Seq(first=a, second=b):
-            yield from iter_subexprs(a)
-            yield from iter_subexprs(b)
-        case Subscribe(recv=r, handler=h):
-            yield from iter_subexprs(r)
-            yield from iter_subexprs(h)
-        case Let(bound=b, body=body):
-            yield from iter_subexprs(b)
-            yield from iter_subexprs(body)
-        case EffectBrace(body=b):
-            yield from iter_subexprs(b)
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        todo += reversed(children(e))
 
 
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -709,14 +744,7 @@ def contains(e: Expr, key: Key) -> bool:
     Only the expression itself is inspected; bodies of methods it calls
     are not unfolded.
     """
-    match e:
-        case FieldAccess(recv=Loc(loc=l), fname=f) if (l, f) == key:
-            return True
-        case FieldAccess(recv=r):
-            return contains(r, key)
-        case Invoke(recv=r, args=args):
-            return contains(r, key) or any(contains(a, key) for a in args)
-        case New(args=args):
-            return any(contains(a, key) for a in args)
-        case _:
-            return False
+    l, f = key
+    return any(
+        isinstance(s, FieldAccess) and s.fname == f and s.recv == Loc(l) for s in iter_subexprs(e)
+    )

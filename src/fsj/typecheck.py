@@ -38,7 +38,6 @@ from enum import Enum
 
 from .classtable import ClassTable
 from .syntax import (
-    OBJECT,
     UNIT,
     Assign,
     ClassDecl,
@@ -58,7 +57,7 @@ from .syntax import (
     Var,
 )
 
-TypeEnv = dict[str, str]  # variable -> class name; never maps to Unit
+TypeEnv = dict[str, str]  # variable -> class name; only an audit's hole maps to Unit
 StoreTyping = dict[int, str]  # location -> class name
 
 
@@ -114,73 +113,37 @@ def _class_of(t: str, role: str, span: Span | None) -> str:
     return t
 
 
-class TypeMemo(dict):
-    """Types of closed terms, keyed by `id(node)` to `(node, type)`.
-
-    Each entry keeps its node alive, so no other node can take its id.
-    Entries live for two generations: `rotate` starts a new one, and a
-    lookup that hits the previous generation carries the entry over.  So
-    the memo holds only what was reached while typing since the last
-    rotation, not every term it has ever seen.
-    """
-
-    __slots__ = ("previous",)
-
-    def __init__(self):
-        super().__init__()
-        self.previous: dict = {}
-
-    def __missing__(self, key: int):
-        hit = self.previous.get(key)
-        if hit is not None:
-            self[key] = hit
-        return hit
-
-    def rotate(self) -> None:
-        self.previous = dict(self)
-        self.clear()
-
-
-def type_expr(
-    ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr, memo: TypeMemo | None = None
-) -> str:
+def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) -> str:
     """The type of e under env and store_typing, or a TypingError.
 
-    With a memo, a closed term (empty env) that already typed is not
-    typed again: its type is read back by node identity.  That is sound
-    because nodes are immutable and the type of a closed term depends
-    only on the types its locations have in the store typing, which a
-    caller that passes a memo only ever extends.  Only successes are
-    kept.  The memo is read here and written at the one exit below, so
-    it adds no stack frame per level.
+    Syntax-directed: a node's type depends only on its form and its
+    subterms' types, so a subterm can be replaced by a variable bound to
+    its type.  The audit types each evaluation-context frame that way,
+    its hole `metatheory.HOLE`, the one variable that may be Unit.
     """
-    if memo is not None and not env:
-        hit = memo[id(e)]
-        if hit is not None:
-            return hit[1]
     match e:
         case Var(name=x):
             if x not in env:
                 raise TypingError(ErrKind.UNBOUND_VAR, f"unbound variable {x}", e.span)
-            t = env[x]
+            return env[x]
 
         case Loc(loc=l):
             if l not in store_typing:
                 raise TypingError(ErrKind.UNKNOWN_LOCATION, f"location @{l} not in store typing", e.span)
-            t = store_typing[l]
+            return store_typing[l]
 
         case Empty():
-            t = UNIT
+            return UNIT
 
         case FieldAccess(recv=r, fname=f):
-            c0 = _class_of(type_expr(ct, env, store_typing, r, memo), "receiver", e.span)
+            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
             ft = ct.ftype(c0, f)
             if ft is None:
                 raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-            t = ft[1]
+            return ft[1]
 
         case Invoke(recv=r, method=m, args=args):
-            c0 = _class_of(type_expr(ct, env, store_typing, r, memo), "receiver", e.span)
+            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
             sig = ct.mtype(m, c0)
             if sig is None:
                 raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
@@ -192,12 +155,12 @@ def type_expr(
                     e.span,
                 )
             for a, pt in zip(args, ptypes):
-                at = _class_of(type_expr(ct, env, store_typing, a, memo), "argument", a.span)
+                at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
                 if not is_subtype(ct, at, pt):
                     raise TypingError(
                         ErrKind.ARG_SUBTYPE, f"argument of type {at} where {pt} expected", a.span
                     )
-            t = ret
+            return ret
 
         case New(cls=c, args=args):
             if c not in ct:
@@ -210,17 +173,17 @@ def type_expr(
                     e.span,
                 )
             for a, sf in zip(args, fields):
-                at = _class_of(type_expr(ct, env, store_typing, a, memo), "argument", a.span)
+                at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
                 if not is_subtype(ct, at, sf.ftype):
                     raise TypingError(
                         ErrKind.ARG_SUBTYPE,
                         f"field {sf.name} of new {c} needs {sf.ftype}, got {at}",
                         a.span,
                     )
-            t = c
+            return c
 
         case Assign(recv=r, fname=f, value=v):
-            c0 = _class_of(type_expr(ct, env, store_typing, r, memo), "receiver", e.span)
+            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
             target = next((sf for sf in ct.source(c0) if sf.name == f), None)
             if target is None:
                 if any(cf.name == f for cf in ct.composite(c0)):
@@ -230,27 +193,27 @@ def type_expr(
                         e.span,
                     )
                 raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-            vt = _class_of(type_expr(ct, env, store_typing, v, memo), "assigned value", v.span)
+            vt = _class_of(type_expr(ct, env, store_typing, v), "assigned value", v.span)
             if not is_subtype(ct, vt, target.ftype):
                 raise TypingError(
                     ErrKind.ASSIGN_TYPE_MISMATCH,
                     f"cannot assign {vt} to {c0}.{f} of type {target.ftype}",
                     e.span,
                 )
-            t = UNIT
+            return UNIT
 
         case Seq(first=a, second=b):
-            ta = type_expr(ct, env, store_typing, a, memo)
+            ta = type_expr(ct, env, store_typing, a)
             if ta != UNIT:
                 raise TypingError(
                     ErrKind.SEQ_LEFT_NOT_UNIT,
                     f"left arm of ';' must be Unit, got {ta}",
                     a.span,
                 )
-            t = type_expr(ct, env, store_typing, b, memo)
+            return type_expr(ct, env, store_typing, b)
 
         case Subscribe(recv=r, fname=f, handler=h):
-            c0 = _class_of(type_expr(ct, env, store_typing, r, memo), "receiver", e.span)
+            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
             ft = ct.ftype(c0, f)
             if ft is None:
                 raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
@@ -260,36 +223,32 @@ def type_expr(
                     f"{c0}.{f} is not a signal field",
                     e.span,
                 )
-            th = type_expr(ct, env, store_typing, h, memo)
+            th = type_expr(ct, env, store_typing, h)
             if th != UNIT:
                 raise TypingError(
                     ErrKind.SUBSCRIBE_HANDLER_NOT_UNIT,
                     f"handler must be Unit, got {th}",
                     h.span,
                 )
-            t = UNIT
+            return UNIT
 
         case EffectBrace(body=b):
-            tb = type_expr(ct, env, store_typing, b, memo)
+            tb = type_expr(ct, env, store_typing, b)
             if tb != UNIT:
                 raise TypingError(
                     ErrKind.BRACE_BODY_NOT_UNIT,
                     f"pending effect body must be Unit, got {tb}",
                     e.span,
                 )
-            t = UNIT
+            return UNIT
 
         case Let(var=x, bound=b, body=body):
-            tb = _class_of(type_expr(ct, env, store_typing, b, memo), "bound expression", b.span)
+            tb = _class_of(type_expr(ct, env, store_typing, b), "bound expression", b.span)
             inner = dict(env)
             inner[x] = tb
-            t = type_expr(ct, inner, store_typing, body, memo)
+            return type_expr(ct, inner, store_typing, body)
 
-        case _:
-            raise ValueError(f"cannot type {e!r}")
-    if memo is not None and not env:
-        memo[id(e)] = (e, t)
-    return t
+    raise ValueError(f"cannot type {e!r}")
 
 
 def check_init(e: Expr) -> bool:

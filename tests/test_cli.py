@@ -75,6 +75,27 @@ def test_check_table_error_is_semantic(tmp_path, capsys):
     assert "cycle" in err.lower()
 
 
+SIGNAL_A = "class A extends Object { signal A a = this; A() { super(); } }\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "unit; " * 3000 + "unit",
+        "(" * 3000 + "unit" + ")" * 3000,
+        SIGNAL_A + "new A()" + ".a" * 3000,
+    ],
+    ids=["chained-units", "nested-parens", "field-chain"],
+)
+def test_check_too_deep_is_a_parse_error(tmp_path, capsys, text):
+    """Each of these once ended in a RecursionError traceback (exit 1)."""
+    deep = tmp_path / "deep.fsj"
+    deep.write_text(text + "\n")
+    code, out, err = run_cli(["check", str(deep)], capsys)
+    assert code == EXIT_PARSE
+    assert "nested deeper than" in err
+
+
 # -------------------------------------------------------------------- run
 
 

@@ -33,7 +33,7 @@ from fsj.metatheory import (
     audit_run,
     shrink_campaign_failure,
 )
-from fsj.syntax import EMPTY, Loc, Modifier, New, Subscribe, iter_subexprs
+from fsj.syntax import EMPTY, Invoke, Loc, Modifier, New, Subscribe, Var, iter_subexprs
 from fsj.typecheck import TypingError
 
 from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
@@ -234,6 +234,73 @@ def test_audit_accepts_an_equal_copy_of_an_object(monkeypatch):
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
     assert hit and res.status == "terminal" and res.violation is None
+
+
+def test_audit_types_a_deep_context_to_fuel():
+    """loop_handler nests one brace deeper per loop: 1667 frames at fuel 5000."""
+    ct, program = load_corpus_file("loop_handler.fsj")
+    res = audit_run(ct, program.main, "loop_handler.fsj", fuel=5000)
+    assert (res.status, res.run.state.steps) == ("fuel", 5000)
+    depth, k = 0, res.run.state.stack
+    while k is not None:
+        depth, k = depth + 1, k[2]
+    assert depth == 1667
+
+
+PAIR = """
+class A extends Object { A() { super(); } }
+class B extends Object { B() { super(); } }
+class Pair extends Object {
+  B b;
+  A a;
+  Pair(B b, A a) { super(); this.b = b; this.a = a; }
+}
+new Pair(new B(), new A())
+"""
+
+
+def replace_second_step(monkeypatch, contractum):
+    """Make step 2 of PAIR, which allocates the A, yield `contractum` in its
+    place, in the same context: `new Pair(@0, [])`."""
+    real = interp.step
+
+    def wrapped(ct, st, mutations=frozenset()):
+        out = real(ct, st, mutations)
+        if st.steps != 1:
+            return out
+        state = interp.MachineState(
+            contractum, st.store, st.handlers, st.next_loc, st.steps + 1, st.stack
+        )
+        return interp.StepOutcome(state, out.rule, [])
+
+    monkeypatch.setattr(interp, "step", wrapped)
+    program = parse_program(PAIR)
+    ct = build_class_table(program)
+    with pytest.raises(TypingError) as plugged:
+        type_expr(ct, {}, {0: "B"}, New("Pair", (Loc(0), contractum)))
+    return audit_run(ct, program.main), plugged.value.message
+
+
+@pytest.mark.parametrize(
+    "contractum", [New("B", ()), Loc(0)], ids=["stays-in-its-frame", "plugged-into-it"]
+)
+def test_audit_types_the_contractum_in_its_frame(monkeypatch, contractum):
+    """A B where the frame needs an A types by itself but not in its frame,
+    whether it is still a redex in the frame the last step typed or a
+    location plugged into it; the audit gives the plugged term's error."""
+    res, plugged = replace_second_step(monkeypatch, contractum)
+    assert plugged == "field a of new Pair needs A, got B"
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", 2)
+    assert res.violation.detail == f"untypable after R-NEW: {plugged}"
+
+
+def test_audit_reports_the_error_the_plugged_term_meets_first(monkeypatch):
+    """The contractum's free variable is its focus, but typing the plugged
+    term meets the missing method of the frame around it first."""
+    res, plugged = replace_second_step(monkeypatch, Invoke(Loc(0), "nope", (Var("x"),)))
+    assert plugged == "B has no method nope"
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", 2)
+    assert res.violation.detail == f"untypable after R-NEW: {plugged}"
 
 
 class FullRecheck:
@@ -512,14 +579,14 @@ def test_campaign_reports_match_golden(big_campaign):
 
 
 @pytest.mark.parametrize("seed", [12, 205])
-def test_campaign_reports_a_crash(seed):
-    """Cascading handlers nest the context deeper than the audit's recursive
-    typing reaches; the campaign records that and returns."""
+def test_campaign_audits_cascading_handlers_to_fuel(seed):
+    """Cascading handlers nest the context well over a thousand frames deep;
+    the audit types it frame by frame, so both theorems run out of fuel."""
     res = campaign(1, base_seed=seed, config=GenConfig(handlers_write_signals=True))
-    [(got_seed, report)] = res.reports
-    assert (got_seed, report.prop, report.outcome, report.ok) == (seed, P_NO_CRASH, "crash", False)
-    assert report.detail.startswith(f"RecursionError in audit of seed {seed}: ")
-    assert res.violations == res.reports
+    assert [(s, r.prop, r.outcome, r.step) for s, r in res.reports] == [
+        (seed, "subject_reduction", "fuel", CAMPAIGN_FUEL),
+        (seed, "progress", "fuel", CAMPAIGN_FUEL),
+    ]
 
 
 def test_campaign_crash_keeps_going_and_shrinks(monkeypatch):

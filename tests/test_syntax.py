@@ -10,6 +10,7 @@ from fsj import ParseError, parse_expr, parse_program, render_expr, render_progr
 from fsj.gen import GenConfig, generate_program
 from fsj.syntax import (
     EMPTY,
+    MAX_DEPTH,
     Assign,
     EffectBrace,
     Empty,
@@ -277,6 +278,33 @@ def test_generated_programs_round_trip(seed: int):
     program = generate_program(GenConfig(seed=seed))
     text = render_program(program)
     assert render_program(parse_program(text)) == text
+
+
+SIGNAL_A = "class A extends Object { signal A a = this; A() { super(); } }\n"
+NESTED = {  # a program whose deepest term nests k + 1 levels
+    "seq": lambda k: "unit; " * k + "unit",
+    "parens": lambda k: "(" * k + "unit" + ")" * k,
+    "field-chain": lambda k: SIGNAL_A + "new A()" + ".a" * k,
+    "assign-chain": lambda k: "x.a = " * k + "x",
+    "initializer": lambda k: (
+        f"class A extends Object {{ signal A a = this{'.a' * k}; A() {{ super(); }} }}\nunit"
+    ),
+    "method-body": lambda k: (
+        f"class A extends Object {{ A() {{ super(); }} Unit m() {{ {'unit; ' * k}unit }} }}\nunit"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_depth_cap_counts_every_level(shape):
+    parse_program(NESTED[shape](MAX_DEPTH - 1))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_program(NESTED[shape](MAX_DEPTH))
+
+
+def test_depth_cap_admits_every_generated_program():
+    for seed in range(1000):
+        parse_program(render_program(generate_program(GenConfig(seed=seed))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,6 @@ from fsj import (
     parse_program,
     type_expr,
 )
-from fsj.typecheck import TypeMemo, TypingError
 from conftest import CORPUS, load_corpus_file
 
 HIERARCHY = """
@@ -31,31 +30,6 @@ def ct():
 def test_subtype_reflexive(ct):
     for name in ("Object", "A", "B", "C", "Unit"):
         assert is_subtype(ct, name, name)
-
-
-def test_type_memo_keeps_what_the_last_typing_reached(ct):
-    memo = TypeMemo()
-    a, b = parse_expr("new A()"), parse_expr("new B()")
-    assert type_expr(ct, {}, {}, a, memo) == "A"
-    memo.rotate()
-    assert type_expr(ct, {}, {}, b, memo) == "B"
-    memo.rotate()
-    assert [node for node, _ in memo.previous.values()] == [b]
-    # a hit in the previous generation is carried into the current one
-    assert type_expr(ct, {}, {}, b, memo) == "B"
-    assert memo[id(b)] == (b, "B")
-
-
-def test_type_memo_keeps_only_closed_terms_that_typed(ct):
-    memo = TypeMemo()
-    bad = parse_expr("new A().nope")
-    for _ in range(2):
-        with pytest.raises(TypingError):
-            type_expr(ct, {}, {}, bad, memo)
-    assert [node for node, _ in memo.values()] == [bad.recv]
-    open_term = parse_expr("x")
-    assert type_expr(ct, {"x": "A"}, {}, open_term, memo) == "A"
-    assert id(open_term) not in memo
 
 
 def test_subtype_transitive(ct):
