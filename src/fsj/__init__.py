@@ -28,7 +28,6 @@ from .metatheory import (
     campaign,
     check_progress,
     check_store_typing,
-    check_subject_reduction,
     load_corpus,
     scenario_suite,
     shrink_campaign_failure,
@@ -75,7 +74,6 @@ __all__ = [
     "check_program",
     "check_progress",
     "check_store_typing",
-    "check_subject_reduction",
     "contains",
     "effect",
     "generate_program",

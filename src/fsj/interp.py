@@ -40,7 +40,7 @@ location or unit, plugs it into the innermost frame and carries on from
 that node, until it reaches the next redex.  Neither part depends on
 how deep the focus sits, and neither walks the context by recursion.
 `MachineState.expr` plugs the focus back into its context when someone
-asks for the whole expression (the oracles, traces and final results),
+asks for the whole expression (traces, stuck reports and final results),
 and the innermost brace around the focus is the pending key a fuel-cut
 run reports.
 
@@ -79,6 +79,7 @@ from .syntax import (
     Subscribe,
     render_expr,
     subst,
+    with_child,
 )
 
 DEFAULT_FUEL = 100_000
@@ -88,11 +89,8 @@ MUT_SWAP_ASSIGN = "swap-assign-dispatch"
 MUTATIONS = frozenset({MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN})
 
 # An evaluation context: None when empty, else (node, slot, outer), where
-# node's subterm number `slot` is the hole.  Slots count the subterms in
-# evaluation order: the receiver of FieldAccess, Invoke, Assign and
-# Subscribe is 0, Invoke's arguments are 1.., New's arguments 0.., an
-# assigned value 1, and the left arm of `;`, a let's bound expression and
-# a brace body are 0.
+# node's subterm number `slot`, counted as `syntax.children` lists them (in
+# evaluation order), is the hole; `syntax.with_child` plugs it.
 Stack = Optional[Tuple[Expr, int, "Stack"]]
 
 
@@ -108,32 +106,6 @@ def _first_open(args: tuple[Expr, ...]) -> int | None:
         if not isinstance(a, Loc):
             return i
     return None
-
-
-def fill(node: Expr, slot: int, v: Expr) -> Expr:
-    """node with subterm `slot` replaced by v."""
-    match node:
-        case FieldAccess(fname=f):
-            return FieldAccess(v, f, span=node.span)
-        case Invoke(recv=r, method=m, args=args):
-            if slot == 0:
-                return Invoke(v, m, args, span=node.span)
-            return Invoke(r, m, args[: slot - 1] + (v,) + args[slot:], span=node.span)
-        case New(cls=c, args=args):
-            return New(c, args[:slot] + (v,) + args[slot + 1:], span=node.span)
-        case Assign(recv=r, fname=f, value=val):
-            if slot == 0:
-                return Assign(v, f, val, span=node.span)
-            return Assign(r, f, v, span=node.span)
-        case Seq(second=b):
-            return Seq(v, b, span=node.span)
-        case Subscribe(fname=f, handler=h):
-            return Subscribe(v, f, h, span=node.span)
-        case Let(var=x, body=body):
-            return Let(x, v, body, span=node.span)
-        case EffectBrace(key=k):
-            return EffectBrace(v, k, span=node.span)
-    raise ValueError(f"no subterm {slot} in {node!r}")
 
 
 def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
@@ -153,7 +125,7 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
                 if k is None:
                     return e, None
                 node, slot, k = k
-                e = fill(node, slot, e)
+                e = with_child(node, slot, e)
                 continue
             case (
                 FieldAccess(recv=c)
@@ -218,14 +190,9 @@ class MachineState:
             e, k = self.focus, self.stack
             while k is not None:
                 node, slot, k = k
-                e = fill(node, slot, e)
+                e = with_child(node, slot, e)
             self._expr = e
         return self._expr
-
-    @expr.setter
-    def expr(self, e: Expr) -> None:
-        self.focus, self.stack = _refocus(e, None)
-        self._expr = e
 
     @property
     def pending_key(self) -> Key | None:

@@ -9,34 +9,32 @@ about the two propagation styles:
                       both stores stay well typed against it
   progress            a well-typed expression is a location, unit, or
                       can step; the machine never wedges before fuel
-  plain-write-silent  writing a plain field yields unit, touches no
-                      handler state, and enqueues nothing
-  handler-delivery    a handler registered on a field downstream of a
-                      written signal shows up in the pending work the
-                      write's brace expands to
   pull-preserves-stores  reading an initialized field changes no store
   source-only-writes  no reduction ever writes an initialized field,
                       statically rejected and dynamically re-checked
+  plain-write-silent  a write to a plain field is an R-ASSIGN and
+                      touches no handler state
+  handler-delivery    a signal write schedules the handlers registered
+                      on its field, in order, and one registered
+                      downstream shows up in what its brace expands to
 
 There is one stepping loop, `interp.run`; every oracle is one of its
 per-step observers `(before, outcome, after) -> violation | None`.
-`audit_run` attaches the audit.  It re-derives the per-step theorems from
-the public interpreter and checker APIs only, keeping its own store
-typing, so an interpreter bug cannot silently excuse itself.  The
-campaign audits each seeded program once and reads both its
-subject-reduction and its progress report off that run; `Scenario`
-observers replay curated corpus programs with structural assertions.
+`audit_run` attaches them all: rule counts, subject reduction, then the
+four property classes.  It re-derives the per-step theorems from the
+public interpreter and checker APIs only, keeping its own store typing,
+so an interpreter bug cannot silently excuse itself.  The campaign
+audits each seeded program once and reads its first violation and its
+progress report off that run; `scenario_suite` runs the property classes
+on curated corpus programs and fails one that judged nothing.
 
-The subject-reduction check re-types only what a step changed, and
-finds that out itself rather than from the machine's events: store
-entries that are no longer the very object it last checked, and the
-frames of the evaluation context that it has not typed at their current
-hole type.  It types the state as the machine holds it, focus first and
-then frame by frame, never plugging the whole expression.  That is
-sound because terms, frames and `StoredObject`s are immutable, typing
-is syntax-directed, contexts never reach under a binder, and the store
-typing only grows.  A location that was dropped or changed class is
-still caught, since Σ remembers it.
+No oracle reads the machine's events.  Subject reduction re-types only
+what a step changed, which it finds itself (see `SubjectReduction`).
+That is sound because terms, frames and `StoredObject`s are immutable,
+typing is syntax-directed, contexts never reach under a binder, and the
+store typing only grows.  The property classes read what a step wrote
+or subscribed off its redex, and what the redex reduced to off the
+frames the step pushed.
 
 A seed whose generation, checking or audit raises becomes a `crash`
 report of its own, and the campaign carries on.
@@ -55,12 +53,14 @@ from .interp import (
     MachineState,
     RunResult,
     effect,
-    fill,
     handlers_of,
     run,
-    step,  # unused here; the benchmark's tracer wraps `metatheory.step`
+    step,  # unused here; kept for the benchmark's tracer, which wraps it by name
 )
 from .syntax import (
+    Assign,
+    EffectBrace,
+    Empty,
     Expr,
     Key,
     Loc,
@@ -68,9 +68,11 @@ from .syntax import (
     New,
     Program,
     Seq,
+    Subscribe,
     Var,
     iter_subexprs,
     parse_program,
+    with_child,
 )
 from .typecheck import (
     UNIT,
@@ -128,7 +130,9 @@ def check_store_typing(
     same `StoredObject` or handler `Expr` (`is`) are then not re-typed:
     both are immutable, and a store typing only gains locations, never
     changes one, so whatever typed under the smaller one types the same
-    under the larger.  Every other entry is re-typed, whoever changed it.
+    under the larger.  A handler entry `Seq(prev, h)` whose `prev` is the
+    very entry checked types only `h`.  Every other entry is re-typed,
+    whoever changed it.
     """
     old_store, old_handlers = checked or ({}, {})
     if store.keys() != store_typing.keys():
@@ -146,11 +150,14 @@ def check_store_typing(
         if t != obj.cls:
             return f"@{l} re-types to {t}, expected {obj.cls}"
     for key, h in handlers.items():
-        if old_handlers.get(key) is h:
+        prev = old_handlers.get(key)
+        if prev is h:
             continue
         l, f = key
         if l not in store_typing:
             return f"handler key @{l}.{f} names an unknown location"
+        if isinstance(h, Seq) and h.first is prev:
+            h = h.second  # prev typed Unit, so by T-SEQ the chain types as h does
         try:
             t = type_expr(ct, {}, store_typing, h)
         except TypingError as err:
@@ -233,7 +240,7 @@ class SubjectReduction:
     def _type_frame(self, cell, hole: str | None) -> str:
         node, slot, _ = cell
         env = {HOLE: hole} if hole else {}
-        return type_expr(self.ct, env, self.sigma, fill(node, slot, Var(HOLE)))
+        return type_expr(self.ct, env, self.sigma, with_child(node, slot, Var(HOLE)))
 
     def type_state(self, st: MachineState) -> str:
         """The type of st's expression, or the TypingError typing it plugged raises."""
@@ -305,62 +312,24 @@ def audit_run(
     """Step the machine once under every per-step soundness check at once.
 
     The checks are observers of `run`, called in this order: rule
-    counts, subject reduction, pull purity, write discipline.  The first
-    violation silences them all, and the machine runs on to its own
-    final status, which the progress report reads.
+    counts, subject reduction, then the property classes pull purity,
+    source-only writes, plain-write silence and handler delivery.  The
+    first violation silences them all, and the machine runs on to its
+    own final status, which the progress report reads.
     """
     rules: Counter = Counter()
-    subject_reduction = SubjectReduction(ct, subject, type_expr(ct, {}, {}, main))
-
-    def bad(after: MachineState, msg: str, prop: str) -> PropertyReport:
-        return PropertyReport(prop, subject, "violation", step=after.steps, detail=msg)
 
     def count_rule(before, out, after):
         rules[out.rule] += 1
 
-    def pull_purity(before, out, after):
-        if out.rule != "R-FIELDS":
-            return None
-        if (after.store, after.handlers) != (before.store, before.handlers):
-            return bad(after, "a pull changed a store", P_PULL_PURE)
-        return None
-
-    def write_discipline(before, out, after):
-        if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
-            return None
-        ev = next(e for e in out.events if e.kind in ("plain-write", "signal-write"))
-        cls = after.store[ev.loc].cls
-        sf = next((s for s in ct.source(cls) if s.name == ev.fname), None)
-        where = f"{cls}.{ev.fname}"
-        if sf is None:
-            return bad(after, f"{out.rule} wrote initialized field {where}", P_SOURCE_ONLY)
-        enqueued = any(e.kind == "handler-enqueue" for e in out.events)
-        if sf.modifier is Modifier.SIGNAL and (out.rule != "R-ASSIGNS" or not enqueued):
-            msg = f"write to signal field {where} scheduled no notification"
-            return bad(after, msg, P_DELIVERY)
-        if sf.modifier is not Modifier.SIGNAL and (
-            out.rule != "R-ASSIGN" or enqueued or after.handlers != before.handlers
-        ):
-            msg = f"write to unmodified field {where} scheduled notification work"
-            return bad(after, msg, P_PLAIN_SILENT)
-        return None
-
-    observers = (count_rule, subject_reduction, pull_purity, write_discipline)
+    properties = (PullPreservesStores, SourceOnlyWrites, PlainWriteSilent, HandlerDelivery)
+    observers = [count_rule, SubjectReduction(ct, subject, type_expr(ct, {}, {}, main))]
+    observers += [kind(ct, subject) for kind in properties]
     res = run(ct, main, fuel, mutations, collect_trace=False, observers=observers)
     return AuditResult(subject, res, rules)
 
 
-def check_subject_reduction(
-    ct: ClassTable,
-    main: Expr,
-    subject: str = "<main>",
-    fuel: int = CAMPAIGN_FUEL,
-    mutations: frozenset[str] = frozenset(),
-) -> PropertyReport:
-    """Per-step typing preservation; stuck and fuel are distinct outcomes."""
-    return audit_run(ct, main, subject, fuel, mutations).reports()[0]
-
-
+# the package no longer calls this; kept for the benchmark's tracer, which wraps it by name
 def check_progress(
     ct: ClassTable,
     main: Expr,
@@ -374,16 +343,23 @@ def check_progress(
 
 
 # =========================================================================
-# curated scenario checks
+# property observers
 
 
 class Scenario:
-    """A curated oracle for one property of one program, run as an observer.
+    """One whole-run property, judged step by step as an observer of `run`.
 
-    `exercised` counts the steps it judged; a scenario with a `vacuous`
-    message fails a run that exercised nothing.  A run silences all its
-    observers at the first violation, so the others judge only the steps
-    before it.
+    `audit_run` runs every property class on each program it steps;
+    `scenario_suite` runs them on curated corpus programs, where
+    `exercised` counts the steps a property judged and a class with a
+    `vacuous` message fails a run that exercised nothing.  A violation
+    names the step count after the step that broke the property.  A run
+    silences all its observers at the first violation, so the others
+    judge only the steps before it.
+
+    No property reads the machine's events.  What a step wrote or
+    subscribed comes from its redex, `before.focus`, and the kind of a
+    written field from the class table.
     """
 
     prop = ""
@@ -393,8 +369,8 @@ class Scenario:
         self.ct, self.subject, self.exercised = ct, subject, 0
         self.failed: PropertyReport | None = None
 
-    def fail(self, before: MachineState, detail: str) -> PropertyReport:
-        self.failed = PropertyReport(self.prop, self.subject, "violation", before.steps, detail)
+    def fail(self, after: MachineState, detail: str) -> PropertyReport:
+        self.failed = PropertyReport(self.prop, self.subject, "violation", after.steps, detail)
         return self.failed
 
     def report(self, res: RunResult) -> PropertyReport:
@@ -406,78 +382,32 @@ class Scenario:
         return verdict
 
 
-class PlainWriteSilent(Scenario):
-    """Plain-field writes reduce to unit and never touch handler state."""
-
-    prop = P_PLAIN_SILENT
-    vacuous = "scenario exercised no plain write"
-
-    def __call__(self, before, out, after):
-        if out.rule != "R-ASSIGN":
-            return None
-        self.exercised += 1
-        if any(e.kind == "handler-enqueue" for e in out.events):
-            return self.fail(before, "plain write enqueued handlers")
-        if after.handlers != before.handlers:
-            return self.fail(before, "plain write changed the handler store")
-        return None
+def _write(ct: ClassTable, st: MachineState) -> tuple[int, str, str, Modifier | None] | None:
+    """(l, f, l's class, f's modifier) for the write st's redex makes to
+    field f of location l, the modifier None when f is initialized; None
+    when the redex writes nothing."""
+    match st.focus:
+        case Assign(recv=Loc(loc=l), fname=f, value=Loc()):
+            cls = st.store[l].cls
+            return l, f, cls, next((sf.modifier for sf in ct.source(cls) if sf.name == f), None)
+    return None
 
 
-class HandlerDelivery(Scenario):
-    """Every registered handler reachable from a write is delivered.
+def _contractum(before: MachineState, after: MachineState) -> Expr | None:
+    """What the step from before to after reduced before's redex to; None
+    when that was a location or unit plugged into an enclosing frame.
 
-    Handlers sitting on the written field itself must show up in the work
-    the write schedules; handlers on fields derived from it must show up
-    in the continuation that runs once that work is done. Both sides are
-    recomputed from the public dependency functions and compared against
-    the machine's actual next expression.
+    Refocusing descends into an unfinished contractum, pushing frames on
+    the redex's context, so the outermost frame pushed (or the focus, if
+    none was) holds it.  A finished one pops the innermost frame of that
+    context instead, so the walk never meets it and runs to the bottom.
     """
-
-    prop = P_DELIVERY
-    vacuous = "scenario delivered no handler"
-
-    def __init__(self, ct: ClassTable, subject: str):
-        super().__init__(ct, subject)
-        self.registered: list[tuple[Key, Expr]] = []
-
-    def __call__(self, before, out, after):
-        if out.rule == "R-SUBSCRIBE":
-            ev = next(e for e in out.events if e.kind == "subscribe")
-            key = (ev.loc, ev.fname)
-            stored = after.handlers[key]
-            assert isinstance(stored, Seq)
-            self.registered.append((key, stored.second))
-        if out.rule == "R-ASSIGNS":
-            # handlers on the written field run as the scheduled payload
-            ev = next(e for e in out.events if e.kind == "signal-write")
-            key = (ev.loc, ev.fname)
-            for hkey, h in self.registered:
-                if hkey == key:
-                    self.exercised += 1
-                    if not _occurs(h, after.expr):
-                        return self.fail(
-                            before, f"handler on @{key[0]}.{key[1]} missing from its write"
-                        )
-        if out.rule == "R-ASSIGNCONT":
-            # the brace that just finished, the pending one, names the written key
-            key = before.pending_key
-            if key is not None:
-                affected = effect(self.ct, before.store, key)
-                expansion = handlers_of(self.ct, before.handlers, before.store, key)
-                for hkey, h in self.registered:
-                    if hkey in affected:
-                        self.exercised += 1
-                        if not _occurs(h, expansion):
-                            return self.fail(
-                                before, f"handler on @{hkey[0]}.{hkey[1]} missing from expansion"
-                            )
-                        if not _occurs(h, after.expr):
-                            return self.fail(before, "handler missing from the machine expression")
-        return None
-
-
-def _occurs(needle: Expr, hay: Expr) -> bool:
-    return any(sub == needle for sub in iter_subexprs(hay))
+    e, k = after.focus, after.stack
+    while k is not before.stack:
+        if k is None:
+            return None
+        e, _, k = k
+    return e
 
 
 class PullPreservesStores(Scenario):
@@ -491,7 +421,7 @@ class PullPreservesStores(Scenario):
             return None
         self.exercised += 1
         if (after.store, after.handlers) != (before.store, before.handlers):
-            return self.fail(before, "pull changed a store")
+            return self.fail(after, "a pull changed a store")
         return None
 
 
@@ -501,13 +431,99 @@ class SourceOnlyWrites(Scenario):
     prop = P_SOURCE_ONLY
 
     def __call__(self, before, out, after):
-        if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
-            return None
-        ev = next(e for e in out.events if e.kind.endswith("-write"))
-        cls = after.store[ev.loc].cls
-        if not any(sf.name == ev.fname for sf in self.ct.source(cls)):
-            return self.fail(before, f"wrote initialized field {cls}.{ev.fname}")
+        match _write(self.ct, before):
+            case (_, f, cls, None):
+                return self.fail(after, f"{out.rule} wrote initialized field {cls}.{f}")
         return None
+
+
+class PlainWriteSilent(Scenario):
+    """Every plain-field write is an R-ASSIGN that leaves the handler store alone."""
+
+    prop = P_PLAIN_SILENT
+    vacuous = "scenario exercised no plain write"
+
+    def __call__(self, before, out, after):
+        match _write(self.ct, before):
+            case (_, f, cls, Modifier.PLAIN):
+                self.exercised += 1
+                if out.rule != "R-ASSIGN" or after.handlers != before.handlers:
+                    msg = f"write to unmodified field {cls}.{f} scheduled notification work"
+                    return self.fail(after, msg)
+        return None
+
+
+class HandlerDelivery(Scenario):
+    """Every signal write schedules its handlers, and every registered
+    handler a write reaches is delivered.
+
+    A write to a signal field must be an R-ASSIGNS that reduces to a brace
+    on the written key, whose body's left `Seq` spine, read from the
+    bottom, is exactly the handlers this observer saw subscribed on that
+    key, in order.  When the brace finishes (R-ASSIGNCONT), each handler
+    registered on a field downstream of the key must show up both in the
+    expansion the public dependency functions compute and in what the
+    machine reduced the brace to.
+    """
+
+    prop = P_DELIVERY
+    vacuous = "scenario delivered no handler"
+
+    def __init__(self, ct: ClassTable, subject: str):
+        super().__init__(ct, subject)
+        self.registered: dict[Key, list[Expr]] = {}
+
+    def __call__(self, before, out, after):
+        match before.focus:
+            case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
+                self.registered.setdefault((l, f), []).append(h)
+            case EffectBrace(body=Empty(), key=key):
+                return self._downstream(before, after, key)
+        match _write(self.ct, before):
+            case (l, f, cls, Modifier.SIGNAL):
+                return self._direct(before, out, after, (l, f), cls)
+        return None
+
+    def _direct(self, before, out, after, key: Key, cls: str):
+        brace = _contractum(before, after) if out.rule == "R-ASSIGNS" else None
+        if not isinstance(brace, EffectBrace) or brace.key != key:
+            msg = f"write to signal field {cls}.{key[1]} scheduled no notification"
+            return self.fail(after, msg)
+        expected = self.registered.get(key, [])
+        self.exercised += len(expected)
+        scheduled, body = [], brace.body
+        while isinstance(body, Seq):
+            scheduled.append(body.second)
+            body = body.first
+        scheduled.reverse()
+        if scheduled != expected or not isinstance(body, Empty):
+            l, f = key
+            if any(h not in scheduled for h in expected):
+                return self.fail(after, f"handler on @{l}.{f} missing from its write")
+            return self.fail(after, f"handlers on @{l}.{f} scheduled out of registration order")
+        return None
+
+    def _downstream(self, before, after, key: Key):
+        expected = [
+            (hkey, h)
+            for hkey in effect(self.ct, before.store, key)
+            for h in self.registered.get(hkey, ())
+        ]
+        if not expected:
+            return None
+        self.exercised += len(expected)
+        expansion = handlers_of(self.ct, before.handlers, before.store, key)
+        reduct = _contractum(before, after)
+        for (l, f), h in expected:
+            if not _occurs(h, expansion):
+                return self.fail(after, f"handler on @{l}.{f} missing from expansion")
+            if reduct is None or not _occurs(h, reduct):
+                return self.fail(after, f"handler on @{l}.{f} missing from the brace's reduct")
+        return None
+
+
+def _occurs(needle: Expr, hay: Expr) -> bool:
+    return any(sub == needle for sub in iter_subexprs(hay))
 
 
 # =========================================================================

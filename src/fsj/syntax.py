@@ -33,7 +33,7 @@ waiting on field `f` of the object at location 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -689,18 +689,31 @@ def children(e: Expr) -> list[Expr]:
     return out
 
 
-def with_child(e: Expr, i: int, new: Expr) -> Expr:
-    """e with its subterm number i, counted as in `children`, replaced by new."""
-    for name, v in vars(e).items():
-        if isinstance(v, Expr):
+def with_child(e: Expr, i: int, v: Expr) -> Expr:
+    """e with its subterm number i, counted as in `children`, replaced by v.
+
+    The machine numbers the hole of an evaluation-context frame the same way.
+    """
+    match e:
+        case FieldAccess(fname=f) if i == 0:
+            return FieldAccess(v, f, span=e.span)
+        case Invoke(recv=r, method=m, args=args) if 0 <= i <= len(args):
             if i == 0:
-                return replace(e, **{name: new})
-            i -= 1
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
-            if i < len(v):
-                return replace(e, **{name: v[:i] + (new,) + v[i + 1:]})
-            i -= len(v)
-    raise ValueError(f"no such subterm in {e!r}")
+                return Invoke(v, m, args, span=e.span)
+            return Invoke(r, m, args[: i - 1] + (v,) + args[i:], span=e.span)
+        case New(cls=c, args=args) if 0 <= i < len(args):
+            return New(c, args[:i] + (v,) + args[i + 1:], span=e.span)
+        case Assign(recv=r, fname=f, value=val) if i in (0, 1):
+            return Assign(v, f, val, span=e.span) if i == 0 else Assign(r, f, v, span=e.span)
+        case Seq(first=a, second=b) if i in (0, 1):
+            return Seq(v, b, span=e.span) if i == 0 else Seq(a, v, span=e.span)
+        case Subscribe(recv=r, fname=f, handler=h) if i in (0, 1):
+            return Subscribe(v, f, h, span=e.span) if i == 0 else Subscribe(r, f, v, span=e.span)
+        case Let(var=x, bound=b, body=body) if i in (0, 1):
+            return Let(x, v, body, span=e.span) if i == 0 else Let(x, b, v, span=e.span)
+        case EffectBrace(key=k) if i == 0:
+            return EffectBrace(v, k, span=e.span)
+    raise ValueError(f"no subterm {i} in {e!r}")
 
 
 def iter_subexprs(e: Expr):

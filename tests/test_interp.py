@@ -167,13 +167,13 @@ def test_rule_subscribe_appends(ct):
     assert out.rule == "R-SUBSCRIBE"
     assert isinstance(out.state.expr, Empty)
     assert out.state.handlers[(0, "src")] == Seq(EMPTY, h1)
-    st1 = out.state
-    st1.expr = Subscribe(Loc(0), "src", h2)
+    st = out.state
+    st1 = MachineState(Subscribe(Loc(0), "src", h2), st.store, st.handlers, st.next_loc, st.steps)
     out = step(ct, st1)
     assert out.state.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
     # a write reports one registration per subscription on its key
-    st2 = out.state
-    st2.expr = Assign(Loc(0), "src", Loc(2))
+    st = out.state
+    st2 = MachineState(Assign(Loc(0), "src", Loc(2)), st.store, st.handlers, st.next_loc, st.steps)
     out = step(ct, st2)
     assert [e.count for e in out.events if e.kind == "handler-enqueue"] == [2]
 

@@ -15,25 +15,37 @@ from fsj import (
     check_program,
     check_progress,
     check_store_typing,
-    check_subject_reduction,
     load_corpus,
     parse_expr,
     parse_program,
     render_program,
     run,
+    scenario_suite,
     type_expr,
 )
 from fsj import interp, is_subtype, metatheory
 from fsj.gen import GenConfig, _size, generate_program, shrink
-from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, StoredObject, subst
+from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, MachineState, StoredObject, subst
 from fsj.metatheory import (
     CAMPAIGN_FUEL,
     P_NO_CRASH,
+    PlainWriteSilent,
     SubjectReduction,
     audit_run,
     shrink_campaign_failure,
 )
-from fsj.syntax import EMPTY, Invoke, Loc, Modifier, New, Subscribe, Var, iter_subexprs
+from fsj.syntax import (
+    EMPTY,
+    EffectBrace,
+    Invoke,
+    Loc,
+    Modifier,
+    New,
+    Seq,
+    Subscribe,
+    Var,
+    iter_subexprs,
+)
 from fsj.typecheck import TypingError
 
 from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
@@ -92,6 +104,22 @@ def test_store_typing_bad_handler():
     handlers = {(999, "v"): parse_expr("unit")}
     msg = check_store_typing(ct, state.store, handlers, typing_of(state))
     assert msg is not None and "unknown location" in msg
+
+
+def test_store_typing_types_only_the_handler_a_subscription_appends():
+    """A chain extended by one handler past the one already checked types
+    that handler alone, however long the chain is."""
+    ct, state = settled()
+    key = (min(state.store), "v")
+    chain = EMPTY
+    for _ in range(3000):
+        chain = Seq(chain, EMPTY)
+    handlers = {key: Seq(chain, EMPTY)}
+    typing, checked = typing_of(state), (state.store, {key: chain})
+    assert check_store_typing(ct, state.store, handlers, typing, checked) is None
+    handlers = {key: Seq(chain, New("Nat", ()))}
+    msg = check_store_typing(ct, state.store, handlers, typing, checked)
+    assert msg == f"handlers on @{key[0]}.v have type Nat, expected Unit"
 
 
 # ---------------------------------------------------------------- corpus
@@ -382,6 +410,78 @@ def test_incremental_audit_matches_full_recheck_on_seeds(mutations, seeds, fails
     assert (failed > 0) == fails
 
 
+def test_plain_write_silent_judges_every_plain_write():
+    """Dispatching a plain write as a signal write is caught at the write,
+    not only by the vacuity guard for lack of an R-ASSIGN step."""
+    ct, program = load_corpus_file("plain_assign.fsj")
+    mutations = frozenset({MUT_SWAP_ASSIGN})
+    traced = run(ct, program.main, CAMPAIGN_FUEL, mutations)
+    write = next(ev.step for ev in traced.trace if ev.rule == "R-ASSIGNS")
+    scenario = PlainWriteSilent(ct, "plain_assign.fsj")
+    res = run(
+        ct, program.main, CAMPAIGN_FUEL, mutations, collect_trace=False, observers=[scenario]
+    )
+    report = scenario.report(res)
+    assert (report.outcome, report.step) == ("violation", write + 1)
+    assert report.detail == "write to unmodified field Counter.v scheduled notification work"
+
+
+@pytest.mark.parametrize("seed", [204, 274, 752])
+def test_campaign_catches_a_machine_that_drops_downstream_handlers(monkeypatch, seed):
+    """The only default seeds below 1000 whose pushes splice a registered
+    downstream handler; the audit's handler-delivery observer sees it go."""
+    monkeypatch.setattr(interp, "handlers_of", lambda ct, handlers, store, key: EMPTY)
+    res = campaign(1, base_seed=seed)
+    assert [r.prop for _, r in res.violations] == ["handler_delivery"]
+    assert res.violations[0][1].detail.endswith("missing from the brace's reduct")
+
+
+def test_audit_catches_handlers_scheduled_out_of_registration_order(monkeypatch):
+    """broadcast.fsj subscribes twice on one field; a write whose brace
+    holds them in reverse order is a delivery violation at that write."""
+    real = interp.step
+
+    def reversed_delivery(ct, st, mutations=frozenset()):
+        out = real(ct, st, mutations)
+        if out is not None and out.rule == "R-ASSIGNS":
+            key = (st.focus.recv.loc, st.focus.fname)
+            chain, handlers = out.state.handlers[key], []
+            while isinstance(chain, Seq):
+                handlers.append(chain.second)
+                chain = chain.first
+            for h in handlers:  # latest first, so the first registered ends outermost
+                chain = Seq(chain, h)
+            s = out.state
+            out.state = MachineState(
+                EffectBrace(chain, key), s.store, s.handlers, s.next_loc, s.steps, st.stack
+            )
+        return out
+
+    monkeypatch.setattr(interp, "step", reversed_delivery)
+    ct, program = load_corpus_file("broadcast.fsj")
+    res = audit_run(ct, program.main, "broadcast.fsj")
+    assert res.violation.prop == "handler_delivery", res.violation.line()
+    assert res.violation.detail == "handlers on @1.n scheduled out of registration order"
+
+
+def test_oracles_never_read_the_machine_events(monkeypatch, corpus_audits, scenario_reports):
+    """Every audit and scenario report stays the same when no step reports
+    any event: the oracles work from the states alone."""
+    real = interp.step
+
+    def silent(ct, st, mutations=frozenset()):
+        out = real(ct, st, mutations)
+        if out is not None:
+            out.events = []
+        return out
+
+    monkeypatch.setattr(interp, "step", silent)
+    assert scenario_suite(CORPUS) == scenario_reports
+    for name, program, ct in load_corpus(CORPUS):
+        res = audit_run(ct, program.main, name, fuel=2500)
+        assert res.reports() == corpus_audits[name].reports()
+
+
 def test_audit_statuses():
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, fuel=300)
@@ -561,7 +661,7 @@ def test_campaign_reports_match_separate_checks(mutation):
         res = campaign(1, base_seed=seed, mutations=mutations)
         reports = [r for _, r in res.reports]
         assert reports == [
-            check_subject_reduction(ct, program.main, label, CAMPAIGN_FUEL, mutations),
+            audit_run(ct, program.main, label, CAMPAIGN_FUEL, mutations).reports()[0],
             check_progress(ct, program.main, label, CAMPAIGN_FUEL, mutations),
         ]
         violated += not reports[0].ok
