@@ -136,6 +136,16 @@ def _pure_expr(
     return pick
 
 
+def _chain_sources(by_name: dict[str, ClassDecl], cls: str) -> list[SourceField]:
+    """The uninitialized fields cls declares or inherits, topmost class
+    first.  A class missing from by_name, such as Object or one the
+    shrinker dropped, contributes none and ends the chain."""
+    d = by_name.get(cls)
+    if d is None:
+        return []
+    return _chain_sources(by_name, d.parent) + list(d.sources)
+
+
 def generate_program(cfg: GenConfig) -> Program:
     rng = random.Random(cfg.seed)
     names = _CLASS_NAMES[: rng.randint(0, cfg.max_classes)]
@@ -145,24 +155,17 @@ def generate_program(cfg: GenConfig) -> Program:
     # pass 1: hierarchy, uninitialized fields, canonical constructors
     decls: list[ClassDecl] = []
     by_name: dict[str, ClassDecl] = {}
-
-    def inherited_sources(cls: str) -> list[SourceField]:
-        if cls == OBJECT:
-            return []
-        d = by_name[cls]
-        return inherited_sources(d.parent) + list(d.sources)
-
     for i, name in enumerate(names):
         parent = rng.choice([OBJECT] + names[:i])
         sources = []
         for _ in range(rng.randint(0, cfg.max_fields_per_class)):
             mod = Modifier.SIGNAL if rng.random() < cfg.signal_probability else Modifier.PLAIN
             sources.append(SourceField(mod, rng.choice([OBJECT] + names[:i]), next(fresh_field)))
-        chain = inherited_sources(parent) + sources
+        inherited = _chain_sources(by_name, parent)
         ctor = CtorDecl(
             name,
-            [Param(sf.ftype, sf.name) for sf in chain],
-            [sf.name for sf in inherited_sources(parent)],
+            [Param(sf.ftype, sf.name) for sf in inherited + sources],
+            [sf.name for sf in inherited],
             [(sf.name, sf.name) for sf in sources],
         )
         decl = ClassDecl(name, parent, [], sources, ctor, [])
@@ -328,15 +331,8 @@ def _gen_main(
 
 def _rebuild_ctors(program: Program) -> None:
     by_name = {d.name: d for d in program.classes}
-
-    def chain(cls: str) -> list[SourceField]:
-        if cls == OBJECT or cls not in by_name:
-            return []
-        d = by_name[cls]
-        return chain(d.parent) + list(d.sources)
-
     for d in program.classes:
-        inherited = chain(d.parent)
+        inherited = _chain_sources(by_name, d.parent)
         d.ctor = CtorDecl(
             d.name,
             [Param(sf.ftype, sf.name) for sf in inherited + list(d.sources)],

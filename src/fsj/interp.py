@@ -6,6 +6,9 @@ registered on that key, and the object store maps locations to (class,
 field locations) records indexed like the class's uninitialized fields.
 The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
+A step writes both stores in place: the state it returns shares both
+dicts with the state it came from, which is current only until it is
+stepped.  `run` copies the stores only for its observers.
 
 Reduction is deterministic: subexpressions evaluate left to right
 (receiver, then arguments; assignment receiver, then assigned value) and
@@ -165,7 +168,8 @@ class MachineState:
     whole expression; given a `stack`, expr is taken to sit in that
     context instead.  Either way the focus ends up a redex, a stuck
     node, or a terminal with an empty stack, so the state is terminal
-    exactly when its focus is.
+    exactly when its focus is.  Stepping the state writes `store` and
+    `handlers` in place, and the next state holds the very same dicts.
     """
 
     __slots__ = ("focus", "stack", "store", "handlers", "next_loc", "steps", "_expr")
@@ -207,10 +211,6 @@ class MachineState:
 
 def initial_state(main: Expr) -> MachineState:
     return MachineState(main, {}, {})
-
-
-def lookup_handler(handlers: dict[Key, Expr], key: Key) -> Expr:
-    return handlers.get(key, EMPTY)
 
 
 def _registrations(e: Expr) -> int:
@@ -363,7 +363,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             names, body = found
             if len(names) != len(args):
                 return None
-            mapping: dict[str, Expr] = dict(zip(names, args))
+            mapping: dict[str, Expr] = {x: a for x, a in zip(names, args)}
             mapping["this"] = recv
             out, rule = subst(body, mapping), "R-INVK"
 
@@ -371,7 +371,6 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             if c not in ct or len(ct.source(c)) != len(args):
                 return None
             l = next_loc
-            store = dict(store)
             store[l] = StoredObject(c, tuple(a.loc for a in args))
             out, rule, next_loc = Loc(l), "R-NEW", l + 1
             events.append(TraceEvent(st.steps, "alloc", loc=l, cls=c))
@@ -385,14 +384,13 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
                 return None
             i, sf = hit
             old = obj.fields[i]
-            store = dict(store)
             store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
             signal = sf.modifier is Modifier.SIGNAL
             if MUT_SWAP_ASSIGN in mut:
                 signal = not signal
             if signal:
                 key = (l, f)
-                pending = lookup_handler(handlers, key)
+                pending = handlers.get(key, EMPTY)
                 out, rule = EffectBrace(pending, key), "R-ASSIGNS"
                 events += [
                     TraceEvent(st.steps, "signal-write", loc=l, fname=f, old=old, new=v),
@@ -412,8 +410,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
 
         case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
             key = (l, f)
-            handlers = dict(handlers)
-            handlers[key] = Seq(lookup_handler(handlers, key), h)
+            handlers[key] = Seq(handlers.get(key, EMPTY), h)
             out, rule = EMPTY, "R-SUBSCRIBE"
             events.append(TraceEvent(st.steps, "subscribe", loc=l, fname=f))
 
@@ -469,8 +466,10 @@ def run(
     After every step each `observer(before, outcome, after)` is called in
     order, until one returns a violation (anything but None).  From then
     on the machine runs on unobserved, so the final status never depends
-    on the observers.  While they listen, `before` holds its own copies
-    of both stores, so a step that changed a store in place still shows.
+    on the observers.  A step writes both stores in place, so while they
+    listen `before` holds copies of both stores taken before the step:
+    the only store copies the program makes, and what every oracle
+    compares `after` against.
     """
     st = initial_state(main)
     trace: list[TraceEvent] = []

@@ -92,11 +92,12 @@ def test_rule_field_reads_store(ct):
 
 def test_rule_fields_substitutes_this(ct):
     st0 = cell_state(FieldAccess(Loc(0), "echo"))
+    store, handlers = dict(st0.store), dict(st0.handlers)
     out = step(ct, st0)
     assert out.rule == "R-FIELDS"
     assert out.state.expr == FieldAccess(Loc(0), "src")
-    assert out.state.store == st0.store
-    assert out.state.handlers == st0.handlers
+    assert out.state.store == store
+    assert out.state.handlers == handlers
     assert out.state.next_loc == st0.next_loc
 
 
@@ -183,6 +184,26 @@ def test_rule_subscribe_keeps_handler_unevaluated(ct):
     out = step(ct, cell_state(Subscribe(Loc(0), "src", h)))
     assert out.state.handlers[(0, "src")].second == h
     assert out.state.store == cell_state(EMPTY).store  # no allocation happened
+
+
+@pytest.mark.parametrize(
+    "expr, rule",
+    [
+        pytest.param(New("Nat", ()), "R-NEW", id="R-NEW"),
+        pytest.param(Assign(Loc(0), "plain", Loc(1)), "R-ASSIGN", id="R-ASSIGN"),
+        pytest.param(Assign(Loc(0), "src", Loc(2)), "R-ASSIGNS", id="R-ASSIGNS"),
+        pytest.param(
+            Subscribe(Loc(0), "src", Assign(Loc(0), "plain", Loc(1))), "R-SUBSCRIBE", id="R-SUBSCRIBE"
+        ),
+    ],
+)
+def test_writes_update_both_stores_in_place(ct, expr, rule):
+    """The next state holds the very dicts the step wrote."""
+    st0 = cell_state(expr)
+    out = step(ct, st0)
+    assert out.rule == rule
+    assert out.state.store is st0.store
+    assert out.state.handlers is st0.handlers
 
 
 def test_rule_cat(ct):
@@ -532,6 +553,31 @@ def test_loop_handler_runs_out_of_fuel():
     l, f = res.pending
     assert f == "n"
     assert res.state.store[l].cls == "Pump"
+
+
+def test_run_shows_observers_the_stores_from_before_each_step():
+    """The machine writes its stores in place, so `before` must be run's
+    own copy: every allocation, write and subscription shows as a difference."""
+    ct, program = load_corpus_file("loop_handler.fsj")
+    seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
+
+    def observe(before, out, after):
+        if out.rule == "R-NEW":
+            l = before.next_loc
+            assert l in after.store and l not in before.store, after.steps
+        elif out.rule == "R-ASSIGNS":
+            l = before.focus.recv.loc
+            assert after.store[l] != before.store[l], after.steps
+        elif out.rule == "R-SUBSCRIBE":
+            assert after.handlers != before.handlers, after.steps
+        else:
+            return None
+        seen[out.rule] += 1
+        return None
+
+    res = run(ct, program.main, fuel=2000, collect_trace=False, observers=[observe])
+    assert res.status == "fuel"
+    assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
 
 def test_fuel_on_terminating_program():
