@@ -6,6 +6,7 @@ format or to the stepping order, then review the diff by hand. Tests
 compare byte for byte against these files.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,19 +14,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SUBJECT = ROOT / "corpus" / "subscribe_push.fsj"
+FSJ = [sys.executable, "-m", "fsj.cli"]
 
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     jobs = [
-        (["fsj", "trace", str(SUBJECT)], GOLDEN / "subscribe_push.trace.txt"),
+        ([*FSJ, "trace", str(SUBJECT)], GOLDEN / "subscribe_push.trace.txt"),
         (
-            ["fsj", "trace", "--format", "structured", str(SUBJECT)],
+            [*FSJ, "trace", "--format", "structured", str(SUBJECT)],
             GOLDEN / "subscribe_push.trace.jsonl",
         ),
     ]
     for cmd, dest in jobs:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             print(proc.stderr, file=sys.stderr)
             return proc.returncode

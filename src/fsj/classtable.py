@@ -16,10 +16,16 @@ class's uninitialized fields, in declaration order.  Only the local half
 of that shape is checked here; whether the forwarded portion matches the
 superclass is a typing concern (see typecheck.check_class).
 
-Lookups treat Object as a fieldless, methodless root that is always
-present.  Field lists are ordered superclass-first, which is also the
-argument order of `new C(...)`.  The table also answers, per class and
-field, which initialized fields are downstream of it (see `downstream`).
+Building the table resolves each class once into a `ClassInfo`: its
+field lists, a map from field name to slot and declaration, the nearest
+declaration of each visible method, and its superclasses.  Every member
+lookup (`composite`, `source`, `field`, `ftype`, `find_method`, `mbody`,
+`mtype`, and `is_subtype` in typecheck) reads that record, so it answers
+for the program as it was built: a declaration changed afterwards is not
+seen.  Object is a fieldless, methodless root that is always present.
+Field lists are ordered superclass-first, which is also the argument
+order of `new C(...)`.  The table also answers, per class and field,
+which initialized fields are downstream of it (see `downstream`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .syntax import (
     CompositeField,
     Expr,
     Loc,
+    MethodDecl,
     Modifier,
     Program,
     SourceField,
@@ -76,15 +83,32 @@ class UnknownClassError(ClassTableError):
     pass
 
 
+@dataclass(frozen=True)
+class ClassInfo:
+    """One class's members, resolved when the table is built.
+
+    fields maps each field name to its slot in source, None for an
+    initialized field, and its declaration.  methods holds the nearest
+    declaration of each visible method, own methods first, then the
+    superclass's in its order.  supers holds the class and every
+    superclass, Object included.
+    """
+
+    composite: tuple[CompositeField, ...]
+    source: tuple[SourceField, ...]
+    fields: dict[str, tuple[int | None, CompositeField | SourceField]]
+    methods: dict[str, MethodDecl]
+    supers: frozenset[str]
+
+
 @dataclass
 class ClassTable:
     decls: dict[str, ClassDecl]
-    _composites: dict[str, tuple[CompositeField, ...]]
-    _sources: dict[str, tuple[SourceField, ...]]
+    _info: dict[str, ClassInfo]
     _downstream: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def __contains__(self, name: str) -> bool:
-        return name == OBJECT or name in self.decls
+        return name in self._info
 
     def decl(self, name: str) -> ClassDecl:
         if name not in self.decls:
@@ -103,21 +127,25 @@ class ClassTable:
             yield cur
             cur = self.parent(cur)
 
+    def info(self, name: str) -> ClassInfo:
+        """name's members as resolved when the table was built."""
+        try:
+            return self._info[name]
+        except KeyError:
+            raise UnknownClassError(name) from None
+
     def composite(self, name: str) -> tuple[CompositeField, ...]:
         """Initialized fields of name, superclass fields first."""
-        if name == OBJECT:
-            return ()
-        if name not in self._composites:
-            raise UnknownClassError(name)
-        return self._composites[name]
+        return self.info(name).composite
 
     def source(self, name: str) -> tuple[SourceField, ...]:
         """Uninitialized fields of name, superclass fields first."""
-        if name == OBJECT:
-            return ()
-        if name not in self._sources:
-            raise UnknownClassError(name)
-        return self._sources[name]
+        return self.info(name).source
+
+    def field(self, name: str, fname: str) -> tuple[int | None, CompositeField | SourceField] | None:
+        """fname's slot in source(name), None if initialized, and its
+        declaration; or None when name has no field fname."""
+        return self.info(name).fields.get(fname)
 
     def downstream(self, name: str, fname: str) -> tuple[str, ...]:
         """Initialized fields of name whose value depends on its field fname.
@@ -138,23 +166,12 @@ class ClassTable:
 
     def ftype(self, name: str, fname: str) -> tuple[Modifier, str] | None:
         """Modifier and declared type of field fname, or None."""
-        for cf in self.composite(name):
-            if cf.name == fname:
-                return (cf.modifier, cf.ftype)
-        for sf in self.source(name):
-            if sf.name == fname:
-                return (sf.modifier, sf.ftype)
-        return None
+        hit = self.field(name, fname)
+        return None if hit is None else (hit[1].modifier, hit[1].ftype)
 
-    def find_method(self, method: str, name: str):
+    def find_method(self, method: str, name: str) -> MethodDecl | None:
         """Nearest declaration of method on name's chain, or None."""
-        for cls in self.ancestry(name):
-            if cls == OBJECT:
-                return None
-            for m in self.decl(cls).methods:
-                if m.name == method:
-                    return m
-        return None
+        return self.info(name).methods.get(method)
 
     def mbody(self, method: str, name: str) -> tuple[list[str], Expr] | None:
         m = self.find_method(method, name)
@@ -218,29 +235,31 @@ def build_class_table(program: Program) -> ClassTable:
             seen.add(cur)
             cur = decls[cur].parent
 
-    table = ClassTable(decls, {}, {})
+    table = ClassTable(decls, {OBJECT: ClassInfo((), (), {}, {}, frozenset({OBJECT}))})
 
-    def chain_fields(name: str) -> tuple[tuple[CompositeField, ...], tuple[SourceField, ...]]:
-        if name == OBJECT:
-            return (), ()
-        if name not in table._composites:
-            pc, ps = chain_fields(decls[name].parent)
-            table._composites[name] = pc + tuple(decls[name].composites)
-            table._sources[name] = ps + tuple(decls[name].sources)
-        return table._composites[name], table._sources[name]
+    def resolve(name: str) -> ClassInfo:
+        if name not in table._info:
+            d = decls[name]
+            up = resolve(d.parent)
+            composite, source = up.composite + tuple(d.composites), up.source + tuple(d.sources)
+            fields = {cf.name: (None, cf) for cf in composite}
+            fields.update((sf.name, (i, sf)) for i, sf in enumerate(source))
+            methods: dict[str, MethodDecl] = {}
+            for m in (*d.methods, *up.methods.values()):
+                methods.setdefault(m.name, m)
+            table._info[name] = ClassInfo(composite, source, fields, methods, up.supers | {name})
+        return table._info[name]
 
     for cl in program.classes:
         own = [f.name for f in cl.composites] + [f.name for f in cl.sources]
         if len(set(own)) != len(own):
             raise DuplicateFieldError(f"duplicate field in class {cl.name}")
-        inherited_c, inherited_s = chain_fields(cl.parent)
-        inherited = {f.name for f in inherited_c} | {f.name for f in inherited_s}
-        clash = inherited.intersection(own)
+        clash = resolve(cl.parent).fields.keys() & own
         if clash:
             raise DuplicateFieldError(
                 f"{cl.name} hides inherited field {sorted(clash)[0]}"
             )
-        chain_fields(cl.name)
+        resolve(cl.name)
 
         seen_methods: dict[str, tuple[list[str], str]] = {}
         for m in cl.methods:

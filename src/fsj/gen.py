@@ -74,19 +74,6 @@ def _ground_new(ct: ClassTable, cls: str) -> Expr:
     return New(cls, tuple(_ground_new(ct, sf.ftype) for sf in ct.source(cls)))
 
 
-def _chain_methods(ct: ClassTable, cls: str) -> list[MethodDecl]:
-    out: list[MethodDecl] = []
-    seen: set[str] = set()
-    for c in ct.ancestry(cls):
-        if c == OBJECT:
-            break
-        for m in ct.decl(c).methods:
-            if m.name not in seen:
-                seen.add(m.name)
-                out.append(m)
-    return out
-
-
 def _pure_expr(
     rng: random.Random,
     ct: ClassTable,
@@ -108,7 +95,7 @@ def _pure_expr(
         options += ["new"] * 2
         if allow_calls:
             for x, t in env.items():
-                for m in _chain_methods(ct, t):
+                for m in ct.info(t).methods.values():
                     if m.ret != UNIT and is_subtype(ct, m.ret, target):
                         options.append(("call", x, m))  # type: ignore[arg-type]
     if not options:
@@ -154,23 +141,14 @@ def generate_program(cfg: GenConfig) -> Program:
 
     # pass 1: hierarchy, uninitialized fields, canonical constructors
     decls: list[ClassDecl] = []
-    by_name: dict[str, ClassDecl] = {}
     for i, name in enumerate(names):
         parent = rng.choice([OBJECT] + names[:i])
         sources = []
         for _ in range(rng.randint(0, cfg.max_fields_per_class)):
             mod = Modifier.SIGNAL if rng.random() < cfg.signal_probability else Modifier.PLAIN
             sources.append(SourceField(mod, rng.choice([OBJECT] + names[:i]), next(fresh_field)))
-        inherited = _chain_sources(by_name, parent)
-        ctor = CtorDecl(
-            name,
-            [Param(sf.ftype, sf.name) for sf in inherited + sources],
-            [sf.name for sf in inherited],
-            [(sf.name, sf.name) for sf in sources],
-        )
-        decl = ClassDecl(name, parent, [], sources, ctor, [])
-        decls.append(decl)
-        by_name[name] = decl
+        decls.append(ClassDecl(name, parent, [], sources, None, []))  # type: ignore[arg-type]
+    _rebuild_ctors(decls)
 
     skeleton = build_class_table(Program(decls, EMPTY))
     universe = [OBJECT] + names
@@ -202,17 +180,19 @@ def generate_program(cfg: GenConfig) -> Program:
                 )
                 decl.methods.append(MethodDecl(ret, next(fresh_method), params, body))
 
-    # pass 3: initializers; biased toward reading this class's own state
+    # pass 3: initializers; biased toward reading this class's own state.
+    # The table is a snapshot, so it is rebuilt to see pass 2's methods.
+    with_methods = build_class_table(Program(decls, EMPTY))
     for decl in decls:
         for _ in range(rng.randint(0, cfg.max_fields_per_class)):
             env = {"this": decl.name}
-            visible = list(skeleton.source(decl.name))
+            visible = with_methods.source(decl.name)
             if visible and rng.random() < 0.7:
                 sf = rng.choice(visible)
                 ftype, init = sf.ftype, FieldAccess(Var("this"), sf.name)
             else:
                 ftype = rng.choice(universe)
-                init = _pure_expr(rng, skeleton, subs, env, ftype, 2, allow_calls=True)
+                init = _pure_expr(rng, with_methods, subs, env, ftype, 2, allow_calls=True)
             decl.composites.append(
                 CompositeField(Modifier.SIGNAL, ftype, next(fresh_field), init)
             )
@@ -276,7 +256,7 @@ def _gen_main(
             for f in (*ct.source(t), *ct.composite(t))
         ]
         calls = [
-            (x, m) for x, t in env.items() for m in _chain_methods(ct, t)
+            (x, m) for x, t in env.items() for m in ct.info(t).methods.values()
         ]
         writes = [(x, sf) for x, t in env.items() for sf in ct.source(t)]
         signals = [
@@ -329,9 +309,10 @@ def _gen_main(
 # shrinking
 
 
-def _rebuild_ctors(program: Program) -> None:
-    by_name = {d.name: d for d in program.classes}
-    for d in program.classes:
+def _rebuild_ctors(classes: list[ClassDecl]) -> None:
+    """Give each class the canonical constructor for its fields."""
+    by_name = {d.name: d for d in classes}
+    for d in classes:
         inherited = _chain_sources(by_name, d.parent)
         d.ctor = CtorDecl(
             d.name,
@@ -391,7 +372,7 @@ def _candidates(p: Program):
     for i in range(len(p.classes)):
         q = copy.deepcopy(p)
         del q.classes[i]
-        _rebuild_ctors(q)
+        _rebuild_ctors(q.classes)
         yield q
     for i, d in enumerate(p.classes):
         for j in range(len(d.composites)):
@@ -405,7 +386,7 @@ def _candidates(p: Program):
         for j in range(len(d.sources)):
             q = copy.deepcopy(p)
             del q.classes[i].sources[j]
-            _rebuild_ctors(q)
+            _rebuild_ctors(q.classes)
             yield q
     for path, node in _paths(p.main):
         for smaller in _expr_shrinks(node):

@@ -342,13 +342,12 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             obj = store.get(l)
             if obj is None:
                 return None
-            i = next((i for i, sf in enumerate(ct.source(obj.cls)) if sf.name == f), None)
+            i, cf = ct.field(obj.cls, f) or (None, None)
+            if cf is None:
+                return None
             if i is not None:
                 out, rule = Loc(obj.fields[i]), "R-FIELD"
             else:
-                cf = next((cf for cf in ct.composite(obj.cls) if cf.name == f), None)
-                if cf is None:
-                    return None
                 out, rule = cf.init, "R-FIELDS"
                 if MUT_NO_THIS_SUBST not in mut:
                     out = subst(cf.init, {"this": Loc(l)})
@@ -379,10 +378,9 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             obj = store.get(l)
             if obj is None:
                 return None
-            hit = next(((i, sf) for i, sf in enumerate(ct.source(obj.cls)) if sf.name == f), None)
-            if hit is None:
+            i, sf = ct.field(obj.cls, f) or (None, None)
+            if i is None:
                 return None
-            i, sf = hit
             old = obj.fields[i]
             store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
             signal = sf.modifier is Modifier.SIGNAL

@@ -388,7 +388,8 @@ def _write(ct: ClassTable, st: MachineState) -> tuple[int, str, str, Modifier | 
     match st.focus:
         case Assign(recv=Loc(loc=l), fname=f, value=Loc()):
             cls = st.store[l].cls
-            return l, f, cls, next((sf.modifier for sf in ct.source(cls) if sf.name == f), None)
+            i, sf = ct.field(cls, f) or (None, None)
+            return l, f, cls, None if i is None else sf.modifier
     return None
 
 

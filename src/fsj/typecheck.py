@@ -55,6 +55,7 @@ from .syntax import (
     Span,
     Subscribe,
     Var,
+    iter_subexprs,
 )
 
 TypeEnv = dict[str, str]  # variable -> class name; only an audit's hole maps to Unit
@@ -104,7 +105,7 @@ def is_subtype(ct: ClassTable, sub: str, sup: str) -> bool:
         raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sub}")
     if sup not in ct:
         raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sup}")
-    return any(anc == sup for anc in ct.ancestry(sub))
+    return sup in ct.info(sub).supers
 
 
 def _class_of(t: str, role: str, span: Span | None) -> str:
@@ -184,15 +185,15 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
         case Assign(recv=r, fname=f, value=v):
             c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
-            target = next((sf for sf in ct.source(c0) if sf.name == f), None)
+            i, target = ct.field(c0, f) or (None, None)
             if target is None:
-                if any(cf.name == f for cf in ct.composite(c0)):
-                    raise TypingError(
-                        ErrKind.ASSIGN_TO_COMPOSITE,
-                        f"{c0}.{f} is an initialized field and cannot be assigned",
-                        e.span,
-                    )
                 raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
+            if i is None:
+                raise TypingError(
+                    ErrKind.ASSIGN_TO_COMPOSITE,
+                    f"{c0}.{f} is an initialized field and cannot be assigned",
+                    e.span,
+                )
             vt = _class_of(type_expr(ct, env, store_typing, v), "assigned value", v.span)
             if not is_subtype(ct, vt, target.ftype):
                 raise TypingError(
@@ -258,17 +259,7 @@ def check_init(e: Expr) -> bool:
     subscribe, so re-evaluating a field initializer is observationally
     read-only on existing objects.
     """
-    match e:
-        case Var():
-            return True
-        case FieldAccess(recv=r):
-            return check_init(r)
-        case Invoke(recv=r, args=args):
-            return check_init(r) and all(check_init(a) for a in args)
-        case New(args=args):
-            return all(check_init(a) for a in args)
-        case _:
-            return False
+    return all(isinstance(s, (Var, FieldAccess, Invoke, New)) for s in iter_subexprs(e))
 
 
 def _known_type(ct: ClassTable, t: str, what: str, span, errors: list[TypingError], allow_unit: bool = False) -> None:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from fsj import build_class_table, parse_program
+from conftest import CORPUS
+from fsj import build_class_table, is_subtype, parse_program
+from fsj.gen import GenConfig, generate_program
 from fsj.classtable import (
     CtorMismatchError,
     CycleError,
@@ -13,7 +15,7 @@ from fsj.classtable import (
     UnknownClassError,
     UnknownParentError,
 )
-from fsj.syntax import Modifier
+from fsj.syntax import OBJECT, MethodDecl, Modifier, Var
 
 
 def table(text: str):
@@ -115,6 +117,61 @@ def test_unknown_class_raises(ct):
         ct.source("Nope")
     with pytest.raises(UnknownClassError):
         ct.decl("Nope")
+
+
+def assert_lookups_match_a_walk_over_the_declarations(program):
+    ct = build_class_table(program)
+    by_name = {d.name: d for d in program.classes}
+    names = [*by_name, OBJECT]
+    for cls in names:
+        chain = []  # cls and its superclasses, nearest first, Object left out
+        c = cls
+        while c in by_name:
+            chain.append(by_name[c])
+            c = by_name[c].parent
+        source = [sf for d in reversed(chain) for sf in d.sources]
+        composite = [cf for d in reversed(chain) for cf in d.composites]
+        for f in [fd.name for fd in source + composite] + ["nope"]:
+            slot = next((i for i, sf in enumerate(source) if sf.name == f), None)
+            decl = next((fd for fd in source + composite if fd.name == f), None)
+            hit = ct.field(cls, f)
+            if decl is None:
+                assert hit is None and ct.ftype(cls, f) is None
+            else:
+                assert hit[0] == slot and hit[1] is decl
+                assert ct.ftype(cls, f) == (decl.modifier, decl.ftype)
+        visible: dict[str, MethodDecl] = {}
+        for d in chain:
+            for m in d.methods:
+                visible.setdefault(m.name, m)
+        assert list(ct.info(cls).methods.values()) == list(visible.values())
+        for m in [*visible, "nope"]:
+            assert ct.find_method(m, cls) is visible.get(m)
+        supers = {d.name for d in chain} | {OBJECT}
+        for other in names:
+            assert is_subtype(ct, cls, other) == (other in supers)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.fsj")), ids=lambda p: p.name)
+def test_lookups_match_a_walk_over_corpus_declarations(path):
+    assert_lookups_match_a_walk_over_the_declarations(parse_program(path.read_text()))
+
+
+def test_lookups_match_a_walk_over_generated_declarations():
+    for seed in range(200):
+        assert_lookups_match_a_walk_over_the_declarations(generate_program(GenConfig(seed=seed)))
+
+
+def test_table_answers_for_the_program_as_it_was_built():
+    program = parse_program(HIERARCHY)
+    ct = build_class_table(program)
+    by_name = {d.name: d for d in program.classes}
+    by_name["A"].methods.append(MethodDecl("A", "late", [], Var("this")))
+    by_name["C"].methods.append(MethodDecl("A", "ma", [], Var("this")))
+    assert ct.find_method("late", "C") is None
+    assert ct.mtype("late", "A") is None
+    assert ct.mtype("ma", "C") == (["A"], "A")
+    assert [m.name for m in ct.info("C").methods.values()] == ["ma", "mb"]
 
 
 # -------------------------------------------------------------- errors

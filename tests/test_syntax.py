@@ -1,5 +1,7 @@
 """Parser and pretty-printer: fixtures, round trips, and failure modes."""
 
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from fsj.syntax import (
     Seq,
     Subscribe,
     Var,
+    subst,
 )
 
 from conftest import CORPUS
@@ -300,6 +303,32 @@ def test_depth_cap_counts_every_level(shape):
     parse_program(NESTED[shape](MAX_DEPTH - 1))
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
         parse_program(NESTED[shape](MAX_DEPTH))
+
+
+SUBST_FRAMES_PER_LEVEL = 2  # subst's own, and the generator over a call's arguments
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_subst_fits_the_default_stack_at_the_depth_cap(shape):
+    """subst recurses; MAX_DEPTH is what keeps it off the stack limit.
+
+    The deepest term each shape parses to is substituted with the
+    recursion limit lowered to this test's depth plus a fixed number of
+    frames per level, and that limit must not exceed the default one.
+    """
+    program = parse_program(NESTED[shape](MAX_DEPTH - 1))
+    terms = [program.main]
+    for d in program.classes:
+        terms += [cf.init for cf in d.composites] + [m.body for m in d.methods]
+    default = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + SUBST_FRAMES_PER_LEVEL * MAX_DEPTH
+    assert limit <= default, "MAX_DEPTH lets subst exhaust the default stack"
+    sys.setrecursionlimit(limit)
+    try:
+        for e in terms:
+            subst(e, {"x": Loc(0), "this": Loc(0)})
+    finally:
+        sys.setrecursionlimit(default)
 
 
 def test_depth_cap_admits_every_generated_program():
