@@ -47,6 +47,11 @@ asks for the whole expression (traces, stuck reports and final results),
 and the innermost brace around the focus is the pending key a fuel-cut
 run reports.
 
+A step records its allocation, write or subscription as a note, a plain
+tuple of the values at step time, and `StepOutcome.events` turns notes
+into `TraceEvent`s only when someone reads them, so an untraced run
+builds no events and never counts a handler chain.
+
 Which initialized fields a write reaches is read off a table the class
 table computes once per class (`ClassTable.downstream`), since a checked
 initializer only reads through `this`.
@@ -62,6 +67,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .classtable import ClassTable
@@ -327,16 +333,47 @@ class TraceEvent:
 
 @dataclass
 class StepOutcome:
+    """What one step did: the state it reached, the rule it applied, and
+    its store events.
+
+    A step records each allocation, write and subscription as a note, a
+    plain tuple of the values as they were at step time: the step number,
+    the kind, the location, the field or class, and for a signal write
+    the old and new locations and the handler chain it left pending
+    (expressions never change, so the chain is a snapshot).  `events`
+    turns the notes into `TraceEvent`s the first time it is read, so an
+    untraced run builds none; it can be assigned like a plain field.
+    """
+
     state: MachineState
     rule: str
-    events: list[TraceEvent]
+    notes: Sequence[tuple]
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        events: list[TraceEvent] = []
+        for note in self.notes:
+            events += _note_events(*note)
+        return events
+
+
+def _note_events(step: int, kind: str, l: int, name: str, *write) -> list[TraceEvent]:
+    if kind == "alloc":
+        return [TraceEvent(step, kind, loc=l, cls=name)]
+    if kind != "signal-write":
+        return [TraceEvent(step, kind, loc=l, fname=name)]
+    old, new, pending = write
+    return [
+        TraceEvent(step, kind, loc=l, fname=name, old=old, new=new),
+        TraceEvent(step, "handler-enqueue", loc=l, fname=name, count=_registrations(pending)),
+    ]
 
 
 def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutcome | None:
     """Apply the rule for st's focus and refocus in the same context."""
     e = st.focus
     store, handlers, next_loc = st.store, st.handlers, st.next_loc
-    events: list[TraceEvent] = []
+    notes: tuple = ()
     match e:
         case FieldAccess(recv=Loc(loc=l), fname=f):
             obj = store.get(l)
@@ -372,7 +409,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             l = next_loc
             store[l] = StoredObject(c, tuple(a.loc for a in args))
             out, rule, next_loc = Loc(l), "R-NEW", l + 1
-            events.append(TraceEvent(st.steps, "alloc", loc=l, cls=c))
+            notes = ((st.steps, "alloc", l, c),)
 
         case Assign(recv=Loc(loc=l), fname=f, value=Loc(loc=v)):
             obj = store.get(l)
@@ -390,15 +427,10 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
                 key = (l, f)
                 pending = handlers.get(key, EMPTY)
                 out, rule = EffectBrace(pending, key), "R-ASSIGNS"
-                events += [
-                    TraceEvent(st.steps, "signal-write", loc=l, fname=f, old=old, new=v),
-                    TraceEvent(
-                        st.steps, "handler-enqueue", loc=l, fname=f, count=_registrations(pending)
-                    ),
-                ]
+                notes = ((st.steps, "signal-write", l, f, old, v, pending),)
             else:
                 out, rule = EMPTY, "R-ASSIGN"
-                events.append(TraceEvent(st.steps, "plain-write", loc=l, fname=f))
+                notes = ((st.steps, "plain-write", l, f),)
 
         case EffectBrace(body=Empty(), key=key):
             out, rule = handlers_of(ct, handlers, store, key), "R-ASSIGNCONT"
@@ -410,7 +442,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             key = (l, f)
             handlers[key] = Seq(handlers.get(key, EMPTY), h)
             out, rule = EMPTY, "R-SUBSCRIBE"
-            events.append(TraceEvent(st.steps, "subscribe", loc=l, fname=f))
+            notes = ((st.steps, "subscribe", l, f),)
 
         case Let(var=x, bound=Loc() as b, body=body):
             out, rule = subst(body, {x: b}), "R-LET"
@@ -420,7 +452,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
             # node needs something else
             return None
     state = MachineState(out, store, handlers, next_loc, st.steps + 1, st.stack)
-    return StepOutcome(state, rule, events)
+    return StepOutcome(state, rule, notes)
 
 
 def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:

@@ -603,49 +603,72 @@ def parse_expr(text: str) -> Expr:
 _SEQ, _ASSIGN, _POSTFIX, _ATOM = 0, 1, 2, 3
 
 
-def _level(e: Expr) -> int:
-    match e:
-        case Seq() | Let():
-            return _SEQ
-        case Assign():
-            return _ASSIGN
-        case FieldAccess() | Invoke() | Subscribe():
-            return _POSTFIX
-        case _:
-            return _ATOM
+# A node's own level; any node not listed is an atom.
+_LEVEL = {Seq: _SEQ, Let: _SEQ, Assign: _ASSIGN, FieldAccess: _POSTFIX, Invoke: _POSTFIX, Subscribe: _POSTFIX}
+
+
+def _args_last_first(args: tuple[Expr, ...]) -> list:
+    parts: list = []
+    for a in reversed(args):
+        parts += [(a, _SEQ), ", "]
+    return parts[:-1]
 
 
 def render_expr(e: Expr, level: int = _SEQ) -> str:
-    match e:
-        case Var(name=x):
-            out = x
-        case FieldAccess(recv=r, fname=f):
-            out = f"{render_expr(r, _POSTFIX)}.{f}"
-        case Invoke(recv=r, method=m, args=args):
-            inner = ", ".join(render_expr(a) for a in args)
-            out = f"{render_expr(r, _POSTFIX)}.{m}({inner})"
-        case New(cls=c, args=args):
-            inner = ", ".join(render_expr(a) for a in args)
-            out = f"new {c}({inner})"
-        case Assign(recv=r, fname=f, value=v):
-            out = f"{render_expr(r, _POSTFIX)}.{f} = {render_expr(v, _ASSIGN)}"
-        case Seq(first=a, second=b):
-            out = f"{render_expr(a, _ASSIGN)}; {render_expr(b)}"
-        case Subscribe(recv=r, fname=f, handler=h):
-            out = f"{render_expr(r, _POSTFIX)}.{f}.subscribe({render_expr(h)})"
-        case Let(var=x, bound=b, body=body):
-            out = f"let {x} = {render_expr(b)} in {render_expr(body)}"
-        case Empty():
-            out = "unit"
-        case Loc(loc=l):
-            out = f"@{l}"
-        case EffectBrace(body=b, key=(l, f)):
-            out = f"{{ {render_expr(b)} }}@{l}.{f}"
-        case _:
+    """e as source text, parenthesized where the position's level demands.
+
+    Iterative, so a term of any depth renders: `todo` holds finished
+    string pieces and (expr, level) items still to expand, next one last.
+    A node writes the text before its first subterm at once and pushes
+    the rest of its pieces last first, so they pop in reading order.
+    Dispatch is on the exact node type, which is cheaper than `match`.
+    """
+    out: list[str] = []
+    emit = out.append
+    todo: list = [(e, level)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        e, level = item
+        t = type(e)
+        # atoms first: they are most of a term and never parenthesized
+        if t is Loc:
+            emit(f"@{e.loc}")
+            continue
+        if t is Empty:
+            emit("unit")
+            continue
+        if t is Var:
+            emit(e.name)
+            continue
+        if _LEVEL.get(t, _ATOM) < level:
+            emit("(")
+            todo.append(")")
+        if t is FieldAccess:
+            todo += (f".{e.fname}", (e.recv, _POSTFIX))
+        elif t is Invoke:
+            todo += (")", *_args_last_first(e.args), f".{e.method}(", (e.recv, _POSTFIX))
+        elif t is Seq:
+            todo += ((e.second, _SEQ), "; ", (e.first, _ASSIGN))
+        elif t is Assign:
+            todo += ((e.value, _ASSIGN), f".{e.fname} = ", (e.recv, _POSTFIX))
+        elif t is New:
+            emit(f"new {e.cls}(")
+            todo += (")", *_args_last_first(e.args))
+        elif t is Subscribe:
+            todo += (")", (e.handler, _SEQ), f".{e.fname}.subscribe(", (e.recv, _POSTFIX))
+        elif t is Let:
+            emit(f"let {e.var} = ")
+            todo += ((e.body, _SEQ), " in ", (e.bound, _SEQ))
+        elif t is EffectBrace:
+            l, f = e.key
+            emit("{ ")
+            todo += (f" }}@{l}.{f}", (e.body, _SEQ))
+        else:
             raise ValueError(f"cannot render {e!r}")
-    if _level(e) < level:
-        return f"({out})"
-    return out
+    return "".join(out)
 
 
 def _render_modifier(m: Modifier) -> str:

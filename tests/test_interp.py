@@ -179,6 +179,24 @@ def test_rule_subscribe_appends(ct):
     assert [e.count for e in out.events if e.kind == "handler-enqueue"] == [2]
 
 
+def test_lazy_events_keep_step_time_values(ct):
+    """Events first read after later steps rewrote both stores in place
+    still report the values of the step that made them."""
+    h1 = Assign(Loc(0), "plain", Loc(1))
+    h2 = Assign(Loc(0), "plain", Loc(2))
+    key = (0, "src")
+    first = step(ct, cell_state(Assign(Loc(0), "src", Loc(2)), {key: Seq(Seq(EMPTY, h1), h2)}))
+    later = [Assign(Loc(0), "src", Loc(1)), Subscribe(Loc(0), "src", h1)]
+    st = first.state
+    for e in later:
+        st = step(ct, MachineState(e, st.store, st.handlers, st.next_loc, st.steps)).state
+    assert st.store[0].fields == (1, 2)
+    assert st.handlers[key] == Seq(Seq(Seq(EMPTY, h1), h2), h1)
+    write, enqueue = first.events
+    assert (write.kind, write.step, write.old, write.new) == ("signal-write", 0, 1, 2)
+    assert (enqueue.kind, enqueue.count) == ("handler-enqueue", 2)
+
+
 def test_rule_subscribe_keeps_handler_unevaluated(ct):
     h = Assign(Loc(0), "plain", New("Nat", ()))
     out = step(ct, cell_state(Subscribe(Loc(0), "src", h)))

@@ -482,6 +482,29 @@ def test_oracles_never_read_the_machine_events(monkeypatch, corpus_audits, scena
         assert res.reports() == corpus_audits[name].reports()
 
 
+def test_untraced_runs_build_no_trace_events(monkeypatch, corpus_audits, scenario_reports):
+    """Plain runs, audits and scenarios construct no TraceEvent; a traced
+    run still builds every event, as the golden trace records them."""
+
+    class Forbidden:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("an untraced run built a trace event")
+
+    monkeypatch.setattr(interp, "TraceEvent", Forbidden)
+    for name, program, ct in load_corpus(CORPUS):
+        res = run(ct, program.main, fuel=2500, collect_trace=False)
+        assert res.status in ("terminal", "fuel"), name
+        assert audit_run(ct, program.main, name, fuel=2500).reports() == corpus_audits[name].reports()
+    assert scenario_suite(CORPUS) == scenario_reports
+
+    monkeypatch.undo()
+    program = parse_program((CORPUS / "subscribe_push.fsj").read_text())
+    res = run(build_class_table(program), program.main)
+    for suffix, render in (("txt", interp.TraceEvent.to_line), ("jsonl", interp.TraceEvent.to_json)):
+        golden = (GOLDEN / f"subscribe_push.trace.{suffix}").read_text().splitlines()
+        assert [render(ev) for ev in res.trace] == golden[1:-1]
+
+
 def test_audit_statuses():
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, fuel=300)

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsj import ParseError, parse_expr, parse_program, render_expr, render_program
+from fsj import (
+    ParseError,
+    build_class_table,
+    parse_expr,
+    parse_program,
+    render_expr,
+    render_program,
+    run,
+)
 from fsj.gen import GenConfig, generate_program
 from fsj.syntax import (
     EMPTY,
@@ -265,6 +273,20 @@ def test_render_parenthesizes_let_under_postfix():
     e = FieldAccess(Let("x", New("A", ()), Var("x")), "f")
     assert render_expr(e) == "(let x = new A() in x).f"
     assert parse_expr(render_expr(e)) == e
+
+
+def test_render_deeper_than_the_recursion_limit():
+    """loop_handler nests one brace per loop; at fuel 5000 the context is
+    deeper than the default recursion limit, and the whole term renders."""
+    program = parse_program((CORPUS / "loop_handler.fsj").read_text())
+    res = run(build_class_table(program), program.main, fuel=5000, collect_trace=False)
+    braces, k = 0, res.state.stack
+    while k is not None:
+        node, _, k = k
+        braces += isinstance(node, EffectBrace)
+    assert braces > sys.getrecursionlimit()
+    text = render_expr(res.state.expr)
+    assert text.count("{ ") == text.count(" }@1.n") == braces
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("**/*.fsj")), ids=lambda p: p.name)
