@@ -21,7 +21,6 @@ from .interp import (
     initial_state,
     run,
     step,
-    subst,
 )
 from .metatheory import (
     audit_run,
@@ -40,6 +39,7 @@ from .syntax import (
     parse_program,
     render_expr,
     render_program,
+    subst,
 )
 from .typecheck import (
     CheckReport,

@@ -42,6 +42,13 @@ refocusing): it walks down into the contractum or, when that is a
 location or unit, plugs it into the innermost frame and carries on from
 that node, until it reaches the next redex.  Neither part depends on
 how deep the focus sits, and neither walks the context by recursion.
+Both, like `syntax.with_child` and `syntax.subst` that they call, read
+the node's exact type once and branch on it in an if-chain, the most
+frequent node type first; `match` with class patterns would pay an
+`isinstance` and attribute reads for every case it tries.  `_contract`
+calls `subst` and `handlers_of`, and `handlers_of` calls `effect`,
+through this module's globals, so a wrapper installed at one of those
+attributes sees every call.
 `MachineState.expr` plugs the focus back into its context when someone
 asks for the whole expression (traces, stuck reports and final results),
 and the innermost brace around the focus is the pending key a fuel-cut
@@ -126,41 +133,46 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
     left to evaluate: a redex, a stuck node (no rule will contract it,
     which includes a node whose next subterm is a finished form of the
     wrong kind, such as a location left of `;`), or, with the context
-    used up, a terminal.
+    used up, a terminal.  Dispatch is on the exact node type, most
+    frequent first; each branch picks the subterm to evaluate next, and
+    a subterm that is already a location or unit ends the descent.
     """
     while True:
-        match e:
-            case Loc() | Empty():
-                if k is None:
-                    return e, None
-                node, slot, k = k
-                e = with_child(node, slot, e)
-                continue
-            case (
-                FieldAccess(recv=c)
-                | Invoke(recv=c)
-                | Assign(recv=c)
-                | Subscribe(recv=c)
-                | Let(bound=c)
-            ) if not isinstance(c, Loc):
-                slot = 0
-            case Invoke(args=args):
-                i = _first_open(args)
+        t = type(e)
+        if t is Loc or t is Empty:
+            if k is None:
+                return e, None
+            node, slot, k = k
+            e = with_child(node, slot, e)
+            continue
+        if t is New:
+            slot = _first_open(e.args)
+            if slot is None:
+                return e, k
+            c = e.args[slot]
+        elif t is Assign:
+            c, slot = e.recv, 0
+            if type(c) is Loc:
+                c, slot = e.value, 1
+        elif t is Seq:
+            c, slot = e.first, 0
+        elif t is EffectBrace:
+            c, slot = e.body, 0
+        elif t is Invoke:
+            c, slot = e.recv, 0
+            if type(c) is Loc:
+                i = _first_open(e.args)
                 if i is None:
                     return e, k
-                c, slot = args[i], i + 1
-            case New(args=args):
-                slot = _first_open(args)
-                if slot is None:
-                    return e, k
-                c = args[slot]
-            case Assign(value=c) if not isinstance(c, Loc):
-                slot = 1
-            case Seq(first=c) | EffectBrace(body=c) if not isinstance(c, Empty):
-                slot = 0
-            case _:
-                return e, k
-        if isinstance(c, (Loc, Empty)):
+                c, slot = e.args[i], i + 1
+        elif t is Let:
+            c, slot = e.bound, 0
+        elif t is FieldAccess or t is Subscribe:
+            c, slot = e.recv, 0
+        else:
+            return e, k
+        t = type(c)
+        if t is Loc or t is Empty:
             return e, k
         k = (e, slot, k)
         e = c
@@ -370,87 +382,115 @@ def _note_events(step: int, kind: str, l: int, name: str, *write) -> list[TraceE
 
 
 def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutcome | None:
-    """Apply the rule for st's focus and refocus in the same context."""
+    """Apply the rule for st's focus and refocus in the same context.
+
+    Dispatch is on the exact type of the focus, most frequent rule
+    first; a node whose subterms do not fit its rule is stuck (a free
+    variable, or a finished form where the node needs something else)
+    and gives None.
+    """
     e = st.focus
+    t = type(e)
     store, handlers, next_loc = st.store, st.handlers, st.next_loc
     notes: tuple = ()
-    match e:
-        case FieldAccess(recv=Loc(loc=l), fname=f):
-            obj = store.get(l)
-            if obj is None:
-                return None
-            i, cf = ct.field(obj.cls, f) or (None, None)
-            if cf is None:
-                return None
-            if i is not None:
-                out, rule = Loc(obj.fields[i]), "R-FIELD"
-            else:
-                out, rule = cf.init, "R-FIELDS"
-                if MUT_NO_THIS_SUBST not in mut:
-                    out = subst(cf.init, {"this": Loc(l)})
-
-        case Invoke(recv=Loc(loc=l) as recv, method=m, args=args) if _first_open(args) is None:
-            obj = store.get(l)
-            if obj is None:
-                return None
-            found = ct.mbody(m, obj.cls)
-            if found is None:
-                return None
-            names, body = found
-            if len(names) != len(args):
-                return None
-            mapping: dict[str, Expr] = {x: a for x, a in zip(names, args)}
-            mapping["this"] = recv
-            out, rule = subst(body, mapping), "R-INVK"
-
-        case New(cls=c, args=args) if _first_open(args) is None:
-            if c not in ct or len(ct.source(c)) != len(args):
-                return None
-            l = next_loc
-            store[l] = StoredObject(c, tuple(a.loc for a in args))
-            out, rule, next_loc = Loc(l), "R-NEW", l + 1
-            notes = ((st.steps, "alloc", l, c),)
-
-        case Assign(recv=Loc(loc=l), fname=f, value=Loc(loc=v)):
-            obj = store.get(l)
-            if obj is None:
-                return None
-            i, sf = ct.field(obj.cls, f) or (None, None)
-            if i is None:
-                return None
-            old = obj.fields[i]
-            store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
-            signal = sf.modifier is Modifier.SIGNAL
-            if MUT_SWAP_ASSIGN in mut:
-                signal = not signal
-            if signal:
-                key = (l, f)
-                pending = handlers.get(key, EMPTY)
-                out, rule = EffectBrace(pending, key), "R-ASSIGNS"
-                notes = ((st.steps, "signal-write", l, f, old, v, pending),)
-            else:
-                out, rule = EMPTY, "R-ASSIGN"
-                notes = ((st.steps, "plain-write", l, f),)
-
-        case EffectBrace(body=Empty(), key=key):
-            out, rule = handlers_of(ct, handlers, store, key), "R-ASSIGNCONT"
-
-        case Seq(first=Empty(), second=b):
-            out, rule = b, "R-CAT"
-
-        case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
-            key = (l, f)
-            handlers[key] = Seq(handlers.get(key, EMPTY), h)
-            out, rule = EMPTY, "R-SUBSCRIBE"
-            notes = ((st.steps, "subscribe", l, f),)
-
-        case Let(var=x, bound=Loc() as b, body=body):
-            out, rule = subst(body, {x: b}), "R-LET"
-
-        case _:
-            # a stuck node: a free variable, or a finished form where the
-            # node needs something else
+    if t is New:
+        c, args = e.cls, e.args
+        if _first_open(args) is not None:
             return None
+        if c not in ct or len(ct.source(c)) != len(args):
+            return None
+        l = next_loc
+        store[l] = StoredObject(c, tuple(a.loc for a in args))
+        out, rule, next_loc = Loc(l), "R-NEW", l + 1
+        notes = ((st.steps, "alloc", l, c),)
+
+    elif t is Seq:
+        if type(e.first) is not Empty:
+            return None
+        out, rule = e.second, "R-CAT"
+
+    elif t is Assign:
+        recv, value, f = e.recv, e.value, e.fname
+        if type(recv) is not Loc or type(value) is not Loc:
+            return None
+        l, v = recv.loc, value.loc
+        obj = store.get(l)
+        if obj is None:
+            return None
+        i, sf = ct.field(obj.cls, f) or (None, None)
+        if i is None:
+            return None
+        old = obj.fields[i]
+        store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
+        signal = sf.modifier is Modifier.SIGNAL
+        if MUT_SWAP_ASSIGN in mut:
+            signal = not signal
+        if signal:
+            key = (l, f)
+            pending = handlers.get(key, EMPTY)
+            out, rule = EffectBrace(pending, key), "R-ASSIGNS"
+            notes = ((st.steps, "signal-write", l, f, old, v, pending),)
+        else:
+            out, rule = EMPTY, "R-ASSIGN"
+            notes = ((st.steps, "plain-write", l, f),)
+
+    elif t is FieldAccess:
+        recv, f = e.recv, e.fname
+        if type(recv) is not Loc:
+            return None
+        l = recv.loc
+        obj = store.get(l)
+        if obj is None:
+            return None
+        i, cf = ct.field(obj.cls, f) or (None, None)
+        if cf is None:
+            return None
+        if i is not None:
+            out, rule = Loc(obj.fields[i]), "R-FIELD"
+        else:
+            out, rule = cf.init, "R-FIELDS"
+            if MUT_NO_THIS_SUBST not in mut:
+                out = subst(cf.init, {"this": Loc(l)})
+
+    elif t is Invoke:
+        recv, m, args = e.recv, e.method, e.args
+        if type(recv) is not Loc or _first_open(args) is not None:
+            return None
+        obj = store.get(recv.loc)
+        if obj is None:
+            return None
+        found = ct.mbody(m, obj.cls)
+        if found is None:
+            return None
+        names, body = found
+        if len(names) != len(args):
+            return None
+        mapping: dict[str, Expr] = {x: a for x, a in zip(names, args)}
+        mapping["this"] = recv
+        out, rule = subst(body, mapping), "R-INVK"
+
+    elif t is EffectBrace:
+        if type(e.body) is not Empty:
+            return None
+        out, rule = handlers_of(ct, handlers, store, e.key), "R-ASSIGNCONT"
+
+    elif t is Let:
+        b = e.bound
+        if type(b) is not Loc:
+            return None
+        out, rule = subst(e.body, {e.var: b}), "R-LET"
+
+    elif t is Subscribe:
+        recv, f = e.recv, e.fname
+        if type(recv) is not Loc:
+            return None
+        key = (recv.loc, f)
+        handlers[key] = Seq(handlers.get(key, EMPTY), e.handler)
+        out, rule = EMPTY, "R-SUBSCRIBE"
+        notes = ((st.steps, "subscribe", recv.loc, f),)
+
+    else:
+        return None
     state = MachineState(out, store, handlers, next_loc, st.steps + 1, st.stack)
     return StepOutcome(state, rule, notes)
 

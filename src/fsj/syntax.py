@@ -715,27 +715,47 @@ def children(e: Expr) -> list[Expr]:
 def with_child(e: Expr, i: int, v: Expr) -> Expr:
     """e with its subterm number i, counted as in `children`, replaced by v.
 
-    The machine numbers the hole of an evaluation-context frame the same way.
+    The machine numbers the hole of an evaluation-context frame the same
+    way, and plugs every finished subterm through here, so dispatch is on
+    the exact node type, in the order the machine plugs them most often.
     """
-    match e:
-        case FieldAccess(fname=f) if i == 0:
-            return FieldAccess(v, f, span=e.span)
-        case Invoke(recv=r, method=m, args=args) if 0 <= i <= len(args):
-            if i == 0:
-                return Invoke(v, m, args, span=e.span)
-            return Invoke(r, m, args[: i - 1] + (v,) + args[i:], span=e.span)
-        case New(cls=c, args=args) if 0 <= i < len(args):
-            return New(c, args[:i] + (v,) + args[i + 1:], span=e.span)
-        case Assign(recv=r, fname=f, value=val) if i in (0, 1):
-            return Assign(v, f, val, span=e.span) if i == 0 else Assign(r, f, v, span=e.span)
-        case Seq(first=a, second=b) if i in (0, 1):
-            return Seq(v, b, span=e.span) if i == 0 else Seq(a, v, span=e.span)
-        case Subscribe(recv=r, fname=f, handler=h) if i in (0, 1):
-            return Subscribe(v, f, h, span=e.span) if i == 0 else Subscribe(r, f, v, span=e.span)
-        case Let(var=x, bound=b, body=body) if i in (0, 1):
-            return Let(x, v, body, span=e.span) if i == 0 else Let(x, b, v, span=e.span)
-        case EffectBrace(key=k) if i == 0:
-            return EffectBrace(v, k, span=e.span)
+    t = type(e)
+    if t is New:
+        args = e.args
+        if 0 <= i < len(args):
+            return New(e.cls, args[:i] + (v,) + args[i + 1:], span=e.span)
+    elif t is Assign:
+        if i == 1:
+            return Assign(e.recv, e.fname, v, span=e.span)
+        if i == 0:
+            return Assign(v, e.fname, e.value, span=e.span)
+    elif t is Seq:
+        if i == 0:
+            return Seq(v, e.second, span=e.span)
+        if i == 1:
+            return Seq(e.first, v, span=e.span)
+    elif t is EffectBrace:
+        if i == 0:
+            return EffectBrace(v, e.key, span=e.span)
+    elif t is Invoke:
+        args = e.args
+        if i == 0:
+            return Invoke(v, e.method, args, span=e.span)
+        if 0 < i <= len(args):
+            return Invoke(e.recv, e.method, args[: i - 1] + (v,) + args[i:], span=e.span)
+    elif t is Let:
+        if i == 0:
+            return Let(e.var, v, e.body, span=e.span)
+        if i == 1:
+            return Let(e.var, e.bound, v, span=e.span)
+    elif t is FieldAccess:
+        if i == 0:
+            return FieldAccess(v, e.fname, span=e.span)
+    elif t is Subscribe:
+        if i == 0:
+            return Subscribe(v, e.fname, e.handler, span=e.span)
+        if i == 1:
+            return Subscribe(e.recv, e.fname, v, span=e.span)
     raise ValueError(f"no subterm {i} in {e!r}")
 
 
@@ -749,29 +769,37 @@ def iter_subexprs(e: Expr):
 
 
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Capture is impossible because only closed values are substituted."""
-    match e:
-        case Var(name=x):
-            return mapping.get(x, e)
-        case FieldAccess(recv=r, fname=f):
-            return FieldAccess(subst(r, mapping), f, span=e.span)
-        case Invoke(recv=r, method=m, args=args):
-            return Invoke(subst(r, mapping), m, tuple(subst(a, mapping) for a in args), span=e.span)
-        case New(cls=c, args=args):
-            return New(c, tuple(subst(a, mapping) for a in args), span=e.span)
-        case Assign(recv=r, fname=f, value=v):
-            return Assign(subst(r, mapping), f, subst(v, mapping), span=e.span)
-        case Seq(first=a, second=b):
-            return Seq(subst(a, mapping), subst(b, mapping), span=e.span)
-        case Subscribe(recv=r, fname=f, handler=h):
-            return Subscribe(subst(r, mapping), f, subst(h, mapping), span=e.span)
-        case Let(var=x, bound=b, body=body):
-            narrowed = {k: v for k, v in mapping.items() if k != x}
-            return Let(x, subst(b, mapping), subst(body, narrowed), span=e.span)
-        case EffectBrace(body=b, key=k):
-            return EffectBrace(subst(b, mapping), k, span=e.span)
-        case _:
-            return e
+    """e with each free variable that mapping names replaced by its image.
+
+    Capture is impossible because only closed values are substituted.  A
+    `let` binder shadows its name in the body but not in the bound term.
+    Nodes with no variable below them (locations, unit) come back as the
+    same object.  Dispatch is on the exact node type, most frequent first.
+    """
+    t = type(e)
+    if t is Var:
+        return mapping.get(e.name, e)
+    if t is New:
+        return New(e.cls, tuple([subst(a, mapping) for a in e.args]), span=e.span)
+    if t is FieldAccess:
+        return FieldAccess(subst(e.recv, mapping), e.fname, span=e.span)
+    if t is Seq:
+        return Seq(subst(e.first, mapping), subst(e.second, mapping), span=e.span)
+    if t is Invoke:
+        return Invoke(
+            subst(e.recv, mapping), e.method, tuple([subst(a, mapping) for a in e.args]), span=e.span
+        )
+    if t is Assign:
+        return Assign(subst(e.recv, mapping), e.fname, subst(e.value, mapping), span=e.span)
+    if t is Let:
+        x = e.var
+        narrowed = {k: v for k, v in mapping.items() if k != x}
+        return Let(x, subst(e.bound, mapping), subst(e.body, narrowed), span=e.span)
+    if t is Subscribe:
+        return Subscribe(subst(e.recv, mapping), e.fname, subst(e.handler, mapping), span=e.span)
+    if t is EffectBrace:
+        return EffectBrace(subst(e.body, mapping), e.key, span=e.span)
+    return e
 
 
 def contains(e: Expr, key: Key) -> bool:

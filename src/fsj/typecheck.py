@@ -121,133 +121,144 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
     subterms' types, so a subterm can be replaced by a variable bound to
     its type.  The audit types each evaluation-context frame that way,
     its hole `metatheory.HOLE`, the one variable that may be Unit.
+    Dispatch is on the exact node type, most frequent first, and every
+    subterm is typed through the module's `type_expr`.
     """
-    match e:
-        case Var(name=x):
-            if x not in env:
-                raise TypingError(ErrKind.UNBOUND_VAR, f"unbound variable {x}", e.span)
-            return env[x]
-
-        case Loc(loc=l):
-            if l not in store_typing:
-                raise TypingError(ErrKind.UNKNOWN_LOCATION, f"location @{l} not in store typing", e.span)
-            return store_typing[l]
-
-        case Empty():
-            return UNIT
-
-        case FieldAccess(recv=r, fname=f):
-            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
-            ft = ct.ftype(c0, f)
-            if ft is None:
-                raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-            return ft[1]
-
-        case Invoke(recv=r, method=m, args=args):
-            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
-            sig = ct.mtype(m, c0)
-            if sig is None:
-                raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
-            ptypes, ret = sig
-            if len(args) != len(ptypes):
+    t = type(e)
+    if t is New:
+        c, args = e.cls, e.args
+        if c not in ct:
+            raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {c}", e.span)
+        fields = ct.source(c)
+        if len(args) != len(fields):
+            raise TypingError(
+                ErrKind.ARG_ARITY,
+                f"new {c} takes {len(fields)} arguments, got {len(args)}",
+                e.span,
+            )
+        for a, sf in zip(args, fields):
+            at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
+            if not is_subtype(ct, at, sf.ftype):
                 raise TypingError(
-                    ErrKind.ARG_ARITY,
-                    f"{c0}.{m} takes {len(ptypes)} arguments, got {len(args)}",
-                    e.span,
-                )
-            for a, pt in zip(args, ptypes):
-                at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
-                if not is_subtype(ct, at, pt):
-                    raise TypingError(
-                        ErrKind.ARG_SUBTYPE, f"argument of type {at} where {pt} expected", a.span
-                    )
-            return ret
-
-        case New(cls=c, args=args):
-            if c not in ct:
-                raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {c}", e.span)
-            fields = ct.source(c)
-            if len(args) != len(fields):
-                raise TypingError(
-                    ErrKind.ARG_ARITY,
-                    f"new {c} takes {len(fields)} arguments, got {len(args)}",
-                    e.span,
-                )
-            for a, sf in zip(args, fields):
-                at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
-                if not is_subtype(ct, at, sf.ftype):
-                    raise TypingError(
-                        ErrKind.ARG_SUBTYPE,
-                        f"field {sf.name} of new {c} needs {sf.ftype}, got {at}",
-                        a.span,
-                    )
-            return c
-
-        case Assign(recv=r, fname=f, value=v):
-            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
-            i, target = ct.field(c0, f) or (None, None)
-            if target is None:
-                raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-            if i is None:
-                raise TypingError(
-                    ErrKind.ASSIGN_TO_COMPOSITE,
-                    f"{c0}.{f} is an initialized field and cannot be assigned",
-                    e.span,
-                )
-            vt = _class_of(type_expr(ct, env, store_typing, v), "assigned value", v.span)
-            if not is_subtype(ct, vt, target.ftype):
-                raise TypingError(
-                    ErrKind.ASSIGN_TYPE_MISMATCH,
-                    f"cannot assign {vt} to {c0}.{f} of type {target.ftype}",
-                    e.span,
-                )
-            return UNIT
-
-        case Seq(first=a, second=b):
-            ta = type_expr(ct, env, store_typing, a)
-            if ta != UNIT:
-                raise TypingError(
-                    ErrKind.SEQ_LEFT_NOT_UNIT,
-                    f"left arm of ';' must be Unit, got {ta}",
+                    ErrKind.ARG_SUBTYPE,
+                    f"field {sf.name} of new {c} needs {sf.ftype}, got {at}",
                     a.span,
                 )
-            return type_expr(ct, env, store_typing, b)
+        return c
 
-        case Subscribe(recv=r, fname=f, handler=h):
-            c0 = _class_of(type_expr(ct, env, store_typing, r), "receiver", e.span)
-            ft = ct.ftype(c0, f)
-            if ft is None:
-                raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-            if ft[0] is not Modifier.SIGNAL:
-                raise TypingError(
-                    ErrKind.SUBSCRIBE_ON_NON_SIGNAL,
-                    f"{c0}.{f} is not a signal field",
-                    e.span,
-                )
-            th = type_expr(ct, env, store_typing, h)
-            if th != UNIT:
-                raise TypingError(
-                    ErrKind.SUBSCRIBE_HANDLER_NOT_UNIT,
-                    f"handler must be Unit, got {th}",
-                    h.span,
-                )
-            return UNIT
+    if t is Loc:
+        l = e.loc
+        if l not in store_typing:
+            raise TypingError(ErrKind.UNKNOWN_LOCATION, f"location @{l} not in store typing", e.span)
+        return store_typing[l]
 
-        case EffectBrace(body=b):
-            tb = type_expr(ct, env, store_typing, b)
-            if tb != UNIT:
-                raise TypingError(
-                    ErrKind.BRACE_BODY_NOT_UNIT,
-                    f"pending effect body must be Unit, got {tb}",
-                    e.span,
-                )
-            return UNIT
+    if t is Var:
+        x = e.name
+        if x not in env:
+            raise TypingError(ErrKind.UNBOUND_VAR, f"unbound variable {x}", e.span)
+        return env[x]
 
-        case Let(var=x, bound=b, body=body):
-            tb = _class_of(type_expr(ct, env, store_typing, b), "bound expression", b.span)
-            inner = dict(env)
-            inner[x] = tb
-            return type_expr(ct, inner, store_typing, body)
+    if t is FieldAccess:
+        f = e.fname
+        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        ft = ct.ftype(c0, f)
+        if ft is None:
+            raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
+        return ft[1]
+
+    if t is Let:
+        b = e.bound
+        tb = _class_of(type_expr(ct, env, store_typing, b), "bound expression", b.span)
+        inner = dict(env)
+        inner[e.var] = tb
+        return type_expr(ct, inner, store_typing, e.body)
+
+    if t is Seq:
+        a = e.first
+        ta = type_expr(ct, env, store_typing, a)
+        if ta != UNIT:
+            raise TypingError(
+                ErrKind.SEQ_LEFT_NOT_UNIT,
+                f"left arm of ';' must be Unit, got {ta}",
+                a.span,
+            )
+        return type_expr(ct, env, store_typing, e.second)
+
+    if t is Assign:
+        f, v = e.fname, e.value
+        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        i, target = ct.field(c0, f) or (None, None)
+        if target is None:
+            raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
+        if i is None:
+            raise TypingError(
+                ErrKind.ASSIGN_TO_COMPOSITE,
+                f"{c0}.{f} is an initialized field and cannot be assigned",
+                e.span,
+            )
+        vt = _class_of(type_expr(ct, env, store_typing, v), "assigned value", v.span)
+        if not is_subtype(ct, vt, target.ftype):
+            raise TypingError(
+                ErrKind.ASSIGN_TYPE_MISMATCH,
+                f"cannot assign {vt} to {c0}.{f} of type {target.ftype}",
+                e.span,
+            )
+        return UNIT
+
+    if t is Empty:
+        return UNIT
+
+    if t is Invoke:
+        m, args = e.method, e.args
+        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        sig = ct.mtype(m, c0)
+        if sig is None:
+            raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
+        ptypes, ret = sig
+        if len(args) != len(ptypes):
+            raise TypingError(
+                ErrKind.ARG_ARITY,
+                f"{c0}.{m} takes {len(ptypes)} arguments, got {len(args)}",
+                e.span,
+            )
+        for a, pt in zip(args, ptypes):
+            at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
+            if not is_subtype(ct, at, pt):
+                raise TypingError(
+                    ErrKind.ARG_SUBTYPE, f"argument of type {at} where {pt} expected", a.span
+                )
+        return ret
+
+    if t is Subscribe:
+        f, h = e.fname, e.handler
+        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        ft = ct.ftype(c0, f)
+        if ft is None:
+            raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
+        if ft[0] is not Modifier.SIGNAL:
+            raise TypingError(
+                ErrKind.SUBSCRIBE_ON_NON_SIGNAL,
+                f"{c0}.{f} is not a signal field",
+                e.span,
+            )
+        th = type_expr(ct, env, store_typing, h)
+        if th != UNIT:
+            raise TypingError(
+                ErrKind.SUBSCRIBE_HANDLER_NOT_UNIT,
+                f"handler must be Unit, got {th}",
+                h.span,
+            )
+        return UNIT
+
+    if t is EffectBrace:
+        tb = type_expr(ct, env, store_typing, e.body)
+        if tb != UNIT:
+            raise TypingError(
+                ErrKind.BRACE_BODY_NOT_UNIT,
+                f"pending effect body must be Unit, got {tb}",
+                e.span,
+            )
+        return UNIT
 
     raise ValueError(f"cannot type {e!r}")
 

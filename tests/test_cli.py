@@ -1,6 +1,8 @@
 """Exit codes, output shapes, and the golden traces."""
 
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -255,6 +257,66 @@ def test_meta_swap_mutation_detected(tmp_path, monkeypatch, capsys):
         ["meta", "--n", "30", "--mutate", "swap-assign-dispatch"], capsys
     )
     assert code == EXIT_SEMANTIC
+
+
+# ------------------------------------------------------------------- fuzz
+
+TOKEN = re.compile(r"//[^\n]*|[A-Za-z_]\w*|\S")
+MUTANTS_PER_SOURCE = 10
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """text with one or two token-level edits: delete or duplicate a token,
+    swap two words or two punctuation marks, or wrap the main expression
+    (what follows the last `}`) in up to 120 parentheses, past the depth cap."""
+    toks = [t for t in TOKEN.findall(text) if not t.startswith("//")]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(toks))
+        op = rng.choice(("delete", "duplicate", "swap", "swap", "nest"))
+        if op == "delete" and len(toks) > 1:
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap":
+            word = toks[i][0].isalpha()
+            j = rng.choice([j for j, t in enumerate(toks) if t[0].isalpha() == word])
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            main = max((j + 1 for j, t in enumerate(toks) if t == "}"), default=0)
+            d = rng.randint(1, 120)
+            toks[main:] = ["(" * d, *toks[main:], ")" * d]
+    return " ".join(toks)
+
+
+FUZZ_SOURCES = sorted(CORPUS.glob("**/*.fsj"))
+
+
+def test_cli_survives_token_level_mutants(tmp_path, monkeypatch, capsys):
+    """Every mutant of every corpus program makes `check`, `run` and `trace`
+    exit with a documented code (0-4) and print no traceback."""
+    monkeypatch.chdir(tmp_path)
+    seen = set()
+    for src in FUZZ_SOURCES:
+        for k in range(MUTANTS_PER_SOURCE):
+            text = mutate(src.read_text(), random.Random(f"{src.name}:{k}"))
+            mutant = tmp_path / f"{src.stem}-{k}.fsj"
+            mutant.write_text(text)
+            for argv in (
+                ["check", str(mutant)],
+                ["run", str(mutant), "--fuel", "200"],
+                ["trace", str(mutant), "--fuel", "200"],
+            ):
+                try:
+                    code, _, err = run_cli(argv, capsys)
+                except Exception as exc:
+                    raise AssertionError(f"{argv[0]} raised on:\n{text}") from exc
+                assert code in range(5), (argv, code, text)
+                assert "Traceback" not in err, (argv, text)
+                seen.add(code)
+    # the mutants reach more than the parser
+    assert {EXIT_OK, EXIT_SEMANTIC, EXIT_PARSE, EXIT_FUEL} <= seen
+    code, _, err = run_cli(["meta", "--n", "3", "--seed", "7", "--fuel", "200"], capsys)
+    assert code in range(5) and "Traceback" not in err
 
 
 # ------------------------------------------------------------ entry point

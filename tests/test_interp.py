@@ -3,6 +3,7 @@ against brute-force oracles, then whole-program behaviors."""
 
 import json
 import runpy
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from fsj import (
     step,
     subst,
 )
+from fsj import interp
 from fsj.gen import GenConfig, generate_program
 from fsj.interp import (
     MUT_NO_THIS_SUBST,
@@ -599,6 +601,28 @@ def test_run_shows_observers_the_stores_from_before_each_step():
     res = run(ct, program.main, fuel=2000, collect_trace=False, observers=[observe])
     assert res.status == "fuel"
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
+
+
+def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):
+    """perfbench counts `interp.subst` calls by wrapping that attribute, so
+    every R-INVK, R-FIELDS and R-LET step must call it there, once."""
+    ct, program = load_corpus_file("peano_pull.fsj")
+    calls = []
+    real = interp.subst
+
+    def counting(e, mapping):
+        calls.append(e)
+        return real(e, mapping)
+
+    monkeypatch.setattr(interp, "subst", counting)
+    rules = Counter()
+    res = run(
+        ct, program.main, collect_trace=False,
+        observers=[lambda before, out, after: rules.update([out.rule])],
+    )
+    assert res.status == "terminal"
+    assert rules["R-INVK"] and rules["R-FIELDS"] and rules["R-LET"]
+    assert len(calls) == rules["R-INVK"] + rules["R-FIELDS"] + rules["R-LET"]
 
 
 def test_fuel_on_terminating_program():

@@ -17,6 +17,7 @@ from fsj import (
     render_program,
     run,
 )
+from fsj import syntax
 from fsj.gen import GenConfig, generate_program
 from fsj.syntax import (
     EMPTY,
@@ -31,8 +32,11 @@ from fsj.syntax import (
     New,
     Seq,
     Subscribe,
+    Span,
     Var,
+    children,
     subst,
+    with_child,
 )
 
 from conftest import CORPUS
@@ -303,6 +307,87 @@ def test_generated_programs_round_trip(seed: int):
     program = generate_program(GenConfig(seed=seed))
     text = render_program(program)
     assert render_program(parse_program(text)) == text
+
+
+# ---------------------------------------------------------- tree walkers
+
+SPAN = Span(3, 4)
+A, B, C = Var("a"), Var("b"), Var("c")
+NODES = {  # one node of every type, each subterm a distinct variable
+    "Var": Var("a", span=SPAN),
+    "Loc": Loc(5, span=SPAN),
+    "Empty": Empty(span=SPAN),
+    "FieldAccess": FieldAccess(A, "f", span=SPAN),
+    "Invoke": Invoke(A, "m", (B, C), span=SPAN),
+    "New": New("K", (A, B, C), span=SPAN),
+    "Assign": Assign(A, "f", B, span=SPAN),
+    "Seq": Seq(A, B, span=SPAN),
+    "Subscribe": Subscribe(A, "f", B, span=SPAN),
+    "Let": Let("x", A, B, span=SPAN),
+    "EffectBrace": EffectBrace(A, (5, "f"), span=SPAN),
+}
+
+
+def test_walker_fixtures_cover_every_node_type():
+    node_types = {
+        name for name, t in vars(syntax).items()
+        if isinstance(t, type) and issubclass(t, syntax.Expr) and t is not syntax.Expr
+    }
+    assert set(NODES) == node_types
+    assert all(type(e).__name__ == name for name, e in NODES.items())
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_with_child_replaces_exactly_one_slot(name):
+    e = NODES[name]
+    kids = children(e)
+    hole = Loc(99)
+    for i in range(len(kids)):
+        out = with_child(e, i, hole)
+        assert type(out) is type(e)
+        assert out.span == SPAN
+        assert children(out) == kids[:i] + [hole] + kids[i + 1:]
+        assert children(out)[i] is hole
+    for i in (-1, len(kids)):
+        with pytest.raises(ValueError, match=f"no subterm {i}"):
+            with_child(e, i, hole)
+
+
+SUBST_CASES = {  # node -> node with a := @1 and b := @2 substituted
+    "FieldAccess": FieldAccess(Loc(1), "f"),
+    "Invoke": Invoke(Loc(1), "m", (Loc(2), C)),
+    "New": New("K", (Loc(1), Loc(2), C)),
+    "Assign": Assign(Loc(1), "f", Loc(2)),
+    "Seq": Seq(Loc(1), Loc(2)),
+    "Subscribe": Subscribe(Loc(1), "f", Loc(2)),
+    "Let": Let("x", Loc(1), Loc(2)),
+    "EffectBrace": EffectBrace(Loc(1), (5, "f")),
+    "Var": Loc(1),
+}
+
+
+@pytest.mark.parametrize("name", SUBST_CASES)
+def test_subst_replaces_mapped_variables_in_every_node_type(name):
+    e = NODES[name]
+    out = subst(e, {"a": Loc(1), "b": Loc(2)})
+    assert out == SUBST_CASES[name]
+    if name != "Var":
+        assert type(out) is type(e) and out.span == SPAN
+
+
+@pytest.mark.parametrize("e", [NODES["Loc"], NODES["Empty"], Var("z")], ids=["Loc", "Empty", "unmapped-Var"])
+def test_subst_returns_leaves_it_does_not_map_as_the_same_object(e):
+    assert subst(e, {"a": Loc(1)}) is e
+
+
+def test_subst_let_shadows_in_the_body_but_not_in_the_bound_term():
+    e = Let("a", Seq(A, B), Seq(A, B), span=SPAN)
+    out = subst(e, {"a": Loc(1), "b": Loc(2)})
+    assert out == Let("a", Seq(Loc(1), Loc(2)), Seq(A, Loc(2)))
+    assert out.span == SPAN
+    # an inner let shadows only from its own body down
+    inner = Let("x", A, Let("a", A, A))
+    assert subst(inner, {"a": Loc(1)}) == Let("x", Loc(1), Let("a", Loc(1), A))
 
 
 SIGNAL_A = "class A extends Object { signal A a = this; A() { super(); } }\n"

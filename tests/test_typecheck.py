@@ -2,6 +2,7 @@
 
 import pytest
 
+from fsj import typecheck
 from fsj import (
     ErrKind,
     build_class_table,
@@ -12,6 +13,7 @@ from fsj import (
     parse_program,
     type_expr,
 )
+from fsj.syntax import EMPTY, Assign, EffectBrace, FieldAccess, Loc, Seq, iter_subexprs
 from conftest import CORPUS, load_corpus_file
 
 HIERARCHY = """
@@ -152,3 +154,33 @@ def test_subtyped_main_against_field():
     report = check_program(ct, program)
     assert report.ok
     assert report.main_type == "A"
+
+
+def test_type_expr_recurses_through_its_module_attribute(monkeypatch):
+    """perfbench times `typecheck.type_expr` by wrapping that attribute, so
+    typing a term must call it there once per node."""
+    program = parse_program(
+        """
+        class Cell extends Object {
+          signal Object n;
+          Cell(Object n) { super(); this.n = n; }
+          Object get() { this.n }
+        }
+        let c = new Cell(new Object()) in (c.n.subscribe(unit); c.n = c.get(); c.n)
+        """
+    )
+    ct = build_class_table(program)
+    at = FieldAccess(Loc(0), "n")
+    term = Seq(EffectBrace(EMPTY, (0, "n")), Seq(Assign(Loc(0), "n", at), program.main))
+    kinds = {type(s).__name__ for s in iter_subexprs(term)}
+    assert len(kinds) == 11  # every node type
+    calls = []
+    real = typecheck.type_expr
+
+    def counting(ct, env, store_typing, e):
+        calls.append(e)
+        return real(ct, env, store_typing, e)
+
+    monkeypatch.setattr(typecheck, "type_expr", counting)
+    assert typecheck.type_expr(ct, {}, {0: "Cell"}, term) == "Object"
+    assert calls == list(iter_subexprs(term))
