@@ -115,18 +115,6 @@ class ClassTable:
             raise UnknownClassError(name)
         return self.decls[name]
 
-    def parent(self, name: str) -> str | None:
-        if name == OBJECT:
-            return None
-        return self.decl(name).parent
-
-    def ancestry(self, name: str):
-        """Yield name and its superclasses up to and including Object."""
-        cur: str | None = name
-        while cur is not None:
-            yield cur
-            cur = self.parent(cur)
-
     def info(self, name: str) -> ClassInfo:
         """name's members as resolved when the table was built."""
         try:

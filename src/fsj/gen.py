@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classtable import ClassTable, build_class_table
 from .syntax import (
@@ -347,7 +347,7 @@ def _expr_shrinks(e: Expr):
             yield b
         case Subscribe(handler=h):
             if not isinstance(h, Empty):
-                yield replace(e, handler=EMPTY)
+                yield Subscribe(e.recv, e.fname, EMPTY, span=e.span)
             yield EMPTY
         case Assign():
             yield EMPTY

@@ -29,6 +29,10 @@ Parentheses override all of this.
 Two forms exist only at runtime and are printed but never parsed:
 locations (`@7`) and pending-effect braces (`{ e }@7.f`, an effect
 waiting on field `f` of the object at location 7).
+
+Expression nodes are immutable classes with `__slots__` (see `Expr`):
+two nodes are equal, and hash alike, when they have the same type and
+equal fields, whatever their source `span`.
 """
 
 from __future__ import annotations
@@ -86,85 +90,115 @@ class ParseError(Exception):
 # expressions
 
 
-@dataclass(frozen=True)
+def _rebuild(cls, span, *fields):
+    return cls(*fields, span=span)
+
+
 class Expr:
-    span: Span | None = field(default=None, compare=False, repr=False, kw_only=True)
+    """An expression node: an immutable object with slots.
+
+    A node type lists its fields in `__slots__`, in evaluation order.
+    `__init_subclass__` gives it what `dataclass(frozen=True)` did: the
+    field names as `__match_args__`, a constructor taking the fields
+    positionally, `==` (same exact type and equal fields), `hash` of the
+    tuple of fields, and a `repr` naming them.  `span`, the source
+    position, is keyword-only, defaults to None, and is ignored by `==`,
+    `hash` and `repr`.  Assigning or deleting an attribute raises
+    AttributeError: the audit caches by identity and relies on nodes never
+    changing.  The constructor therefore writes each slot through its
+    descriptor's `__set__`, bound once per type, and `copy` and `pickle`
+    rebuild a node through its constructor.
+    """
+
+    __slots__ = ("span",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = tuple(cls.__slots__)
+        mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+        slots = (*names, "span")
+        scope = {f"_set_{n}": getattr(cls, n).__set__ for n in slots}
+        exec(
+            f"def __init__(self, {''.join(n + ', ' for n in names)}*, span=None):\n"
+            + "".join(f"    _set_{n}(self, {n})\n" for n in slots)
+            + "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n",
+            scope,
+        )
+        for name in ("__init__", "__eq__", "__hash__"):
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.span, *[getattr(self, n) for n in self.__match_args__])
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     """A variable reference; `this` parses to Var("this")."""
 
-    name: str
+    __slots__ = ("name",)  # str
 
 
-@dataclass(frozen=True)
 class FieldAccess(Expr):
-    recv: Expr
-    fname: str
+    __slots__ = ("recv", "fname")  # Expr, str
 
 
-@dataclass(frozen=True)
 class Invoke(Expr):
-    recv: Expr
-    method: str
-    args: tuple[Expr, ...]
+    __slots__ = ("recv", "method", "args")  # Expr, str, tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class New(Expr):
-    cls: str
-    args: tuple[Expr, ...]
+    __slots__ = ("cls", "args")  # str, tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Assign(Expr):
-    recv: Expr
-    fname: str
-    value: Expr
+    __slots__ = ("recv", "fname", "value")  # Expr, str, Expr
 
 
-@dataclass(frozen=True)
 class Seq(Expr):
-    first: Expr
-    second: Expr
+    __slots__ = ("first", "second")  # Expr, Expr
 
 
-@dataclass(frozen=True)
 class Subscribe(Expr):
-    recv: Expr
-    fname: str
-    handler: Expr
+    __slots__ = ("recv", "fname", "handler")  # Expr, str, Expr
 
 
-@dataclass(frozen=True)
 class Let(Expr):
-    var: str
-    bound: Expr
-    body: Expr
+    __slots__ = ("var", "bound", "body")  # str, Expr, Expr
 
 
-@dataclass(frozen=True)
 class Empty(Expr):
     """The unit literal; the sole inhabitant of type Unit."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Loc(Expr):
     """Runtime only: a store location. Never produced by the parser."""
 
-    loc: int
+    __slots__ = ("loc",)  # int
 
 
 Key = tuple[int, str]
 
 
-@dataclass(frozen=True)
 class EffectBrace(Expr):
     """Runtime only: a pending effect on `key`, run once `body` is unit."""
 
-    body: Expr
-    key: Key
+    __slots__ = ("body", "key")  # Expr, Key
 
 
 EMPTY = Empty()
@@ -704,7 +738,8 @@ def render_program(p: Program) -> str:
 def children(e: Expr) -> list[Expr]:
     """e's subterms, left to right, which is evaluation order."""
     out = []
-    for v in vars(e).values():
+    for name in e.__match_args__:
+        v = getattr(e, name)
         if isinstance(v, Expr):
             out.append(v)
         elif isinstance(v, tuple):

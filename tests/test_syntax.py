@@ -1,6 +1,8 @@
 """Parser and pretty-printer: fixtures, round trips, and failure modes."""
 
+import copy
 import inspect
+import pickle
 import sys
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from fsj.syntax import (
     Span,
     Var,
     children,
+    iter_subexprs,
     subst,
     with_child,
 )
@@ -390,6 +393,86 @@ def test_subst_let_shadows_in_the_body_but_not_in_the_bound_term():
     assert subst(inner, {"a": Loc(1)}) == Let("x", Loc(1), Let("a", Loc(1), A))
 
 
+# ---------------------------------------------------------- node contract
+
+REPRS = {
+    "Var": "Var(name='a')",
+    "Loc": "Loc(loc=5)",
+    "Empty": "Empty()",
+    "FieldAccess": "FieldAccess(recv=Var(name='a'), fname='f')",
+    "Invoke": "Invoke(recv=Var(name='a'), method='m', args=(Var(name='b'), Var(name='c')))",
+    "New": "New(cls='K', args=(Var(name='a'), Var(name='b'), Var(name='c')))",
+    "Assign": "Assign(recv=Var(name='a'), fname='f', value=Var(name='b'))",
+    "Seq": "Seq(first=Var(name='a'), second=Var(name='b'))",
+    "Subscribe": "Subscribe(recv=Var(name='a'), fname='f', handler=Var(name='b'))",
+    "Let": "Let(var='x', bound=Var(name='a'), body=Var(name='b'))",
+    "EffectBrace": "EffectBrace(body=Var(name='a'), key=(5, 'f'))",
+}
+
+
+def fields_of(e):
+    return tuple(getattr(e, name) for name in type(e).__match_args__)
+
+
+def unspanned(e):
+    return type(e)(*fields_of(e))
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_nodes_refuse_assignment_and_deletion(name):
+    e = NODES[name]
+    for slot in (*type(e).__match_args__, "span", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, slot, Loc(0))
+        with pytest.raises(AttributeError):
+            delattr(e, slot)
+    assert e.span == SPAN and repr(e) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_equality_and_hash_ignore_span(name):
+    e = NODES[name]
+    bare = unspanned(e)
+    assert bare.span is None and bare is not e
+    assert bare == e and not bare != e
+    assert hash(bare) == hash(e) == hash(fields_of(e))
+
+
+def test_node_types_with_equal_fields_differ():
+    assert Var("a") != Loc("a")
+    assert FieldAccess(A, "f") != EffectBrace(A, "f")
+    assert Assign(A, "f", B) != Subscribe(A, "f", B)
+    assert Empty() != New("K", ()) and Empty() == EMPTY
+    assert Seq(A, B) != (A, B)
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_repr_names_every_field_but_span(name):
+    assert repr(NODES[name]) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_copy_and_pickle_rebuild_an_equal_node_with_its_span(name):
+    e = NODES[name]
+    for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert type(again) is type(e) and again == e and again.span == SPAN
+
+
+def test_deepcopy_of_a_program_keeps_nodes_and_spans():
+    program = parse_program((CORPUS / "subscribe_push.fsj").read_text())
+    again = copy.deepcopy(program)
+    assert again == program and again.main is not program.main
+    assert [s.span for s in iter_subexprs(again.main)] == [s.span for s in iter_subexprs(program.main)]
+
+
+def test_class_patterns_match_positionally():
+    match Seq(A, Assign(B, "f", C)):
+        case Seq(a, Assign(b, f, value=c)):
+            assert (a, b, f, c) == (A, B, "f", C)
+        case _:
+            pytest.fail("positional class pattern did not match")
+
+
 SIGNAL_A = "class A extends Object { signal A a = this; A() { super(); } }\n"
 NESTED = {  # a program whose deepest term nests k + 1 levels
     "seq": lambda k: "unit; " * k + "unit",
@@ -412,7 +495,7 @@ def test_depth_cap_counts_every_level(shape):
         parse_program(NESTED[shape](MAX_DEPTH))
 
 
-SUBST_FRAMES_PER_LEVEL = 2  # subst's own, and the generator over a call's arguments
+SUBST_FRAMES_PER_LEVEL = 2  # subst's own, and the list comprehension over a call's arguments
 
 
 @pytest.mark.parametrize("shape", NESTED)
