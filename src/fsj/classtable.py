@@ -19,13 +19,13 @@ superclass is a typing concern (see typecheck.check_class).
 Building the table resolves each class once into a `ClassInfo`: its
 field lists, a map from field name to slot and declaration, the nearest
 declaration of each visible method, and its superclasses.  Every member
-lookup (`composite`, `source`, `field`, `ftype`, `find_method`, `mbody`,
-`mtype`, and `is_subtype` in typecheck) reads that record, so it answers
-for the program as it was built: a declaration changed afterwards is not
-seen.  Object is a fieldless, methodless root that is always present.
-Field lists are ordered superclass-first, which is also the argument
-order of `new C(...)`.  The table also answers, per class and field,
-which initialized fields are downstream of it (see `downstream`).
+lookup (`composite`, `source`, `field`, `find_method`, and `is_subtype`
+in typecheck) reads that record and hands out the declarations, so it
+answers for the program as it was built: a declaration changed afterwards
+is not seen.  Object is a fieldless, methodless root that is always
+present.  Field lists are ordered superclass-first, which is also the
+argument order of `new C(...)`.  The table also answers, per class and
+field, which initialized fields are downstream of it (see `downstream`).
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from .syntax import (
     OBJECT,
     ClassDecl,
     CompositeField,
-    Expr,
-    Loc,
+    FieldAccess,
     MethodDecl,
-    Modifier,
     Program,
     SourceField,
-    contains,
-    subst,
+    Var,
+    iter_subexprs,
 )
 
 
@@ -138,13 +136,12 @@ class ClassTable:
     def downstream(self, name: str, fname: str) -> tuple[str, ...]:
         """Initialized fields of name whose value depends on its field fname.
 
-        g depends directly on f when g's initializer, with `this` bound to
-        a location, reads f of that location; the result closes that
-        relation transitively, in composite(name) order, and names fname
-        itself only if a dependency cycle leads back to it.  A checked
-        initializer's only free variable is `this`, so this is everything
-        downstream of a field in any store.  Each class's table is built on
-        its first lookup and kept.
+        g depends directly on f when g's initializer reads `this.f`; the
+        result closes that relation transitively, in composite(name)
+        order, and names fname itself only if a dependency cycle leads
+        back to it.  A checked initializer's only free variable is `this`,
+        so this is everything downstream of a field in any store.  Each
+        class's table is built on its first lookup and kept.
         """
         if name not in self._downstream:
             composites = self.composite(name)
@@ -152,26 +149,9 @@ class ClassTable:
             self._downstream[name] = _dependents(composites, names)
         return self._downstream[name].get(fname, ())
 
-    def ftype(self, name: str, fname: str) -> tuple[Modifier, str] | None:
-        """Modifier and declared type of field fname, or None."""
-        hit = self.field(name, fname)
-        return None if hit is None else (hit[1].modifier, hit[1].ftype)
-
     def find_method(self, method: str, name: str) -> MethodDecl | None:
         """Nearest declaration of method on name's chain, or None."""
         return self.info(name).methods.get(method)
-
-    def mbody(self, method: str, name: str) -> tuple[list[str], Expr] | None:
-        m = self.find_method(method, name)
-        if m is None:
-            return None
-        return ([p.name for p in m.params], m.body)
-
-    def mtype(self, method: str, name: str) -> tuple[list[str], str] | None:
-        m = self.find_method(method, name)
-        if m is None:
-            return None
-        return ([p.ptype for p in m.params], m.ret)
 
 
 def _check_ctor_local(decl: ClassDecl) -> None:
@@ -249,7 +229,7 @@ def build_class_table(program: Program) -> ClassTable:
             )
         resolve(cl.name)
 
-        seen_methods: dict[str, tuple[list[str], str]] = {}
+        seen_methods: set[str] = set()
         for m in cl.methods:
             pnames = [p.name for p in m.params]
             if len(set(pnames)) != len(pnames):
@@ -257,9 +237,9 @@ def build_class_table(program: Program) -> ClassTable:
             sig = ([p.ptype for p in m.params], m.ret)
             if m.name in seen_methods:
                 raise OverloadError(f"{cl.name} declares {m.name} twice")
-            seen_methods[m.name] = sig
-            inherited_sig = table.mtype(m.name, cl.parent)
-            if inherited_sig is not None and inherited_sig != sig:
+            seen_methods.add(m.name)
+            up = table.find_method(m.name, cl.parent)
+            if up is not None and ([p.ptype for p in up.params], up.ret) != sig:
                 raise OverloadError(
                     f"{cl.name}.{m.name} changes the inherited signature"
                 )
@@ -274,13 +254,15 @@ def _dependents(
 ) -> dict[str, tuple[str, ...]]:
     """For each field name, the composites downstream of it on one object.
 
-    Evaluates the syntactic read test on the initializers instantiated at
-    one placeholder location; names nothing depends on are left out.
+    A composite reads f when its initializer holds `this.f` (`this` is
+    reserved, so no `let` rebinds it); names nothing depends on are left out.
     """
-    inits = [subst(cf.init, {"this": Loc(0)}) for cf in composites]
-    readers = {
-        f: [cf.name for cf, e in zip(composites, inits) if contains(e, (0, f))] for f in names
-    }
+    this = Var("this")
+    reads = [
+        {s.fname for s in iter_subexprs(cf.init) if type(s) is FieldAccess and s.recv == this}
+        for cf in composites
+    ]
+    readers = {f: [cf.name for cf, r in zip(composites, reads) if f in r] for f in names}
     out = {}
     for fname in names:
         found: set[str] = set()

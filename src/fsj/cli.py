@@ -10,9 +10,10 @@
 
 Every flag can also be set through an environment variable with the
 FSJ_ prefix (FSJ_FUEL, FSJ_FORMAT, FSJ_SEED, FSJ_N); an explicit flag
-wins.  Exit codes: 0 success, 1 type or soundness errors, 2 parse or
-I/O errors, 3 fuel exhausted, 4 stuck state (which means the machine
-itself is broken, not the program).
+wins, and a variable is checked like its flag.  Exit codes: 0 success,
+1 type or soundness errors, 2 usage, parse or I/O errors, 3 fuel
+exhausted, 4 stuck state (which means the machine itself is broken, not
+the program).
 """
 
 from __future__ import annotations
@@ -37,22 +38,30 @@ EXIT_STUCK = 4
 
 TRACE_TEXT_HEADER = "# fsj trace v1"
 TRACE_JSON_HEADER = '{"format": "fsj-trace", "version": 1}'
+FORMATS = ("text", "structured")
 
 
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"FSJ_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+def count(raw: str) -> int:
+    """A --fuel or --n value: an int that is not negative."""
+    n = int(raw)
+    if n < 0:
+        raise ValueError(raw)
+    return n
+
+
+def trace_format(raw: str) -> str:
+    """A --format value; argparse checks `choices` on flags but not on FSJ_FORMAT."""
+    if raw not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {raw!r} (choose from {', '.join(map(repr, FORMATS))})"
+        )
+    return raw
 
 
 def _load_checked(path: str) -> tuple[int, tuple[ClassTable, Program, str] | None]:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"{path}: {err}", file=sys.stderr)
         return EXIT_PARSE, None
     try:
@@ -184,26 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=cmd_check)
 
-    fuel_default = _env_default("FUEL", DEFAULT_FUEL, int)
+    # A set FSJ_* variable is a string default, which argparse puts through
+    # the option's `type` only when the flag is absent.
+    fuel_default = os.environ.get("FSJ_FUEL", DEFAULT_FUEL)
     p = sub.add_parser("run", help="evaluate a program")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=fuel_default)
+    p.add_argument("--fuel", type=count, default=fuel_default)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("trace", help="evaluate and print each reduction")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=fuel_default)
+    p.add_argument("--fuel", type=count, default=fuel_default)
     p.add_argument(
         "--format",
-        choices=["text", "structured"],
-        default=_env_default("FORMAT", "text", str),
+        type=trace_format,
+        choices=FORMATS,
+        default=os.environ.get("FSJ_FORMAT", "text"),
     )
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("meta", help="generative soundness campaign")
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
-    p.add_argument("--n", type=int, default=_env_default("N", 200, int))
-    p.add_argument("--fuel", type=int, default=_env_default("FUEL", CAMPAIGN_FUEL, int))
+    p.add_argument("--seed", type=int, default=os.environ.get("FSJ_SEED", 0))
+    p.add_argument("--n", type=count, default=os.environ.get("FSJ_N", 200))
+    p.add_argument("--fuel", type=count, default=os.environ.get("FSJ_FUEL", CAMPAIGN_FUEL))
     p.add_argument(
         "--mutate",
         choices=sorted(MUTATIONS),
@@ -216,7 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the `signal` docs advise: the flush at exit must not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -459,15 +459,12 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
         obj = store.get(recv.loc)
         if obj is None:
             return None
-        found = ct.mbody(m, obj.cls)
-        if found is None:
+        md = ct.find_method(m, obj.cls)
+        if md is None or len(md.params) != len(args):
             return None
-        names, body = found
-        if len(names) != len(args):
-            return None
-        mapping: dict[str, Expr] = {x: a for x, a in zip(names, args)}
+        mapping: dict[str, Expr] = {p.name: a for p, a in zip(md.params, args)}
         mapping["this"] = recv
-        out, rule = subst(body, mapping), "R-INVK"
+        out, rule = subst(md.body, mapping), "R-INVK"
 
     elif t is EffectBrace:
         if type(e.body) is not Empty:

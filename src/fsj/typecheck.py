@@ -161,10 +161,10 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
     if t is FieldAccess:
         f = e.fname
         c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        ft = ct.ftype(c0, f)
-        if ft is None:
+        hit = ct.field(c0, f)
+        if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-        return ft[1]
+        return hit[1].ftype
 
     if t is Let:
         b = e.bound
@@ -211,31 +211,30 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
     if t is Invoke:
         m, args = e.method, e.args
         c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        sig = ct.mtype(m, c0)
-        if sig is None:
+        md = ct.find_method(m, c0)
+        if md is None:
             raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
-        ptypes, ret = sig
-        if len(args) != len(ptypes):
+        if len(args) != len(md.params):
             raise TypingError(
                 ErrKind.ARG_ARITY,
-                f"{c0}.{m} takes {len(ptypes)} arguments, got {len(args)}",
+                f"{c0}.{m} takes {len(md.params)} arguments, got {len(args)}",
                 e.span,
             )
-        for a, pt in zip(args, ptypes):
+        for a, p in zip(args, md.params):
             at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
-            if not is_subtype(ct, at, pt):
+            if not is_subtype(ct, at, p.ptype):
                 raise TypingError(
-                    ErrKind.ARG_SUBTYPE, f"argument of type {at} where {pt} expected", a.span
+                    ErrKind.ARG_SUBTYPE, f"argument of type {at} where {p.ptype} expected", a.span
                 )
-        return ret
+        return md.ret
 
     if t is Subscribe:
         f, h = e.fname, e.handler
         c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        ft = ct.ftype(c0, f)
-        if ft is None:
+        hit = ct.field(c0, f)
+        if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
-        if ft[0] is not Modifier.SIGNAL:
+        if hit[1].modifier is not Modifier.SIGNAL:
             raise TypingError(
                 ErrKind.SUBSCRIBE_ON_NON_SIGNAL,
                 f"{c0}.{f} is not a signal field",

@@ -98,28 +98,37 @@ def test_field_order_matches_brute_force(ct):
         assert [f.name for f in ct.composite(cls)] == expect_cmp
 
 
+def field_type(ct, cls: str, f: str):
+    """f's modifier and declared type in cls, read off its declaration."""
+    hit = ct.field(cls, f)
+    return None if hit is None else (hit[1].modifier, hit[1].ftype)
+
+
+def signature(md: MethodDecl) -> tuple[list[str], str]:
+    return [p.ptype for p in md.params], md.ret
+
+
 def test_ftype(ct):
-    assert ct.ftype("C", "sa") == (Modifier.SIGNAL, "A")
-    assert ct.ftype("C", "pa") == (Modifier.PLAIN, "A")
-    assert ct.ftype("C", "da") == (Modifier.SIGNAL, "A")
-    assert ct.ftype("A", "sb") is None
-    assert ct.ftype("A", "nope") is None
+    assert field_type(ct, "C", "sa") == (Modifier.SIGNAL, "A")
+    assert field_type(ct, "C", "pa") == (Modifier.PLAIN, "A")
+    assert field_type(ct, "C", "da") == (Modifier.SIGNAL, "A")
+    assert field_type(ct, "A", "sb") is None
+    assert field_type(ct, "A", "nope") is None
 
 
 def test_mbody_picks_nearest(ct):
-    params, body = ct.mbody("ma", "C")
-    assert params == ["x"]
+    md = ct.find_method("ma", "C")
+    assert [p.name for p in md.params] == ["x"]
     # B's override reads this.sb; A's body is just x
-    assert "sb" in repr(body)
-    _, body_a = ct.mbody("ma", "A")
-    assert "sb" not in repr(body_a)
+    assert "sb" in repr(md.body)
+    assert "sb" not in repr(ct.find_method("ma", "A").body)
 
 
 def test_mtype_inherited(ct):
-    assert ct.mtype("mb", "C") == ([], "B")
-    assert ct.mtype("ma", "A") == (["A"], "A")
-    assert ct.mtype("nope", "C") is None
-    assert ct.mbody("ma", "Object") is None
+    assert signature(ct.find_method("mb", "C")) == ([], "B")
+    assert signature(ct.find_method("ma", "A")) == (["A"], "A")
+    assert ct.find_method("nope", "C") is None
+    assert ct.find_method("ma", "Object") is None
 
 
 def test_unknown_class_raises(ct):
@@ -146,10 +155,9 @@ def assert_lookups_match_a_walk_over_the_declarations(program):
             decl = next((fd for fd in source + composite if fd.name == f), None)
             hit = ct.field(cls, f)
             if decl is None:
-                assert hit is None and ct.ftype(cls, f) is None
+                assert hit is None
             else:
                 assert hit[0] == slot and hit[1] is decl
-                assert ct.ftype(cls, f) == (decl.modifier, decl.ftype)
         visible: dict[str, MethodDecl] = {}
         for d in chain:
             for m in d.methods:
@@ -179,8 +187,8 @@ def test_table_answers_for_the_program_as_it_was_built():
     by_name["A"].methods.append(MethodDecl("A", "late", [], Var("this")))
     by_name["C"].methods.append(MethodDecl("A", "ma", [], Var("this")))
     assert ct.find_method("late", "C") is None
-    assert ct.mtype("late", "A") is None
-    assert ct.mtype("ma", "C") == (["A"], "A")
+    assert ct.find_method("late", "A") is None
+    assert signature(ct.find_method("ma", "C")) == (["A"], "A")
     assert [m.name for m in ct.info("C").methods.values()] == ["ma", "mb"]
 
 
@@ -255,7 +263,7 @@ def test_override_same_signature_ok():
         "class A extends Object { A() { super(); } A m() { this } }"
         " class B extends A { B() { super(); } A m() { new A() } } unit"
     )
-    assert ct.mtype("m", "B") == ([], "A")
+    assert signature(ct.find_method("m", "B")) == ([], "A")
 
 
 def test_duplicate_method_param():

@@ -66,6 +66,16 @@ def test_check_parse_error_names_position(tmp_path, capsys):
     assert f"{bad}:2:3" in err
 
 
+@pytest.mark.parametrize("command", ["check", "run", "trace"])
+def test_undecodable_input_is_an_io_error(tmp_path, capsys, command):
+    bad = tmp_path / "bytes.fsj"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli([command, str(bad)], capsys)
+    assert code == EXIT_PARSE
+    assert err.startswith(f"{bad}: ") and "decode" in err
+    assert "Traceback" not in err
+
+
 def test_check_table_error_is_semantic(tmp_path, capsys):
     bad = tmp_path / "cycle.fsj"
     bad.write_text(
@@ -207,6 +217,67 @@ def test_flag_beats_env(monkeypatch, capsys):
     assert "steps=60" in out
 
 
+def usage_error(argv, capsys):
+    """The exit code and last stderr line of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "var, value, argv, flag",
+    [
+        ("FSJ_FUEL", "abc", ["run", path("fieldless.fsj")], "--fuel"),
+        ("FSJ_FUEL", "abc", ["trace", path("fieldless.fsj")], "--fuel"),
+        ("FSJ_FORMAT", "bogus", ["trace", path("fieldless.fsj")], "--format"),
+        ("FSJ_SEED", "x", ["meta"], "--seed"),
+        ("FSJ_N", "abc", ["meta"], "--n"),
+        ("FSJ_FUEL", "1.5", ["meta"], "--fuel"),
+    ],
+    ids=["run-fuel", "trace-fuel", "trace-format", "meta-seed", "meta-n", "meta-fuel"],
+)
+def test_bad_env_value_fails_like_the_flag(monkeypatch, capsys, var, value, argv, flag):
+    by_flag = usage_error(argv + [flag, value], capsys)
+    assert by_flag[0] == EXIT_PARSE
+    monkeypatch.setenv(var, value)
+    assert usage_error(argv, capsys) == by_flag
+
+
+def test_bad_env_value_is_not_read_when_the_flag_wins_or_is_absent(monkeypatch, capsys):
+    monkeypatch.setenv("FSJ_FUEL", "abc")
+    monkeypatch.setenv("FSJ_FORMAT", "bogus")
+    code, out, _ = run_cli(["run", path("loop_handler.fsj"), "--fuel", "60"], capsys)
+    assert code == EXIT_FUEL and "steps=60" in out
+    code, out, _ = run_cli(["check", path("fieldless.fsj")], capsys)
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({}, ["meta", "--n", "-2"]),
+        ({}, ["meta", "--fuel", "-1"]),
+        ({}, ["run", path("fieldless.fsj"), "--fuel", "-1"]),
+        ({}, ["trace", path("fieldless.fsj"), "--fuel", "-1"]),
+        ({"FSJ_N": "-2"}, ["meta"]),
+        ({"FSJ_FUEL": "-1"}, ["run", path("fieldless.fsj")]),
+    ],
+    ids=["meta-n", "meta-fuel", "run-fuel", "trace-fuel", "env-n", "env-fuel"],
+)
+def test_negative_count_is_a_usage_error(monkeypatch, capsys, env, argv):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, err = usage_error(argv, capsys)
+    assert code == EXIT_PARSE
+    assert "invalid count value: '-" in err
+
+
+def test_zero_fuel_is_valid(capsys):
+    code, out, _ = run_cli(["run", path("loop_handler.fsj"), "--fuel", "0"], capsys)
+    assert code == EXIT_FUEL
+    assert "steps=0" in out
+
+
 # ------------------------------------------------------------------- meta
 
 
@@ -330,3 +401,18 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    """A reader that stops after one line closes the pipe while the trace,
+    larger than the pipe buffer, is still being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fsj.cli", "trace", path("loop_handler.fsj"), "--fuel", "500"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == (TRACE_TEXT_HEADER + "\n").encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_PARSE
+    assert "Traceback" not in err and "BrokenPipe" not in err
