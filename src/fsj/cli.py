@@ -175,9 +175,13 @@ def cmd_meta(args) -> int:
     seed, report = result.violations[0]
     shrunk = shrink_campaign_failure(seed, report.prop, fuel=args.fuel, mutations=mutations)
     out = Path(f"fsj-violation-seed{seed}.fsj")
-    out.write_text(render_program(shrunk))
     print(f"violation seed={seed} theorem={report.prop} detail={report.detail}", file=sys.stderr)
-    print(f"shrunk witness written to {out}", file=sys.stderr)
+    try:
+        out.write_text(render_program(shrunk))
+    except OSError as err:
+        print(f"{out}: {err}", file=sys.stderr)
+    else:
+        print(f"shrunk witness written to {out}", file=sys.stderr)
     return EXIT_SEMANTIC
 
 

@@ -56,15 +56,19 @@ from .typecheck import is_subtype
 
 _CLASS_NAMES = ["A", "B", "C", "D", "E", "F", "G", "H", "J", "K", "L", "M"]
 
+MAX_CLASSES = 4
+MAX_FIELDS_PER_CLASS = 2  # bounds the uninitialized and, apart, the initialized fields
+MAX_METHODS_PER_CLASS = 2
+MAX_METHOD_DEPTH = 3
+MAX_MAIN_DEPTH = 7
+SIGNAL_PROBABILITY = 0.6  # of an uninitialized field; initialized ones are all signal
+MAX_SHRINK_CHECKS = 300
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    max_classes: int = 4
-    max_fields_per_class: int = 2
-    max_methods_per_class: int = 2
-    max_method_depth: int = 3
-    max_main_depth: int = 7
-    signal_probability: float = 0.6
+    """The settings a campaign may vary; the shape bounds above are fixed."""
+
     subscribe_probability: float = 0.5
     handlers_write_signals: bool = False
     seed: int = 0
@@ -135,7 +139,7 @@ def _chain_sources(by_name: dict[str, ClassDecl], cls: str) -> list[SourceField]
 
 def generate_program(cfg: GenConfig) -> Program:
     rng = random.Random(cfg.seed)
-    names = _CLASS_NAMES[: rng.randint(0, cfg.max_classes)]
+    names = _CLASS_NAMES[: rng.randint(0, MAX_CLASSES)]
     fresh_field = iter(f"f{i}" for i in range(10_000))
     fresh_method = iter(f"m{i}" for i in range(10_000))
 
@@ -144,8 +148,8 @@ def generate_program(cfg: GenConfig) -> Program:
     for i, name in enumerate(names):
         parent = rng.choice([OBJECT] + names[:i])
         sources = []
-        for _ in range(rng.randint(0, cfg.max_fields_per_class)):
-            mod = Modifier.SIGNAL if rng.random() < cfg.signal_probability else Modifier.PLAIN
+        for _ in range(rng.randint(0, MAX_FIELDS_PER_CLASS)):
+            mod = Modifier.SIGNAL if rng.random() < SIGNAL_PROBABILITY else Modifier.PLAIN
             sources.append(SourceField(mod, rng.choice([OBJECT] + names[:i]), next(fresh_field)))
         decls.append(ClassDecl(name, parent, [], sources, None, []))  # type: ignore[arg-type]
     _rebuild_ctors(decls)
@@ -156,7 +160,7 @@ def generate_program(cfg: GenConfig) -> Program:
 
     # pass 2: call-free method bodies
     for decl in decls:
-        for _ in range(rng.randint(0, cfg.max_methods_per_class)):
+        for _ in range(rng.randint(0, MAX_METHODS_PER_CLASS)):
             params = [
                 Param(rng.choice(universe), f"x{j}")
                 for j in range(rng.randint(0, 2))
@@ -176,7 +180,7 @@ def generate_program(cfg: GenConfig) -> Program:
             else:
                 ret = rng.choice(universe)
                 body = _pure_expr(
-                    rng, skeleton, subs, env, ret, cfg.max_method_depth, allow_calls=False
+                    rng, skeleton, subs, env, ret, MAX_METHOD_DEPTH, allow_calls=False
                 )
                 decl.methods.append(MethodDecl(ret, next(fresh_method), params, body))
 
@@ -184,7 +188,7 @@ def generate_program(cfg: GenConfig) -> Program:
     # The table is a snapshot, so it is rebuilt to see pass 2's methods.
     with_methods = build_class_table(Program(decls, EMPTY))
     for decl in decls:
-        for _ in range(rng.randint(0, cfg.max_fields_per_class)):
+        for _ in range(rng.randint(0, MAX_FIELDS_PER_CLASS)):
             env = {"this": decl.name}
             visible = with_methods.source(decl.name)
             if visible and rng.random() < 0.7:
@@ -302,7 +306,7 @@ def _gen_main(
         x, f = rng.choice(signals)
         return Seq(Subscribe(Var(x), f, handler()), go(budget - 1))
 
-    return go(rng.randint(1, max(1, cfg.max_main_depth)))
+    return go(rng.randint(1, MAX_MAIN_DEPTH))
 
 
 # =========================================================================
@@ -347,7 +351,7 @@ def _expr_shrinks(e: Expr):
             yield b
         case Subscribe(handler=h):
             if not isinstance(h, Empty):
-                yield Subscribe(e.recv, e.fname, EMPTY, span=e.span)
+                yield Subscribe(e.recv, e.fname, EMPTY)
             yield EMPTY
         case Assign():
             yield EMPTY
@@ -395,20 +399,21 @@ def _candidates(p: Program):
             yield q
 
 
-def shrink(program: Program, predicate, max_checks: int = 300) -> Program:
+def shrink(program: Program, predicate) -> Program:
     """Greedy structural minimization of a failing program.
 
     predicate(q) must be True when q still exhibits the original
     failure; candidates that break typing simply fail the predicate.
+    At most MAX_SHRINK_CHECKS candidates are tried in all.
     """
     current = program
     checks = 0
     improved = True
-    while improved and checks < max_checks:
+    while improved and checks < MAX_SHRINK_CHECKS:
         improved = False
         for cand in _candidates(current):
             checks += 1
-            if checks > max_checks:
+            if checks > MAX_SHRINK_CHECKS:
                 break
             if _size(cand) >= _size(current):
                 continue

@@ -32,7 +32,10 @@ waiting on field `f` of the object at location 7).
 
 Expression nodes are immutable classes with `__slots__` (see `Expr`):
 two nodes are equal, and hash alike, when they have the same type and
-equal fields, whatever their source `span`.
+equal fields, whatever their source `span`.  A node has a span only if
+the parser built it: the walkers (`with_child`, `subst`), the machine
+and the generator build nodes without one, and only `copy` and `pickle`
+carry a span over to a new node.
 """
 
 from __future__ import annotations
@@ -103,11 +106,13 @@ class Expr:
     positionally, `==` (same exact type and equal fields), `hash` of the
     tuple of fields, and a `repr` naming them.  `span`, the source
     position, is keyword-only, defaults to None, and is ignored by `==`,
-    `hash` and `repr`.  Assigning or deleting an attribute raises
-    AttributeError: the audit caches by identity and relies on nodes never
-    changing.  The constructor therefore writes each slot through its
-    descriptor's `__set__`, bound once per type, and `copy` and `pickle`
-    rebuild a node through its constructor.
+    `hash` and `repr`.  Only the parser passes a span, so a node has one
+    only if the parser built it or it is a copy of such a node.
+    Assigning or deleting an attribute raises AttributeError: the audit
+    caches by identity and relies on nodes never changing.  The
+    constructor therefore writes each slot through its descriptor's
+    `__set__`, bound once per type, and `copy` and `pickle` rebuild a
+    node, span included, through its constructor.
     """
 
     __slots__ = ("span",)
@@ -753,44 +758,45 @@ def with_child(e: Expr, i: int, v: Expr) -> Expr:
     The machine numbers the hole of an evaluation-context frame the same
     way, and plugs every finished subterm through here, so dispatch is on
     the exact node type, in the order the machine plugs them most often.
+    The new node has no span, whatever e's.
     """
     t = type(e)
     if t is New:
         args = e.args
         if 0 <= i < len(args):
-            return New(e.cls, args[:i] + (v,) + args[i + 1:], span=e.span)
+            return New(e.cls, args[:i] + (v,) + args[i + 1:])
     elif t is Assign:
         if i == 1:
-            return Assign(e.recv, e.fname, v, span=e.span)
+            return Assign(e.recv, e.fname, v)
         if i == 0:
-            return Assign(v, e.fname, e.value, span=e.span)
+            return Assign(v, e.fname, e.value)
     elif t is Seq:
         if i == 0:
-            return Seq(v, e.second, span=e.span)
+            return Seq(v, e.second)
         if i == 1:
-            return Seq(e.first, v, span=e.span)
+            return Seq(e.first, v)
     elif t is EffectBrace:
         if i == 0:
-            return EffectBrace(v, e.key, span=e.span)
+            return EffectBrace(v, e.key)
     elif t is Invoke:
         args = e.args
         if i == 0:
-            return Invoke(v, e.method, args, span=e.span)
+            return Invoke(v, e.method, args)
         if 0 < i <= len(args):
-            return Invoke(e.recv, e.method, args[: i - 1] + (v,) + args[i:], span=e.span)
+            return Invoke(e.recv, e.method, args[: i - 1] + (v,) + args[i:])
     elif t is Let:
         if i == 0:
-            return Let(e.var, v, e.body, span=e.span)
+            return Let(e.var, v, e.body)
         if i == 1:
-            return Let(e.var, e.bound, v, span=e.span)
+            return Let(e.var, e.bound, v)
     elif t is FieldAccess:
         if i == 0:
-            return FieldAccess(v, e.fname, span=e.span)
+            return FieldAccess(v, e.fname)
     elif t is Subscribe:
         if i == 0:
-            return Subscribe(v, e.fname, e.handler, span=e.span)
+            return Subscribe(v, e.fname, e.handler)
         if i == 1:
-            return Subscribe(e.recv, e.fname, v, span=e.span)
+            return Subscribe(e.recv, e.fname, v)
     raise ValueError(f"no subterm {i} in {e!r}")
 
 
@@ -809,31 +815,32 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     Capture is impossible because only closed values are substituted.  A
     `let` binder shadows its name in the body but not in the bound term.
     Nodes with no variable below them (locations, unit) come back as the
-    same object.  Dispatch is on the exact node type, most frequent first.
+    same object; every node rebuilt has no span, whatever e's.  Dispatch
+    is on the exact node type, most frequent first.
     """
     t = type(e)
     if t is Var:
         return mapping.get(e.name, e)
     if t is New:
-        return New(e.cls, tuple([subst(a, mapping) for a in e.args]), span=e.span)
+        return New(e.cls, tuple([subst(a, mapping) for a in e.args]))
     if t is FieldAccess:
-        return FieldAccess(subst(e.recv, mapping), e.fname, span=e.span)
+        return FieldAccess(subst(e.recv, mapping), e.fname)
     if t is Seq:
-        return Seq(subst(e.first, mapping), subst(e.second, mapping), span=e.span)
+        return Seq(subst(e.first, mapping), subst(e.second, mapping))
     if t is Invoke:
         return Invoke(
-            subst(e.recv, mapping), e.method, tuple([subst(a, mapping) for a in e.args]), span=e.span
+            subst(e.recv, mapping), e.method, tuple([subst(a, mapping) for a in e.args])
         )
     if t is Assign:
-        return Assign(subst(e.recv, mapping), e.fname, subst(e.value, mapping), span=e.span)
+        return Assign(subst(e.recv, mapping), e.fname, subst(e.value, mapping))
     if t is Let:
         x = e.var
         narrowed = {k: v for k, v in mapping.items() if k != x}
-        return Let(x, subst(e.bound, mapping), subst(e.body, narrowed), span=e.span)
+        return Let(x, subst(e.bound, mapping), subst(e.body, narrowed))
     if t is Subscribe:
-        return Subscribe(subst(e.recv, mapping), e.fname, subst(e.handler, mapping), span=e.span)
+        return Subscribe(subst(e.recv, mapping), e.fname, subst(e.handler, mapping))
     if t is EffectBrace:
-        return EffectBrace(subst(e.body, mapping), e.key, span=e.span)
+        return EffectBrace(subst(e.body, mapping), e.key)
     return e
 
 

@@ -108,9 +108,13 @@ def is_subtype(ct: ClassTable, sub: str, sup: str) -> bool:
     return sup in ct.info(sub).supers
 
 
-def _class_of(t: str, role: str, span: Span | None) -> str:
+def _class_of(ct: ClassTable, t: str, role: str, span: Span | None) -> str:
+    """t, the type of a receiver, argument, let-bound or assigned value,
+    if it is a class of ct; Unit or an undeclared class is a TypingError."""
     if t == UNIT:
         raise TypingError(ErrKind.UNIT_MISUSE, f"unit value used as {role}", span)
+    if t not in ct:
+        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {t}", span)
     return t
 
 
@@ -137,7 +141,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 e.span,
             )
         for a, sf in zip(args, fields):
-            at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
+            at = _class_of(ct, type_expr(ct, env, store_typing, a), "argument", a.span)
             if not is_subtype(ct, at, sf.ftype):
                 raise TypingError(
                     ErrKind.ARG_SUBTYPE,
@@ -160,7 +164,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is FieldAccess:
         f = e.fname
-        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
         hit = ct.field(c0, f)
         if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
@@ -168,7 +172,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Let:
         b = e.bound
-        tb = _class_of(type_expr(ct, env, store_typing, b), "bound expression", b.span)
+        tb = _class_of(ct, type_expr(ct, env, store_typing, b), "bound expression", b.span)
         inner = dict(env)
         inner[e.var] = tb
         return type_expr(ct, inner, store_typing, e.body)
@@ -186,7 +190,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Assign:
         f, v = e.fname, e.value
-        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
         i, target = ct.field(c0, f) or (None, None)
         if target is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
@@ -196,7 +200,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 f"{c0}.{f} is an initialized field and cannot be assigned",
                 e.span,
             )
-        vt = _class_of(type_expr(ct, env, store_typing, v), "assigned value", v.span)
+        vt = _class_of(ct, type_expr(ct, env, store_typing, v), "assigned value", v.span)
         if not is_subtype(ct, vt, target.ftype):
             raise TypingError(
                 ErrKind.ASSIGN_TYPE_MISMATCH,
@@ -210,7 +214,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Invoke:
         m, args = e.method, e.args
-        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
         md = ct.find_method(m, c0)
         if md is None:
             raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
@@ -221,7 +225,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 e.span,
             )
         for a, p in zip(args, md.params):
-            at = _class_of(type_expr(ct, env, store_typing, a), "argument", a.span)
+            at = _class_of(ct, type_expr(ct, env, store_typing, a), "argument", a.span)
             if not is_subtype(ct, at, p.ptype):
                 raise TypingError(
                     ErrKind.ARG_SUBTYPE, f"argument of type {at} where {p.ptype} expected", a.span
@@ -230,7 +234,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Subscribe:
         f, h = e.fname, e.handler
-        c0 = _class_of(type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
+        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
         hit = ct.field(c0, f)
         if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
@@ -272,13 +276,12 @@ def check_init(e: Expr) -> bool:
     return all(isinstance(s, (Var, FieldAccess, Invoke, New)) for s in iter_subexprs(e))
 
 
-def _known_type(ct: ClassTable, t: str, what: str, span, errors: list[TypingError], allow_unit: bool = False) -> None:
-    if allow_unit and t == UNIT:
-        return
-    if t not in ct:
-        errors.append(
-            TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"{what} has unknown type {t}", span)
-        )
+def _known_type(ct: ClassTable, t: str, what: str, span, errors: list[TypingError], allow_unit: bool = False) -> bool:
+    """Whether t is a class of ct, or Unit where allowed; if not, an error is recorded."""
+    if (allow_unit and t == UNIT) or t in ct:
+        return True
+    errors.append(TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"{what} has unknown type {t}", span))
+    return False
 
 
 def check_class(ct: ClassTable, decl: ClassDecl) -> list[TypingError]:
@@ -350,15 +353,14 @@ def check_class(ct: ClassTable, decl: ClassDecl) -> list[TypingError]:
             )
 
     for m in decl.methods:
-        sig_ok = True
-        for p in m.params:
+        known = [
             _known_type(ct, p.ptype, f"parameter {p.name} of {decl.name}.{m.name}", m.span, errors)
-            if p.ptype not in ct:
-                sig_ok = False
-        _known_type(ct, m.ret, f"return type of {decl.name}.{m.name}", m.span, errors, allow_unit=True)
-        if m.ret != UNIT and m.ret not in ct:
-            sig_ok = False
-        if not sig_ok:
+            for p in m.params
+        ]
+        known.append(
+            _known_type(ct, m.ret, f"return type of {decl.name}.{m.name}", m.span, errors, allow_unit=True)
+        )
+        if not all(known):
             continue
         env = {p.name: p.ptype for p in m.params}
         env["this"] = decl.name

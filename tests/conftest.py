@@ -11,6 +11,7 @@ from fsj import (
     parse_program,
     scenario_suite,
 )
+from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN
 from fsj.metatheory import audit_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +56,15 @@ def corpus_audits():
 def big_campaign():
     """1000 fresh seeded programs, audited once and shared by criteria."""
     return campaign(1000, base_seed=0)
+
+
+@pytest.fixture(scope="session")
+def mutated_campaigns():
+    """Seeds 0-119 on each deliberately broken machine, keyed by mutation."""
+    return {
+        mut: campaign(120, base_seed=0, mutations=frozenset({mut}))
+        for mut in (MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN)
+    }
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,48 @@ def test_check_too_deep_is_a_parse_error(tmp_path, capsys, text):
     assert "nested deeper than" in err
 
 
+def unknown_class_program(main="unit", member=""):
+    """Class C whose method get returns the undeclared class Foo."""
+    head = "class C extends Object {\n  C() { super(); }\n  Foo get() { unit }\n"
+    return f"{head}{member}}}\n{main}\n"
+
+
+# each uses a value of the undeclared type Foo as a receiver
+FOO_RECEIVERS = {
+    "read": "new C().get().y",
+    "write": "new C().get().y = new C()",
+    "subscribe": "new C().get().y.subscribe(unit)",
+    "call": "new C().get().m()",
+}
+UNKNOWN_CLASS_PROGRAMS = {
+    **{f"main-{k}": unknown_class_program(main=e) for k, e in FOO_RECEIVERS.items()},
+    **{
+        f"method-{k}": unknown_class_program(member=f"  Unit h() {{ {e} }}\n")
+        for k, e in FOO_RECEIVERS.items()
+    },
+    # an initializer may not write or subscribe, which check_init rejects before typing
+    **{
+        f"initializer-{k}": unknown_class_program(member=f"  signal C z = {FOO_RECEIVERS[k]};\n")
+        for k in ("read", "call")
+    },
+}
+
+
+@pytest.mark.parametrize("text", UNKNOWN_CLASS_PROGRAMS.values(), ids=UNKNOWN_CLASS_PROGRAMS)
+def test_unknown_class_receiver_is_a_type_error(tmp_path, capsys, text):
+    """Each of these once ended in an UnknownClassError traceback (exit 1)."""
+    src = tmp_path / "unknown.fsj"
+    src.write_text(text)
+    declared = f"{src}:3:3: return type of C.get has unknown type Foo [unknown-class-type]"
+    used = re.escape(str(src)) + r":\d+:\d+: .*unknown class Foo \[(unknown-class-type|bad-initializer)\]"
+    for command in ("check", "run", "trace"):
+        code, out, err = run_cli([command, str(src)], capsys)
+        assert code == EXIT_SEMANTIC and out == ""
+        lines = err.splitlines()
+        assert declared in lines and len(lines) == 2
+        assert re.fullmatch(used, (set(lines) - {declared}).pop())
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -320,6 +362,20 @@ def test_meta_mutated_fails_and_writes_witness(tmp_path, monkeypatch, capsys):
 
     program = parse_program(witnesses[0].read_text())
     assert check_program(build_class_table(program), program).ok
+
+
+def test_meta_reports_a_witness_it_cannot_write(tmp_path, monkeypatch, capsys):
+    """A witness path that is a directory once ended in an IsADirectoryError traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fsj-violation-seed0.fsj").mkdir()
+    code, out, err = run_cli(
+        ["meta", "--n", "30", "--mutate", "fields-no-this-subst"], capsys
+    )
+    assert code == EXIT_SEMANTIC
+    lines = err.splitlines()
+    assert lines[0].startswith("violation seed=0 ")
+    assert lines[1].startswith("fsj-violation-seed0.fsj: ") and "directory" in lines[1]
+    assert len(lines) == 2
 
 
 def test_meta_swap_mutation_detected(tmp_path, monkeypatch, capsys):
