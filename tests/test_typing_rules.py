@@ -61,6 +61,29 @@ CASES = [
     ("let-bound-unit", ErrKind.UNIT_MISUSE, "let x = unit in x"),
     ("unit-ok", None, "unit"),
     ("receiver-unit", ErrKind.UNIT_MISUSE, "unit.id(new Nat())"),
+    # an argument or assigned value is accepted on the spot only when its
+    # type is exactly the declared class it must fit; these go the long way
+    ("new-ok-subtype-arg", None, "new Cell(new Wide(), new Nat())"),
+    ("new-arg-unit", ErrKind.UNIT_MISUSE, "new Cell(unit, new Nat())"),
+    ("assign-value-unit", ErrKind.UNIT_MISUSE, CELL + "c.plain = unit"),
+    (
+        "new-arg-field-type-unknown",
+        ErrKind.UNKNOWN_CLASS_TYPE,
+        "__CLASS__ class Bad extends Object { Ghost g; Bad(Ghost g) { super(); this.g = g; } }"
+        " new Bad(new Nat())",
+    ),
+    (
+        "invoke-arg-param-type-unknown",
+        ErrKind.UNKNOWN_CLASS_TYPE,
+        "__CLASS__ class Bad extends Object { Bad() { super(); } Nat m(Ghost x) { new Nat() } }"
+        " new Bad().m(new Nat())",
+    ),
+    (
+        "assign-value-field-type-unknown",
+        ErrKind.UNKNOWN_CLASS_TYPE,
+        "__CLASS__ class Bad extends Object { Ghost g; Bad(Ghost g) { super(); this.g = g; }"
+        " Unit set() { this.g = new Nat() } } unit",
+    ),
     # declaration-level rules
     (
         "composite-needs-signal",
@@ -120,13 +143,14 @@ CASES = [
 ]
 
 
+def case_text(source: str) -> str:
+    """The whole program of one table entry: the prelude, then the entry."""
+    return PRELUDE + source.removeprefix("__CLASS__")
+
+
 def run_case(source: str):
     """Type check one table entry; returns the list of error kinds."""
-    if source.startswith("__CLASS__"):
-        text = PRELUDE + source.replace("__CLASS__", "", 1)
-    else:
-        text = PRELUDE + source
-    program = parse_program(text)
+    program = parse_program(case_text(source))
     ct = build_class_table(program)
     report = check_program(ct, program)
     return [e.kind for e in report.errors]
