@@ -1,27 +1,35 @@
 #!/usr/bin/env python3
-"""Time plain `interp.run` on the machine programs and write a BENCH_*.json record.
+"""Time the machine, the audited machine and the campaign, and write a BENCH_*.json record.
 
 The operations are those of the `machine` benchmark workload, taken from
 `perfbench/workloads.py` with their output checks (`loop_handler.fsj` at
 fuel 125, 250 and 500, the Peano push program at N = 16, 32 and 64),
 plus one long point, `loop_handler.fsj` at fuel 20000, checked the same
-way, and the `audited` family: `metatheory.audit_run` on `loop_handler.fsj`
+way; the `audited` family: `metatheory.audit_run` on `loop_handler.fsj`
 at fuel 2500, 5000 and 10000, each checked the same way and for no
-violation.  An operation's time is the fastest of REPEAT runs, AUDIT_REPEAT
-for the audited ones, which take seconds; the repeats go round all
-operations in turn, so a change in the host's speed reaches every
-operation alike.  A failed check stops the script.
+violation; and the `campaign` family: the 200 campaign operations of the
+`harness` workload, each checked against the recorded snapshot.  An
+operation's time is the fastest of REPEAT runs, AUDIT_REPEAT for the
+audited ones, which take seconds; the repeats go round all operations in
+turn, so a change in the host's speed reaches every operation alike.  A
+failed check stops the script.
 
-The record gives per-operation seconds and steps/s, the six `machine`
-operations' total, and per family the least-squares slope of log(time)
-against log(size).  It is stored under `--label` in `--out`, next to the
-records already there, so the parent and a change can sit in one file:
+Each checkout is measured in a worker process of its own, which imports
+fsj and the workloads from that checkout and runs one operation per
+request.  With `--parent ROOT` there are two workers, and every
+operation runs on both, one right after the other, with the side that
+goes first flipped on each repeat, so drift in the host's speed lands
+on both sides alike.
 
+A record gives per-operation seconds and steps/s (the campaign as one
+summed time), the six `machine` operations' total, and per family the
+least-squares slope of log(time) against log(size).  Records are stored
+by label in `--out`, next to the records already there:
+
+    python3 scripts/bench_machine.py --out BENCH_<n>.json --parent ../parent
     python3 scripts/bench_machine.py --out BENCH_<n>.json --label change
-    python3 scripts/bench_machine.py --out BENCH_<n>.json --label parent --root ../parent
 
-`--root` names the source checkout to import fsj and the workloads from;
-it defaults to this one.
+`--root` names the source checkout of the change; it defaults to this one.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,7 +61,8 @@ def slope(points: list[tuple[int, float]]) -> float:
 
 
 def operations(root: Path):
-    """The `machine` workload's operations, the long loop, then the audited runs."""
+    """The `machine` workload's operations, the long loop, the audited runs,
+    then the campaign operations."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(1, str(root / "perfbench"))
     import workloads
@@ -86,73 +96,143 @@ def operations(root: Path):
         )
         for fuel in AUDIT_FUELS
     ]
-    return workloads.WORKLOADS["machine"](root, 0).ops + [long_loop] + audited
+    machine = workloads.WORKLOADS["machine"](root, 0).ops
+    return machine + [long_loop] + audited + workloads.campaign(root, 0).ops
 
 
-def measure(root: Path) -> dict:
+def worker(root: Path) -> int:
+    """Serve timed operations: announce the operations as one JSON line,
+    then answer each operation index read from stdin with
+    [steps, seconds, error]."""
     ops = operations(root)
-    best = [math.inf] * len(ops)
-    steps = [0] * len(ops)
-    repeats = [AUDIT_REPEAT if op.family == "audited" else REPEAT for op in ops]
-    for r in range(REPEAT):
-        for i, op in enumerate(ops):
-            if r >= repeats[i]:
-                continue
-            res = None  # free the last output before the clock starts
-            t0 = time.perf_counter()
-            res = op.run()
-            dt = time.perf_counter() - t0
-            steps[i], err = op.check(res)
-            if err is not None:
-                raise SystemExit(f"{op.family} {op.key}: {err}")
-            best[i] = min(best[i], dt)
-    rows = [
-        {
-            "family": op.family,
-            "size": op.size,
-            "steps": n,
-            "seconds": round(t, 6),
-            "steps_per_s": round(n / t, 1),
+    print(json.dumps([[op.family, op.key, op.size] for op in ops]), flush=True)
+    for line in sys.stdin:
+        op = ops[int(line)]
+        res = None  # free the last output before the clock starts
+        t0 = time.perf_counter()
+        res = op.run()
+        dt = time.perf_counter() - t0
+        steps, err = op.check(res)
+        print(json.dumps([steps, dt, err]), flush=True)
+    return 0
+
+
+class Side:
+    """One checkout, measured in a worker process of its own."""
+
+    def __init__(self, label: str, root: Path):
+        self.label = label
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", "--root", str(root)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            cwd=root,
+        )
+        self.ops = json.loads(self.proc.stdout.readline())
+        self.best = [math.inf] * len(self.ops)
+        self.steps = [0] * len(self.ops)
+
+    def time(self, i: int) -> None:
+        self.proc.stdin.write(f"{i}\n")
+        self.proc.stdin.flush()
+        self.steps[i], dt, err = json.loads(self.proc.stdout.readline())
+        if err is not None:
+            family, key, _ = self.ops[i]
+            raise SystemExit(f"{self.label}: {family} {key}: {err}")
+        self.best[i] = min(self.best[i], dt)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+    def record(self) -> dict:
+        timed = list(zip(self.ops, self.steps, self.best))
+        rows = [
+            {
+                "family": family,
+                "size": size,
+                "steps": n,
+                "seconds": round(t, 6),
+                "steps_per_s": round(n / t, 1),
+            }
+            for (family, _, size), n, t in timed
+            if family != "campaign"
+        ]
+        campaign = [(n, t) for (family, _, _), n, t in timed if family == "campaign"]
+        machine = [r for r in rows if r["family"] in ("deep_handler", "peano_push")]
+        families = {}
+        for fam in ("deep_handler", "peano_push", "audited"):
+            pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam]
+            families[fam] = {"size_slope": round(slope(pts), 3)}
+        total = sum(r["seconds"] for r in machine)
+        campaign_s = sum(t for _, t in campaign)
+        return {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "repeat": REPEAT,
+            "audit_repeat": AUDIT_REPEAT,
+            "operations": rows,
+            "families": families,
+            "machine_wall_s": round(total, 6),
+            "machine_steps_per_s": round(sum(r["steps"] for r in machine) / total, 1),
+            "campaign_ops": len(campaign),
+            "campaign_wall_s": round(campaign_s, 6),
+            "campaign_steps_per_s": round(sum(n for n, _ in campaign) / campaign_s, 1),
         }
-        for op, n, t in zip(ops, steps, best)
-    ]
-    machine = [r for r in rows if r["family"] in ("deep_handler", "peano_push")]
-    families = {}
-    for fam in ("deep_handler", "peano_push", "audited"):
-        pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam]
-        families[fam] = {"size_slope": round(slope(pts), 3)}
-    total = sum(r["seconds"] for r in machine)
-    return {
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "repeat": REPEAT,
-        "audit_repeat": AUDIT_REPEAT,
-        "operations": rows,
-        "families": families,
-        "machine_wall_s": round(total, 6),
-        "machine_steps_per_s": round(sum(r["steps"] for r in machine) / total, 1),
-    }
+
+
+def measure(sides: list[Side]) -> None:
+    """Run every operation REPEAT times (AUDIT_REPEAT for the audited ones)
+    on every side, alternating sides per operation and flipping the order
+    on each repeat."""
+    ops = sides[0].ops
+    if any(side.ops != ops for side in sides):
+        raise SystemExit("the checkouts define different operations")
+    repeats = [AUDIT_REPEAT if family == "audited" else REPEAT for family, _, _ in ops]
+    for r in range(REPEAT):
+        order = sides if r % 2 == 0 else sides[::-1]
+        for i in range(len(ops)):
+            if r < repeats[i]:
+                for side in order:
+                    side.time(i)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, default=HERE, help="source checkout to benchmark")
-    ap.add_argument("--label", required=True, help="name of the record in the output file")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file the record is added to")
+    ap.add_argument("--root", type=Path, default=HERE, help="source checkout of the change")
+    ap.add_argument("--parent", type=Path, help="source checkout of the parent, measured alongside")
+    ap.add_argument("--label", default="change", help="name of the change's record in the output file")
+    ap.add_argument("--out", type=Path, help="JSON file the records are added to")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    record = measure(args.root.resolve())
+    if args.worker:
+        return worker(args.root.resolve())
+    if args.out is None:
+        ap.error("--out is required")
+    sides = [Side(args.label, args.root.resolve())]
+    if args.parent is not None:
+        sides.insert(0, Side("parent", args.parent.resolve()))
+    try:
+        measure(sides)
+    finally:
+        for side in sides:
+            side.close()
     records = json.loads(args.out.read_text()) if args.out.exists() else {}
-    records[args.label] = record
+    for side in sides:
+        record = records[side.label] = side.record()
+        seconds = {(r["family"], r["size"]): r["seconds"] for r in record["operations"]}
+        audited = ", ".join(f"{seconds['audited', n]:.2f}" for n in AUDIT_FUELS)
+        print(
+            f"{side.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
+            f" {record['machine_steps_per_s']:.0f} steps/s;"
+            f" long loop {seconds['long_loop', LONG_FUEL]:.3f} s;"
+            f" audited {audited} s,"
+            f" slope {record['families']['audited']['size_slope']:.2f};"
+            f" campaign {record['campaign_wall_s']:.4f} s"
+        )
     args.out.write_text(json.dumps(records, indent=2) + "\n")
-    seconds = {(r["family"], r["size"]): r["seconds"] for r in record["operations"]}
-    audited = ", ".join(f"{seconds['audited', n]:.2f}" for n in AUDIT_FUELS)
-    print(
-        f"{args.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
-        f" {record['machine_steps_per_s']:.0f} steps/s;"
-        f" long loop {seconds['long_loop', LONG_FUEL]:.3f} s;"
-        f" audited {audited} s,"
-        f" slope {record['families']['audited']['size_slope']:.2f} -> {args.out}"
-    )
+    print(f"-> {args.out}")
     return 0
 
 

@@ -67,7 +67,8 @@ def main() -> int:
         dest.write_text(proc.stdout)
         print(f"wrote {dest.relative_to(ROOT)} ({len(proc.stdout.splitlines())} lines)")
     errors = checker_errors()
-    ERRORS.write_text(json.dumps(errors, indent=1) + "\n")
+    lines = [f" {json.dumps(name)}: {json.dumps(entry)}" for name, entry in errors.items()]
+    ERRORS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {ERRORS.relative_to(ROOT)} ({len(errors)} programs)")
     return 0
 

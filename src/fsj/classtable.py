@@ -18,19 +18,21 @@ superclass is a typing concern (see typecheck.check_class).
 
 Building the table resolves each class once into a `ClassInfo`: its
 field lists, a map from field name to slot and declaration, the nearest
-declaration of each visible method, and its superclasses.  Every member
-lookup (`composite`, `source`, `field`, `find_method`, and `is_subtype`
-in typecheck) reads that record and hands out the declarations, so it
-answers for the program as it was built: a declaration changed afterwards
-is not seen.  Object is a fieldless, methodless root that is always
-present.  Field lists are ordered superclass-first, which is also the
-argument order of `new C(...)`.  The table also answers, per class and
-field, which initialized fields are downstream of it (see `downstream`).
+declaration of each visible method, and its superclasses.  The table is
+the dict from class name to that record, so the hot kernels read a
+class's members with one dict read, and the member accessors
+(`composite`, `source`, `field`, `find_method`) read the same records.
+Every lookup answers for the program as it was built: a declaration
+changed afterwards is not seen.  Object is a fieldless, methodless root
+that is always present.  Field lists are ordered superclass-first, which
+is also the argument order of `new C(...)`.  The table also answers, per
+class and field, which initialized fields are downstream of it (see
+`downstream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     OBJECT,
@@ -99,14 +101,19 @@ class ClassInfo:
     supers: frozenset[str]
 
 
-@dataclass
-class ClassTable:
-    decls: dict[str, ClassDecl]
-    _info: dict[str, ClassInfo]
-    _downstream: dict[str, dict[str, tuple[str, ...]]] = field(default_factory=dict)
+class ClassTable(dict[str, ClassInfo]):
+    """The name -> `ClassInfo` mapping, Object included: the kernels read
+    it directly, and `type_expr` takes a value on the spot only at exactly
+    a declared class, so no error changes.  `ct[c]`, `info`, `decl` and
+    the member accessors raise `UnknownClassError` for an undeclared c."""
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._info
+    def __init__(self, decls: dict[str, ClassDecl], infos: dict[str, ClassInfo]):
+        super().__init__(infos)
+        self.decls = decls
+        self._downstream: dict[str, dict[str, tuple[str, ...]]] = {}
+
+    def __missing__(self, name: str) -> ClassInfo:
+        raise UnknownClassError(name)
 
     def decl(self, name: str) -> ClassDecl:
         if name not in self.decls:
@@ -115,23 +122,20 @@ class ClassTable:
 
     def info(self, name: str) -> ClassInfo:
         """name's members as resolved when the table was built."""
-        try:
-            return self._info[name]
-        except KeyError:
-            raise UnknownClassError(name) from None
+        return self[name]
 
     def composite(self, name: str) -> tuple[CompositeField, ...]:
         """Initialized fields of name, superclass fields first."""
-        return self.info(name).composite
+        return self[name].composite
 
     def source(self, name: str) -> tuple[SourceField, ...]:
         """Uninitialized fields of name, superclass fields first."""
-        return self.info(name).source
+        return self[name].source
 
     def field(self, name: str, fname: str) -> tuple[int | None, CompositeField | SourceField] | None:
         """fname's slot in source(name), None if initialized, and its
         declaration; or None when name has no field fname."""
-        return self.info(name).fields.get(fname)
+        return self[name].fields.get(fname)
 
     def downstream(self, name: str, fname: str) -> tuple[str, ...]:
         """Initialized fields of name whose value depends on its field fname.
@@ -151,7 +155,7 @@ class ClassTable:
 
     def find_method(self, method: str, name: str) -> MethodDecl | None:
         """Nearest declaration of method on name's chain, or None."""
-        return self.info(name).methods.get(method)
+        return self[name].methods.get(method)
 
 
 def _check_ctor_local(decl: ClassDecl) -> None:
@@ -206,7 +210,7 @@ def build_class_table(program: Program) -> ClassTable:
     table = ClassTable(decls, {OBJECT: ClassInfo((), (), {}, {}, frozenset({OBJECT}))})
 
     def resolve(name: str) -> ClassInfo:
-        if name not in table._info:
+        if name not in table:
             d = decls[name]
             up = resolve(d.parent)
             composite, source = up.composite + tuple(d.composites), up.source + tuple(d.sources)
@@ -215,8 +219,8 @@ def build_class_table(program: Program) -> ClassTable:
             methods: dict[str, MethodDecl] = {}
             for m in (*d.methods, *up.methods.values()):
                 methods.setdefault(m.name, m)
-            table._info[name] = ClassInfo(composite, source, fields, methods, up.supers | {name})
-        return table._info[name]
+            table[name] = ClassInfo(composite, source, fields, methods, up.supers | {name})
+        return table[name]
 
     for cl in program.classes:
         own = [f.name for f in cl.composites] + [f.name for f in cl.sources]

@@ -75,7 +75,7 @@ class GenConfig:
 
 
 def _ground_new(ct: ClassTable, cls: str) -> Expr:
-    return New(cls, tuple(_ground_new(ct, sf.ftype) for sf in ct.source(cls)))
+    return New(cls, tuple(_ground_new(ct, sf.ftype) for sf in ct[cls].source))
 
 
 def _pure_expr(
@@ -92,14 +92,14 @@ def _pure_expr(
     for x, t in env.items():
         if is_subtype(ct, t, target):
             options += [Var(x)] * 2
-        for sf in ct.source(t):
+        for sf in ct[t].source:
             if is_subtype(ct, sf.ftype, target):
                 options += [FieldAccess(Var(x), sf.name)] * 3
     if depth > 0:
         options += ["new"] * 2
         if allow_calls:
             for x, t in env.items():
-                for m in ct.info(t).methods.values():
+                for m in ct[t].methods.values():
                     if m.ret != UNIT and is_subtype(ct, m.ret, target):
                         options.append(("call", x, m))  # type: ignore[arg-type]
     if not options:
@@ -111,7 +111,7 @@ def _pure_expr(
             cls,
             tuple(
                 _pure_expr(rng, ct, subs, env, sf.ftype, depth - 1, allow_calls)
-                for sf in ct.source(cls)
+                for sf in ct[cls].source
             ),
         )
     if isinstance(pick, tuple):
@@ -190,7 +190,7 @@ def generate_program(cfg: GenConfig) -> Program:
     for decl in decls:
         for _ in range(rng.randint(0, MAX_FIELDS_PER_CLASS)):
             env = {"this": decl.name}
-            visible = with_methods.source(decl.name)
+            visible = with_methods[decl.name].source
             if visible and rng.random() < 0.7:
                 sf = rng.choice(visible)
                 ftype, init = sf.ftype, FieldAccess(Var("this"), sf.name)
@@ -223,7 +223,7 @@ def _gen_main(
         writable = [
             (x, sf)
             for x, t in env.items()
-            for sf in ct.source(t)
+            for sf in ct[t].source
             if sf.modifier is Modifier.PLAIN or cfg.handlers_write_signals
         ]
         options = ["unit"]
@@ -243,7 +243,7 @@ def _gen_main(
         reads = [
             (x, f.name)
             for x, t in env.items()
-            for f in (*ct.source(t), *ct.composite(t))
+            for f in (*ct[t].source, *ct[t].composite)
         ]
         options: list[Expr] = [EMPTY]
         options += [Var(x) for x in env] * 2
@@ -257,16 +257,16 @@ def _gen_main(
         reads = [
             (x, f.name, f.ftype)
             for x, t in env.items()
-            for f in (*ct.source(t), *ct.composite(t))
+            for f in (*ct[t].source, *ct[t].composite)
         ]
         calls = [
-            (x, m) for x, t in env.items() for m in ct.info(t).methods.values()
+            (x, m) for x, t in env.items() for m in ct[t].methods.values()
         ]
-        writes = [(x, sf) for x, t in env.items() for sf in ct.source(t)]
+        writes = [(x, sf) for x, t in env.items() for sf in ct[t].source]
         signals = [
             (x, f.name)
             for x, t in env.items()
-            for f in (*ct.source(t), *ct.composite(t))
+            for f in (*ct[t].source, *ct[t].composite)
             if f.modifier is Modifier.SIGNAL
         ]
         if reads:
@@ -279,9 +279,9 @@ def _gen_main(
             options += ["subscribe"] * 2
         pick = rng.choice(options)
         if pick == "new":
-            preferred = [c for c in universe if c != OBJECT and ct.source(c)]
+            preferred = [c for c in universe if c != OBJECT and ct[c].source]
             cls = rng.choice(preferred or universe)
-            bound = New(cls, tuple(value(sf.ftype, 2) for sf in ct.source(cls)))
+            bound = New(cls, tuple(value(sf.ftype, 2) for sf in ct[cls].source))
             v = next(counter)
             env[v] = cls
             return Let(v, bound, go(budget - 1))

@@ -397,7 +397,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
         c, args = e.cls, e.args
         if _first_open(args) is not None:
             return None
-        if c not in ct or len(ct.source(c)) != len(args):
+        if c not in ct or len(ct[c].source) != len(args):
             return None
         l = next_loc
         store[l] = StoredObject(c, tuple(a.loc for a in args))
@@ -417,7 +417,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
         obj = store.get(l)
         if obj is None:
             return None
-        i, sf = ct.field(obj.cls, f) or (None, None)
+        i, sf = ct[obj.cls].fields.get(f) or (None, None)
         if i is None:
             return None
         old = obj.fields[i]
@@ -442,7 +442,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
         obj = store.get(l)
         if obj is None:
             return None
-        i, cf = ct.field(obj.cls, f) or (None, None)
+        i, cf = ct[obj.cls].fields.get(f) or (None, None)
         if cf is None:
             return None
         if i is not None:
@@ -459,7 +459,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
         obj = store.get(recv.loc)
         if obj is None:
             return None
-        md = ct.find_method(m, obj.cls)
+        md = ct[obj.cls].methods.get(m)
         if md is None or len(md.params) != len(args):
             return None
         mapping: dict[str, Expr] = {p.name: a for p, a in zip(md.params, args)}
@@ -494,7 +494,7 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
 
 def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
     """Perform one reduction; None if terminal, StuckError if wedged."""
-    if is_terminal(st.focus):
+    if type(st.focus) in (Loc, Empty):
         return None
     out = _contract(ct, st, mutations)
     if out is None:

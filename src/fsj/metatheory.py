@@ -141,7 +141,7 @@ def check_store_typing(
             continue
         if store_typing[l] != obj.cls:
             return f"@{l} typed {store_typing[l]} but stores a {obj.cls}"
-        as_new = New(obj.cls, tuple(Loc(a) for a in obj.fields))
+        as_new = New(obj.cls, tuple(map(Loc, obj.fields)))
         try:
             t = type_expr(ct, {}, store_typing, as_new)
         except TypingError as err:
@@ -203,6 +203,7 @@ def _verdict(prop: str, subject: str, res: RunResult) -> PropertyReport:
 
 
 HOLE = "□"  # a frame's hole while the audit types it; no identifier can spell it
+HOLE_VAR = Var(HOLE)
 
 
 class SubjectReduction:
@@ -238,7 +239,7 @@ class SubjectReduction:
     def _type_frame(self, cell, hole: str | None) -> str:
         node, slot, _ = cell
         env = {HOLE: hole} if hole else {}
-        return type_expr(self.ct, env, self.sigma, with_child(node, slot, Var(HOLE)))
+        return type_expr(self.ct, env, self.sigma, with_child(node, slot, HOLE_VAR))
 
     def type_state(self, st: MachineState) -> str:
         """The type of st's expression, or the TypingError typing it plugged raises."""
@@ -388,7 +389,7 @@ def _write(ct: ClassTable, st: MachineState) -> tuple[int, str, str, Modifier | 
     match st.focus:
         case Assign(recv=Loc(loc=l), fname=f, value=Loc()):
             cls = st.store[l].cls
-            i, sf = ct.field(cls, f) or (None, None)
+            i, sf = ct[cls].fields.get(f) or (None, None)
             return l, f, cls, None if i is None else sf.modifier
     return None
 

@@ -22,6 +22,11 @@ Highlights:
   * a pending-effect brace types to Unit when its body does, with no
     constraint on the brace's key.
 
+The class table is the name -> `ClassInfo` mapping, which `type_expr`
+and `is_subtype` read directly.  An argument or assigned value is taken
+on the spot only when its type is exactly the declared class it must
+fit; all else takes the general path, so every error is unchanged.
+
 `check_class` validates one declaration: every initialized field is
 marked signal, its initializer is built only from variables, field
 accesses, calls, and instance creations (so evaluating it can never
@@ -95,17 +100,21 @@ class TypingError(Exception):
         return f"{where}{self.message} [{self.kind.value}]"
 
 
-def is_subtype(ct: ClassTable, sub: str, sup: str) -> bool:
-    """Reflexive-transitive extends; Unit is unrelated to every class."""
+def is_subtype(ct: ClassTable, sub: str, sup: str, span: Span | None = None) -> bool:
+    """Reflexive-transitive extends; Unit is unrelated to every class.
+
+    Reads sub's superclasses straight out of the name -> `ClassInfo`
+    table.  An undeclared class is a TypingError at span; `type_expr`
+    skips this call only for an exact, declared type, so no error is lost."""
     if sub == sup:
         return True
     if sub == UNIT or sup == UNIT:
         return False
     if sub not in ct:
-        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sub}")
+        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sub}", span)
     if sup not in ct:
-        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sup}")
-    return sup in ct.info(sub).supers
+        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sup}", span)
+    return sup in ct[sub].supers
 
 
 def _class_of(ct: ClassTable, t: str, role: str, span: Span | None) -> str:
@@ -127,13 +136,19 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
     its hole `metatheory.HOLE`, the one variable that may be Unit.
     Dispatch is on the exact node type, most frequent first, and every
     subterm is typed through the module's `type_expr`.
+
+    A class's members are one read of the table, the name -> `ClassInfo`
+    mapping.  An argument or assigned value whose type is exactly the
+    declared class it must fit is accepted on the spot; any other goes
+    through `_class_of` and `is_subtype`, which would pass the exact
+    case, so every error keeps its kind, message, span and order.
     """
     t = type(e)
     if t is New:
         c, args = e.cls, e.args
         if c not in ct:
             raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {c}", e.span)
-        fields = ct.source(c)
+        fields = ct[c].source
         if len(args) != len(fields):
             raise TypingError(
                 ErrKind.ARG_ARITY,
@@ -141,8 +156,10 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 e.span,
             )
         for a, sf in zip(args, fields):
-            at = _class_of(ct, type_expr(ct, env, store_typing, a), "argument", a.span)
-            if not is_subtype(ct, at, sf.ftype):
+            at = type_expr(ct, env, store_typing, a)
+            if at == sf.ftype and at in ct:
+                continue
+            if not is_subtype(ct, _class_of(ct, at, "argument", a.span), sf.ftype, a.span):
                 raise TypingError(
                     ErrKind.ARG_SUBTYPE,
                     f"field {sf.name} of new {c} needs {sf.ftype}, got {at}",
@@ -164,17 +181,18 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is FieldAccess:
         f = e.fname
-        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        hit = ct.field(c0, f)
+        c0 = type_expr(ct, env, store_typing, e.recv)
+        info = ct.get(c0) or _class_of(ct, c0, "receiver", e.span)
+        hit = info.fields.get(f)
         if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
         return hit[1].ftype
 
     if t is Let:
         b = e.bound
-        tb = _class_of(ct, type_expr(ct, env, store_typing, b), "bound expression", b.span)
+        tb = type_expr(ct, env, store_typing, b)
         inner = dict(env)
-        inner[e.var] = tb
+        inner[e.var] = tb if tb in ct else _class_of(ct, tb, "bound expression", b.span)
         return type_expr(ct, inner, store_typing, e.body)
 
     if t is Seq:
@@ -190,8 +208,9 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Assign:
         f, v = e.fname, e.value
-        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        i, target = ct.field(c0, f) or (None, None)
+        c0 = type_expr(ct, env, store_typing, e.recv)
+        info = ct.get(c0) or _class_of(ct, c0, "receiver", e.span)
+        i, target = info.fields.get(f) or (None, None)
         if target is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
         if i is None:
@@ -200,8 +219,10 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 f"{c0}.{f} is an initialized field and cannot be assigned",
                 e.span,
             )
-        vt = _class_of(ct, type_expr(ct, env, store_typing, v), "assigned value", v.span)
-        if not is_subtype(ct, vt, target.ftype):
+        vt = type_expr(ct, env, store_typing, v)
+        if vt == target.ftype and vt in ct:
+            return UNIT
+        if not is_subtype(ct, _class_of(ct, vt, "assigned value", v.span), target.ftype, v.span):
             raise TypingError(
                 ErrKind.ASSIGN_TYPE_MISMATCH,
                 f"cannot assign {vt} to {c0}.{f} of type {target.ftype}",
@@ -214,8 +235,9 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Invoke:
         m, args = e.method, e.args
-        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        md = ct.find_method(m, c0)
+        c0 = type_expr(ct, env, store_typing, e.recv)
+        info = ct.get(c0) or _class_of(ct, c0, "receiver", e.span)
+        md = info.methods.get(m)
         if md is None:
             raise TypingError(ErrKind.UNKNOWN_METHOD, f"{c0} has no method {m}", e.span)
         if len(args) != len(md.params):
@@ -225,8 +247,10 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
                 e.span,
             )
         for a, p in zip(args, md.params):
-            at = _class_of(ct, type_expr(ct, env, store_typing, a), "argument", a.span)
-            if not is_subtype(ct, at, p.ptype):
+            at = type_expr(ct, env, store_typing, a)
+            if at == p.ptype and at in ct:
+                continue
+            if not is_subtype(ct, _class_of(ct, at, "argument", a.span), p.ptype, a.span):
                 raise TypingError(
                     ErrKind.ARG_SUBTYPE, f"argument of type {at} where {p.ptype} expected", a.span
                 )
@@ -234,8 +258,9 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
 
     if t is Subscribe:
         f, h = e.fname, e.handler
-        c0 = _class_of(ct, type_expr(ct, env, store_typing, e.recv), "receiver", e.span)
-        hit = ct.field(c0, f)
+        c0 = type_expr(ct, env, store_typing, e.recv)
+        info = ct.get(c0) or _class_of(ct, c0, "receiver", e.span)
+        hit = info.fields.get(f)
         if hit is None:
             raise TypingError(ErrKind.UNKNOWN_FIELD, f"{c0} has no field {f}", e.span)
         if hit[1].modifier is not Modifier.SIGNAL:

@@ -61,6 +61,16 @@ def test_contains(ct):
     assert "Nope" not in ct
 
 
+def test_table_is_the_name_to_info_mapping(ct):
+    assert set(ct) == {"Object", "A", "B", "C"}
+    assert ct["C"] is ct.info("C") and ct.get("C") is ct.info("C")
+    assert ct.get("Nope") is None
+    with pytest.raises(UnknownClassError):
+        ct["Nope"]
+    with pytest.raises(UnknownClassError):
+        ct.info("Nope")
+
+
 def test_object_is_empty(ct):
     assert ct.source("Object") == ()
     assert ct.composite("Object") == ()

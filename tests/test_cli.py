@@ -150,6 +150,24 @@ def test_unknown_class_receiver_is_a_type_error(tmp_path, capsys, text):
         assert re.fullmatch(used, (set(lines) - {declared}).pop())
 
 
+def test_undeclared_field_type_error_names_the_argument(tmp_path, capsys):
+    """Checking an argument against an undeclared field type reports it at
+    the argument, where the error once had no position."""
+    src = tmp_path / "undeclared.fsj"
+    src.write_text(
+        "class D extends Object { D() { super(); } }\n"
+        "class C extends Object { Foo f; C(Foo f) { super(); this.f = f; } }\n"
+        "new C(new D())\n"
+    )
+    code, out, err = run_cli(["check", str(src)], capsys)
+    assert code == EXIT_SEMANTIC and out == ""
+    assert err.splitlines() == [
+        f"{src}:2:26: field C.f has unknown type Foo [unknown-class-type]",
+        f"{src}:2:33: constructor parameter f has unknown type Foo [unknown-class-type]",
+        f"{src}:3:7: unknown class Foo [unknown-class-type]",
+    ]
+
+
 # -------------------------------------------------------------------- run
 
 
