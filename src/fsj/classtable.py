@@ -19,20 +19,26 @@ superclass is a typing concern (see typecheck.check_class).
 Building the table resolves each class once into a `ClassInfo`: its
 field lists, a map from field name to slot and declaration, the nearest
 declaration of each visible method, and its superclasses.  The table is
-the dict from class name to that record, so the hot kernels read a
-class's members with one dict read, and the member accessors
-(`composite`, `source`, `field`, `find_method`) read the same records.
-Every lookup answers for the program as it was built: a declaration
-changed afterwards is not seen.  Object is a fieldless, methodless root
-that is always present.  Field lists are ordered superclass-first, which
-is also the argument order of `new C(...)`.  The table also answers, per
-class and field, which initialized fields are downstream of it (see
-`downstream`).
+the dict from class name to that record and nothing else, so every
+reader asks for a class's members the one way, `ct[c].source`,
+`ct[c].fields.get(f)` or `ct[c].methods.get(m)`.  Every lookup answers
+for the program as it was built: a declaration changed afterwards is
+not seen.  Object is a fieldless, methodless root that is always
+present.  Field lists are ordered superclass-first, which is also the
+argument order of `new C(...)`.  Each record also answers, per field,
+which initialized fields are downstream of it (`ClassInfo.downstream`,
+worked out on its first read).
+
+Classes are resolved by one iterative walk per class: up its parent
+chain to the nearest class already resolved, then back down, so no
+hierarchy is too deep to build, and a class met twice on one walk is an
+inheritance cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     OBJECT,
@@ -100,62 +106,28 @@ class ClassInfo:
     methods: dict[str, MethodDecl]
     supers: frozenset[str]
 
+    @cached_property
+    def downstream(self) -> dict[str, tuple[str, ...]]:
+        """For each field f, the initialized fields whose value depends on it.
+
+        g depends directly on f when g's initializer reads `this.f`; each
+        entry closes that relation transitively, in composite order, and
+        names f itself only if a dependency cycle leads back to it.  A
+        checked initializer's only free variable is `this`, so this is
+        everything downstream of a field in any store.  Worked out on
+        the first read, not when the table is built, since most classes
+        of a program are never written to.
+        """
+        return _dependents(self.composite, list(self.fields))
+
 
 class ClassTable(dict[str, ClassInfo]):
-    """The name -> `ClassInfo` mapping, Object included: the kernels read
-    it directly, and `type_expr` takes a value on the spot only at exactly
-    a declared class, so no error changes.  `ct[c]`, `info`, `decl` and
-    the member accessors raise `UnknownClassError` for an undeclared c."""
-
-    def __init__(self, decls: dict[str, ClassDecl], infos: dict[str, ClassInfo]):
-        super().__init__(infos)
-        self.decls = decls
-        self._downstream: dict[str, dict[str, tuple[str, ...]]] = {}
+    """The name -> `ClassInfo` mapping, Object included.  Every reader
+    reads the records directly; `ct[c]` raises `UnknownClassError` for an
+    undeclared c, while `c in ct` and `ct.get(c)` are plain dict reads."""
 
     def __missing__(self, name: str) -> ClassInfo:
         raise UnknownClassError(name)
-
-    def decl(self, name: str) -> ClassDecl:
-        if name not in self.decls:
-            raise UnknownClassError(name)
-        return self.decls[name]
-
-    def info(self, name: str) -> ClassInfo:
-        """name's members as resolved when the table was built."""
-        return self[name]
-
-    def composite(self, name: str) -> tuple[CompositeField, ...]:
-        """Initialized fields of name, superclass fields first."""
-        return self[name].composite
-
-    def source(self, name: str) -> tuple[SourceField, ...]:
-        """Uninitialized fields of name, superclass fields first."""
-        return self[name].source
-
-    def field(self, name: str, fname: str) -> tuple[int | None, CompositeField | SourceField] | None:
-        """fname's slot in source(name), None if initialized, and its
-        declaration; or None when name has no field fname."""
-        return self[name].fields.get(fname)
-
-    def downstream(self, name: str, fname: str) -> tuple[str, ...]:
-        """Initialized fields of name whose value depends on its field fname.
-
-        g depends directly on f when g's initializer reads `this.f`; the
-        result closes that relation transitively, in composite(name)
-        order, and names fname itself only if a dependency cycle leads
-        back to it.  A checked initializer's only free variable is `this`,
-        so this is everything downstream of a field in any store.  Each
-        class's table is built on its first lookup and kept.
-        """
-        if name not in self._downstream:
-            composites = self.composite(name)
-            names = [cf.name for cf in composites] + [sf.name for sf in self.source(name)]
-            self._downstream[name] = _dependents(composites, names)
-        return self._downstream[name].get(fname, ())
-
-    def find_method(self, method: str, name: str) -> MethodDecl | None:
-        """Nearest declaration of method on name's chain, or None."""
-        return self[name].methods.get(method)
 
 
 def _check_ctor_local(decl: ClassDecl) -> None:
@@ -197,22 +169,18 @@ def build_class_table(program: Program) -> ClassTable:
         if cl.parent != OBJECT and cl.parent not in decls:
             raise UnknownParentError(f"{cl.name} extends unknown class {cl.parent}")
 
-    # Every parent chain must reach Object without revisiting a class.
+    table = ClassTable({OBJECT: ClassInfo((), (), {}, {}, frozenset({OBJECT}))})
     for cl in program.classes:
-        seen = {cl.name}
-        cur = cl.parent
-        while cur != OBJECT:
-            if cur in seen:
-                raise CycleError(f"inheritance cycle through {cur}")
-            seen.add(cur)
-            cur = decls[cur].parent
-
-    table = ClassTable(decls, {OBJECT: ClassInfo((), (), {}, {}, frozenset({OBJECT}))})
-
-    def resolve(name: str) -> ClassInfo:
-        if name not in table:
+        chain: dict[str, None] = {}  # unresolved classes met on the way up
+        name = cl.name
+        while name not in table:
+            if name in chain:
+                raise CycleError(f"inheritance cycle through {name}")
+            chain[name] = None
+            name = decls[name].parent
+        for name in reversed(chain):
             d = decls[name]
-            up = resolve(d.parent)
+            up = table[d.parent]
             composite, source = up.composite + tuple(d.composites), up.source + tuple(d.sources)
             fields = {cf.name: (None, cf) for cf in composite}
             fields.update((sf.name, (i, sf)) for i, sf in enumerate(source))
@@ -220,18 +188,17 @@ def build_class_table(program: Program) -> ClassTable:
             for m in (*d.methods, *up.methods.values()):
                 methods.setdefault(m.name, m)
             table[name] = ClassInfo(composite, source, fields, methods, up.supers | {name})
-        return table[name]
 
     for cl in program.classes:
         own = [f.name for f in cl.composites] + [f.name for f in cl.sources]
         if len(set(own)) != len(own):
             raise DuplicateFieldError(f"duplicate field in class {cl.name}")
-        clash = resolve(cl.parent).fields.keys() & own
+        up_info = table[cl.parent]
+        clash = up_info.fields.keys() & own
         if clash:
             raise DuplicateFieldError(
                 f"{cl.name} hides inherited field {sorted(clash)[0]}"
             )
-        resolve(cl.name)
 
         seen_methods: set[str] = set()
         for m in cl.methods:
@@ -242,7 +209,7 @@ def build_class_table(program: Program) -> ClassTable:
             if m.name in seen_methods:
                 raise OverloadError(f"{cl.name} declares {m.name} twice")
             seen_methods.add(m.name)
-            up = table.find_method(m.name, cl.parent)
+            up = up_info.methods.get(m.name)
             if up is not None and ([p.ptype for p in up.params], up.ret) != sig:
                 raise OverloadError(
                     f"{cl.name}.{m.name} changes the inherited signature"

@@ -59,8 +59,8 @@ tuple of the values at step time, and `StepOutcome.events` turns notes
 into `TraceEvent`s only when someone reads them, so an untraced run
 builds no events and never counts a handler chain.
 
-Which initialized fields a write reaches is read off a table the class
-table computes once per class (`ClassTable.downstream`), since a checked
+Which initialized fields a write reaches is read off the class's record
+(`ClassInfo.downstream`, worked out on its first read), since a checked
 initializer only reads through `this`.
 
 `run` is the only loop that calls `step`.  The soundness oracles ride
@@ -275,7 +275,7 @@ def effect(ct: ClassTable, store: dict[int, StoredObject], key: Key) -> list[Key
     obj = store.get(l)
     if obj is None:
         return []
-    return [(l, g) for g in ct.downstream(obj.cls, f)]
+    return [(l, g) for g in ct[obj.cls].downstream.get(f, ())]
 
 
 def handlers_of(

@@ -478,7 +478,7 @@ class HandlerDelivery(Scenario):
             case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
                 self.registered.setdefault((l, f), []).append(h)
             case EffectBrace(body=Empty(), key=key):
-                return self._downstream(before, after, key)
+                return self._pushed(before, after, key)
         match _write(self.ct, before):
             case (l, f, cls, Modifier.SIGNAL):
                 return self._direct(before, out, after, (l, f), cls)
@@ -503,7 +503,7 @@ class HandlerDelivery(Scenario):
             return self.fail(after, f"handlers on @{l}.{f} scheduled out of registration order")
         return None
 
-    def _downstream(self, before, after, key: Key):
+    def _pushed(self, before, after, key: Key):
         expected = [
             (hkey, h)
             for hkey in effect(self.ct, before.store, key)

@@ -327,7 +327,7 @@ def check_class(ct: ClassTable, decl: ClassDecl) -> list[TypingError]:
 
     # Constructor: leading params must mirror every inherited source field
     # (the local half of the shape was already enforced at table build).
-    inherited = ct.source(decl.parent)
+    inherited = ct[decl.parent].source
     k = decl.ctor
     super_part = k.params[: len(k.params) - len(decl.sources)]
     expected = [(sf.ftype, sf.name) for sf in inherited]
@@ -391,7 +391,7 @@ def check_class(ct: ClassTable, decl: ClassDecl) -> list[TypingError]:
         env["this"] = decl.name
         try:
             t = type_expr(ct, env, {}, m.body)
-            if not is_subtype(ct, t, m.ret):
+            if not is_subtype(ct, t, m.ret, m.span):
                 errors.append(
                     TypingError(
                         ErrKind.METHOD_BODY_TYPE,

@@ -15,6 +15,7 @@ from fsj.classtable import (
     UnknownClassError,
     UnknownParentError,
 )
+from fsj.interp import StoredObject, effect
 from fsj.syntax import OBJECT, MethodDecl, Modifier, Var
 
 
@@ -52,6 +53,12 @@ def ct():
     return table(HIERARCHY)
 
 
+@pytest.fixture(scope="module")
+def decls():
+    """HIERARCHY's class declarations by name."""
+    return {d.name: d for d in parse_program(HIERARCHY).classes}
+
+
 # ------------------------------------------------------------- lookups
 
 
@@ -63,54 +70,52 @@ def test_contains(ct):
 
 def test_table_is_the_name_to_info_mapping(ct):
     assert set(ct) == {"Object", "A", "B", "C"}
-    assert ct["C"] is ct.info("C") and ct.get("C") is ct.info("C")
+    assert ct.get("C") is ct["C"]
     assert ct.get("Nope") is None
     with pytest.raises(UnknownClassError):
         ct["Nope"]
-    with pytest.raises(UnknownClassError):
-        ct.info("Nope")
 
 
 def test_object_is_empty(ct):
-    assert ct.source("Object") == ()
-    assert ct.composite("Object") == ()
-    assert ct.info("Object").supers == {"Object"}
+    assert ct["Object"].source == ()
+    assert ct["Object"].composite == ()
+    assert ct["Object"].supers == {"Object"}
 
 
-def declared_chain(ct, name: str) -> list[str]:
+def declared_chain(decls, name: str) -> list[str]:
     """name and its superclasses, nearest first, Object left out."""
     chain = []
     while name != OBJECT:
         chain.append(name)
-        name = ct.decl(name).parent
+        name = decls[name].parent
     return chain
 
 
-def test_ancestry(ct):
-    assert declared_chain(ct, "C") + [OBJECT] == ["C", "B", "A", "Object"]
-    assert ct.info("C").supers == {"C", "B", "A", "Object"}
+def test_ancestry(ct, decls):
+    assert declared_chain(decls, "C") + [OBJECT] == ["C", "B", "A", "Object"]
+    assert ct["C"].supers == {"C", "B", "A", "Object"}
 
 
 def test_fields_are_superclass_first(ct):
-    assert [f.name for f in ct.source("B")] == ["sa", "pa", "sb"]
-    assert [f.name for f in ct.composite("B")] == ["da", "db"]
+    assert [f.name for f in ct["B"].source] == ["sa", "pa", "sb"]
+    assert [f.name for f in ct["B"].composite] == ["da", "db"]
     # C declares nothing of its own
-    assert [f.name for f in ct.source("C")] == ["sa", "pa", "sb"]
+    assert [f.name for f in ct["C"].source] == ["sa", "pa", "sb"]
 
 
-def test_field_order_matches_brute_force(ct):
+def test_field_order_matches_brute_force(ct, decls):
     """Concatenating own fields down the reversed ancestry is the contract."""
     for cls in ("A", "B", "C"):
-        chain = declared_chain(ct, cls)
-        expect_src = [f.name for c in reversed(chain) for f in ct.decl(c).sources]
-        expect_cmp = [f.name for c in reversed(chain) for f in ct.decl(c).composites]
-        assert [f.name for f in ct.source(cls)] == expect_src
-        assert [f.name for f in ct.composite(cls)] == expect_cmp
+        chain = declared_chain(decls, cls)
+        expect_src = [f.name for c in reversed(chain) for f in decls[c].sources]
+        expect_cmp = [f.name for c in reversed(chain) for f in decls[c].composites]
+        assert [f.name for f in ct[cls].source] == expect_src
+        assert [f.name for f in ct[cls].composite] == expect_cmp
 
 
 def field_type(ct, cls: str, f: str):
     """f's modifier and declared type in cls, read off its declaration."""
-    hit = ct.field(cls, f)
+    hit = ct[cls].fields.get(f)
     return None if hit is None else (hit[1].modifier, hit[1].ftype)
 
 
@@ -127,25 +132,23 @@ def test_ftype(ct):
 
 
 def test_mbody_picks_nearest(ct):
-    md = ct.find_method("ma", "C")
+    md = ct["C"].methods.get("ma")
     assert [p.name for p in md.params] == ["x"]
     # B's override reads this.sb; A's body is just x
     assert "sb" in repr(md.body)
-    assert "sb" not in repr(ct.find_method("ma", "A").body)
+    assert "sb" not in repr(ct["A"].methods.get("ma").body)
 
 
 def test_mtype_inherited(ct):
-    assert signature(ct.find_method("mb", "C")) == ([], "B")
-    assert signature(ct.find_method("ma", "A")) == (["A"], "A")
-    assert ct.find_method("nope", "C") is None
-    assert ct.find_method("ma", "Object") is None
+    assert signature(ct["C"].methods.get("mb")) == ([], "B")
+    assert signature(ct["A"].methods.get("ma")) == (["A"], "A")
+    assert ct["C"].methods.get("nope") is None
+    assert ct["Object"].methods.get("ma") is None
 
 
 def test_unknown_class_raises(ct):
     with pytest.raises(UnknownClassError):
-        ct.source("Nope")
-    with pytest.raises(UnknownClassError):
-        ct.decl("Nope")
+        ct["Nope"].source
 
 
 def assert_lookups_match_a_walk_over_the_declarations(program):
@@ -163,7 +166,7 @@ def assert_lookups_match_a_walk_over_the_declarations(program):
         for f in [fd.name for fd in source + composite] + ["nope"]:
             slot = next((i for i, sf in enumerate(source) if sf.name == f), None)
             decl = next((fd for fd in source + composite if fd.name == f), None)
-            hit = ct.field(cls, f)
+            hit = ct[cls].fields.get(f)
             if decl is None:
                 assert hit is None
             else:
@@ -172,9 +175,9 @@ def assert_lookups_match_a_walk_over_the_declarations(program):
         for d in chain:
             for m in d.methods:
                 visible.setdefault(m.name, m)
-        assert list(ct.info(cls).methods.values()) == list(visible.values())
+        assert list(ct[cls].methods.values()) == list(visible.values())
         for m in [*visible, "nope"]:
-            assert ct.find_method(m, cls) is visible.get(m)
+            assert ct[cls].methods.get(m) is visible.get(m)
         supers = {d.name for d in chain} | {OBJECT}
         for other in names:
             assert is_subtype(ct, cls, other) == (other in supers)
@@ -196,10 +199,29 @@ def test_table_answers_for_the_program_as_it_was_built():
     by_name = {d.name: d for d in program.classes}
     by_name["A"].methods.append(MethodDecl("A", "late", [], Var("this")))
     by_name["C"].methods.append(MethodDecl("A", "ma", [], Var("this")))
-    assert ct.find_method("late", "C") is None
-    assert ct.find_method("late", "A") is None
-    assert signature(ct.find_method("ma", "C")) == (["A"], "A")
-    assert [m.name for m in ct.info("C").methods.values()] == ["ma", "mb"]
+    assert ct["C"].methods.get("late") is None
+    assert ct["A"].methods.get("late") is None
+    assert signature(ct["C"].methods.get("ma")) == (["A"], "A")
+    assert [m.name for m in ct["C"].methods.values()] == ["ma", "mb"]
+
+
+def test_downstream_is_worked_out_on_first_read_only():
+    ct = table(HIERARCHY)
+    assert not any("downstream" in vars(info) for info in ct.values())
+    store = {0: StoredObject("B", (1, 1, 1)), 1: StoredObject("A", (1, 1))}
+    assert effect(ct, store, (0, "sa")) == [(0, "da")]
+    assert [c for c, info in ct.items() if "downstream" in vars(info)] == ["B"]
+
+
+def test_a_deep_hierarchy_declared_child_first_builds():
+    """Resolving a class walks its parent chain without recursing."""
+    n = 1200
+    text = "".join(
+        f"class C{i} extends {f'C{i - 1}' if i else OBJECT} {{ C{i}() {{ super(); }} }}\n"
+        for i in reversed(range(n))
+    )
+    ct = table(text + "unit")
+    assert len(ct[f"C{n - 1}"].supers) == n + 1
 
 
 # -------------------------------------------------------------- errors
@@ -273,7 +295,7 @@ def test_override_same_signature_ok():
         "class A extends Object { A() { super(); } A m() { this } }"
         " class B extends A { B() { super(); } A m() { new A() } } unit"
     )
-    assert signature(ct.find_method("m", "B")) == ([], "A")
+    assert signature(ct["B"].methods.get("m")) == ([], "A")
 
 
 def test_duplicate_method_param():
@@ -306,8 +328,9 @@ def test_ctor_must_forward_superclass_fields_in_order():
 
 
 def test_ctor_superclass_first_accepted():
-    ct = table(
+    program = parse_program(
         "class A extends Object { A f; A(A f) { super(); this.f = f; } }"
         " class B extends A { A g; B(A f, A g) { super(f); this.g = g; } } unit"
     )
-    assert [p.name for p in ct.decl("B").ctor.params] == ["f", "g"]
+    build_class_table(program)
+    assert [p.name for p in program.classes[1].ctor.params] == ["f", "g"]

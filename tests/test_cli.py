@@ -168,6 +168,22 @@ def test_undeclared_field_type_error_names_the_argument(tmp_path, capsys):
     ]
 
 
+def test_deep_hierarchy_declared_child_first(tmp_path, capsys):
+    """A class declared before a chain of 1200 ancestors once ended in a
+    RecursionError traceback (exit 1) when the class table was built."""
+    src = tmp_path / "deep_chain.fsj"
+    src.write_text(
+        "".join(
+            f"class C{i} extends {f'C{i - 1}' if i else 'Object'} {{ C{i}() {{ super(); }} }}\n"
+            for i in reversed(range(1200))
+        )
+        + "new C1199()\n"
+    )
+    for command in ("check", "run", "trace"):
+        code, out, err = run_cli([command, str(src)], capsys)
+        assert (code, err) == (EXIT_OK, ""), command
+
+
 # -------------------------------------------------------------------- run
 
 

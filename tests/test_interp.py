@@ -344,7 +344,7 @@ def effect_oracle(ct, store, key):
     """Fixpoint restatement of effect() used as an independent check."""
     pairs = []
     for l, obj in store.items():
-        for i, cf in enumerate(ct.composite(obj.cls)):
+        for i, cf in enumerate(ct[obj.cls].composite):
             pairs.append((l, i, cf))
 
     def reads(l, cf, k):
@@ -388,7 +388,7 @@ def test_effect_matches_oracle_on_corpus_runs(name):
     checked = 0
     for store in stores:
         for l, obj in store.items():
-            for sf in ct.source(obj.cls):
+            for sf in ct[obj.cls].source:
                 key = (l, sf.name)
                 assert effect(ct, store, key) == effect_oracle(ct, store, key)
                 checked += 1
@@ -404,7 +404,7 @@ def test_effect_matches_oracle_on_generated(seed):
     res = run(ct, program.main, fuel=400, collect_trace=False)
     store = res.state.store
     for l, obj in store.items():
-        for sf in ct.source(obj.cls):
+        for sf in ct[obj.cls].source:
             key = (l, sf.name)
             assert effect(ct, store, key) == effect_oracle(ct, store, key)
 
@@ -415,9 +415,9 @@ def test_downstream_table_matches_oracle_on_every_corpus_class(name):
     its own object would show up as a difference."""
     ct, program = load_corpus_file(name)
     classes = [cl.name for cl in program.classes]
-    store = {l: StoredObject(c, (0,) * len(ct.source(c))) for l, c in enumerate(classes)}
+    store = {l: StoredObject(c, (0,) * len(ct[c].source)) for l, c in enumerate(classes)}
     for l, c in enumerate(classes):
-        for fld in ct.composite(c) + ct.source(c):
+        for fld in ct[c].composite + ct[c].source:
             key = (l, fld.name)
             assert effect(ct, store, key) == effect_oracle(ct, store, key), key
 

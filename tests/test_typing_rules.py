@@ -126,6 +126,12 @@ CASES = [
         "__CLASS__ class Bad extends Object { Bad() { super(); } Nat m() { ghost } } unit",
     ),
     (
+        "method-body-type-unknown",
+        ErrKind.UNKNOWN_CLASS_TYPE,
+        "__CLASS__ class Bad extends Object { Bad() { super(); } Ghost get() { unit }"
+        " Bad m() { this.get() } } unit",
+    ),
+    (
         "field-type-unknown",
         ErrKind.UNKNOWN_CLASS_TYPE,
         "__CLASS__ class Bad extends Object { Ghost g; Bad(Ghost g) { super(); this.g = g; } } unit",
