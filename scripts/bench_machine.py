@@ -22,9 +22,10 @@ goes first flipped on each repeat, so drift in the host's speed lands
 on both sides alike.
 
 A record gives per-operation seconds and steps/s (the campaign as one
-summed time), the six `machine` operations' total, and per family the
-least-squares slope of log(time) against log(size).  Records are stored
-by label in `--out`, next to the records already there:
+summed time and as the median operation's time), the six `machine`
+operations' total, and per family the least-squares slope of log(time)
+against log(size).  Records are stored by label in `--out`, next to the
+records already there:
 
     python3 scripts/bench_machine.py --out BENCH_<n>.json --parent ../parent
     python3 scripts/bench_machine.py --out BENCH_<n>.json --label change
@@ -39,6 +40,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -178,6 +180,7 @@ class Side:
             "machine_steps_per_s": round(sum(r["steps"] for r in machine) / total, 1),
             "campaign_ops": len(campaign),
             "campaign_wall_s": round(campaign_s, 6),
+            "campaign_p50_s": round(statistics.median(t for _, t in campaign), 7),
             "campaign_steps_per_s": round(sum(n for n, _ in campaign) / campaign_s, 1),
         }
 
@@ -229,7 +232,8 @@ def main() -> int:
             f" long loop {seconds['long_loop', LONG_FUEL]:.3f} s;"
             f" audited {audited} s,"
             f" slope {record['families']['audited']['size_slope']:.2f};"
-            f" campaign {record['campaign_wall_s']:.4f} s"
+            f" campaign {record['campaign_wall_s']:.4f} s,"
+            f" p50 {record['campaign_p50_s'] * 1e6:.1f} us"
         )
     args.out.write_text(json.dumps(records, indent=2) + "\n")
     print(f"-> {args.out}")

@@ -23,7 +23,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fsj import (  # noqa: E402
     GenConfig,
-    build_class_table,
     check_program,
     generate_program,
     load_corpus,
@@ -54,8 +53,7 @@ def digests(root: Path = ROOT) -> dict:
         corpus[name] = h.hexdigest()
     h = hashlib.sha256()
     for seed in SEEDS:
-        program = generate_program(replace(GenConfig(), seed=seed))
-        ct = build_class_table(program)
+        program, ct = generate_program(replace(GenConfig(), seed=seed))
         h.update(f"seed={seed}\n".encode())
         if check_program(ct, program).ok:
             feed(h, ct, program.main, CAMPAIGN_FUEL)

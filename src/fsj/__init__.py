@@ -34,7 +34,6 @@ from .metatheory import (
 from .syntax import (
     ParseError,
     Program,
-    contains,
     parse_expr,
     parse_program,
     render_expr,
@@ -74,7 +73,6 @@ __all__ = [
     "check_program",
     "check_progress",
     "check_store_typing",
-    "contains",
     "effect",
     "generate_program",
     "handlers_of",

@@ -17,6 +17,11 @@ construction, which the test suite re-verifies rather than trusts:
 Handlers only write plain fields unless `handlers_write_signals` is
 set, so a default campaign never cascades pushes and always terminates
 inside a modest fuel budget.  Same seed, same program.
+
+`generate_program` hands back the program with the class table it
+built for pass 4.  No declaration changes after that build, so the
+table equals a fresh `build_class_table` of the program, and a caller
+needs no second build.
 """
 
 from __future__ import annotations
@@ -87,44 +92,49 @@ def _pure_expr(
     depth: int,
     allow_calls: bool,
 ) -> Expr:
-    """An expression of a subtype of target, built without side effects."""
-    options: list[Expr | str] = []
+    """An expression of a subtype of target, built without side effects.
+
+    The candidates are listed as descriptors and only the picked one is
+    built, so a node is allocated only for what the program keeps."""
+    options: list[tuple] = []
     for x, t in env.items():
         if is_subtype(ct, t, target):
-            options += [Var(x)] * 2
+            options += [("var", x)] * 2
         for sf in ct[t].source:
             if is_subtype(ct, sf.ftype, target):
-                options += [FieldAccess(Var(x), sf.name)] * 3
+                options += [("read", x, sf.name)] * 3
     if depth > 0:
-        options += ["new"] * 2
+        options += [("new",)] * 2
         if allow_calls:
             for x, t in env.items():
                 for m in ct[t].methods.values():
                     if m.ret != UNIT and is_subtype(ct, m.ret, target):
-                        options.append(("call", x, m))  # type: ignore[arg-type]
+                        options.append(("call", x, m))
     if not options:
         return _ground_new(ct, rng.choice(subs[target]))
-    pick = rng.choice(options)
-    if pick == "new":
-        cls = rng.choice(subs[target])
-        return New(
-            cls,
-            tuple(
-                _pure_expr(rng, ct, subs, env, sf.ftype, depth - 1, allow_calls)
-                for sf in ct[cls].source
-            ),
-        )
-    if isinstance(pick, tuple):
-        _, x, m = pick
-        return Invoke(
-            Var(x),
-            m.name,
-            tuple(
-                _pure_expr(rng, ct, subs, env, p.ptype, depth - 1, allow_calls)
-                for p in m.params
-            ),
-        )
-    return pick
+    match rng.choice(options):
+        case ("var", x):
+            return Var(x)
+        case ("read", x, f):
+            return FieldAccess(Var(x), f)
+        case ("new",):
+            cls = rng.choice(subs[target])
+            return New(
+                cls,
+                tuple(
+                    _pure_expr(rng, ct, subs, env, sf.ftype, depth - 1, allow_calls)
+                    for sf in ct[cls].source
+                ),
+            )
+        case ("call", x, m):
+            return Invoke(
+                Var(x),
+                m.name,
+                tuple(
+                    _pure_expr(rng, ct, subs, env, p.ptype, depth - 1, allow_calls)
+                    for p in m.params
+                ),
+            )
 
 
 def _chain_sources(by_name: dict[str, ClassDecl], cls: str) -> list[SourceField]:
@@ -137,7 +147,9 @@ def _chain_sources(by_name: dict[str, ClassDecl], cls: str) -> list[SourceField]
     return _chain_sources(by_name, d.parent) + list(d.sources)
 
 
-def generate_program(cfg: GenConfig) -> Program:
+def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
+    """The program for cfg.seed, and the class table built for its main
+    expression, which equals `build_class_table` of the program."""
     rng = random.Random(cfg.seed)
     names = _CLASS_NAMES[: rng.randint(0, MAX_CLASSES)]
     fresh_field = iter(f"f{i}" for i in range(10_000))
@@ -202,8 +214,7 @@ def generate_program(cfg: GenConfig) -> Program:
             )
 
     ct = build_class_table(Program(decls, EMPTY))
-    main = _gen_main(rng, cfg, ct, universe, subs)
-    return Program(decls, main)
+    return Program(decls, _gen_main(rng, cfg, ct, universe, subs)), ct
 
 
 def _gen_main(
@@ -215,6 +226,21 @@ def _gen_main(
 ) -> Expr:
     env: dict[str, str] = {}
     counter = iter(f"v{i}" for i in range(10_000))
+    preferred = [c for c in universe if c != OBJECT and ct[c].source] or universe
+    # Each variable's reads, calls, writes and signals, in binding order.
+    # Bindings are never undone, so `bind` extends these once per variable.
+    reads: list[tuple[str, CompositeField | SourceField]] = []
+    calls: list[tuple[str, MethodDecl]] = []
+    writes: list[tuple[str, SourceField]] = []
+    signals: list[tuple[str, str]] = []
+
+    def bind(x: str, t: str) -> None:
+        env[x] = t
+        fields = (*ct[t].source, *ct[t].composite)
+        reads.extend((x, f) for f in fields)
+        calls.extend((x, m) for m in ct[t].methods.values())
+        writes.extend((x, sf) for sf in ct[t].source)
+        signals.extend((x, f.name) for f in fields if f.modifier is Modifier.SIGNAL)
 
     def value(target: str, depth: int) -> Expr:
         return _pure_expr(rng, ct, subs, env, target, depth, allow_calls=True)
@@ -222,8 +248,7 @@ def _gen_main(
     def handler(depth: int = 1) -> Expr:
         writable = [
             (x, sf)
-            for x, t in env.items()
-            for sf in ct[t].source
+            for x, sf in writes
             if sf.modifier is Modifier.PLAIN or cfg.handlers_write_signals
         ]
         options = ["unit"]
@@ -240,35 +265,19 @@ def _gen_main(
         return EMPTY
 
     def final() -> Expr:
-        reads = [
-            (x, f.name)
-            for x, t in env.items()
-            for f in (*ct[t].source, *ct[t].composite)
-        ]
-        options: list[Expr] = [EMPTY]
-        options += [Var(x) for x in env] * 2
-        options += [FieldAccess(Var(x), f) for x, f in reads] * 2
-        return rng.choice(options)
+        options = [("unit",), *[("var", x) for x in env] * 2]
+        options += [("read", x, f.name) for x, f in reads] * 2
+        match rng.choice(options):
+            case ("var", x):
+                return Var(x)
+            case ("read", x, f):
+                return FieldAccess(Var(x), f)
+        return EMPTY
 
     def go(budget: int) -> Expr:
         if budget <= 0:
             return final()
         options = ["new", "new"]
-        reads = [
-            (x, f.name, f.ftype)
-            for x, t in env.items()
-            for f in (*ct[t].source, *ct[t].composite)
-        ]
-        calls = [
-            (x, m) for x, t in env.items() for m in ct[t].methods.values()
-        ]
-        writes = [(x, sf) for x, t in env.items() for sf in ct[t].source]
-        signals = [
-            (x, f.name)
-            for x, t in env.items()
-            for f in (*ct[t].source, *ct[t].composite)
-            if f.modifier is Modifier.SIGNAL
-        ]
         if reads:
             options += ["read"] * 2
         if calls:
@@ -279,26 +288,23 @@ def _gen_main(
             options += ["subscribe"] * 2
         pick = rng.choice(options)
         if pick == "new":
-            preferred = [c for c in universe if c != OBJECT and ct[c].source]
-            cls = rng.choice(preferred or universe)
+            cls = rng.choice(preferred)
             bound = New(cls, tuple(value(sf.ftype, 2) for sf in ct[cls].source))
             v = next(counter)
-            env[v] = cls
+            bind(v, cls)
             return Let(v, bound, go(budget - 1))
         if pick == "read":
-            x, f, ftype = rng.choice(reads)
+            x, f = rng.choice(reads)
             v = next(counter)
-            body_env_type = ftype
-            bound = FieldAccess(Var(x), f)
-            env[v] = body_env_type
-            return Let(v, bound, go(budget - 1))
+            bind(v, f.ftype)
+            return Let(v, FieldAccess(Var(x), f.name), go(budget - 1))
         if pick == "call":
             x, m = rng.choice(calls)
             args = tuple(value(p.ptype, 1) for p in m.params)
             if m.ret == UNIT:
                 return Seq(Invoke(Var(x), m.name, args), go(budget - 1))
             v = next(counter)
-            env[v] = m.ret
+            bind(v, m.ret)
             return Let(v, Invoke(Var(x), m.name, args), go(budget - 1))
         if pick == "write":
             x, sf = rng.choice(writes)

@@ -554,10 +554,13 @@ def campaign(
 ) -> CampaignResult:
     """Generate `count` seeded programs and audit each one.
 
-    Each program is stepped once; its subject-reduction and its progress
-    reports both come from that audited run.  An exception raised while
-    generating, checking or auditing a seed becomes that seed's one
-    report, a `crash` of `no_crash`, and the campaign goes on.
+    Each program is checked and audited against the class table the
+    generator built for it, which equals a fresh build, so the campaign
+    builds no table of its own.  Each program is stepped once; its
+    subject-reduction and its progress reports both come from that
+    audited run.  An exception raised while generating, checking or
+    auditing a seed becomes that seed's one report, a `crash` of
+    `no_crash`, and the campaign goes on.
     """
     started = time.perf_counter()
     reports: list[tuple[int, PropertyReport]] = []
@@ -567,8 +570,7 @@ def campaign(
         label = f"seed={seed}"
         stage = "generation"
         try:
-            program = generate_program(replace(base_cfg, seed=seed))
-            ct = build_class_table(program)
+            program, ct = generate_program(replace(base_cfg, seed=seed))
             stage = "checking"
             report = check_program(ct, program)
             if report.ok:
@@ -600,7 +602,7 @@ def shrink_campaign_failure(seed: int, prop: str, fuel: int = CAMPAIGN_FUEL,
     false.
     """
     cfg = replace(config or GenConfig(), seed=seed)
-    program = generate_program(cfg)
+    program, _ = generate_program(cfg)
 
     def still_fails(p: Program) -> bool:
         ct = build_class_table(p)  # a table error rejects the candidate

@@ -843,14 +843,3 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
         return EffectBrace(subst(e.body, mapping), e.key)
     return e
 
-
-def contains(e: Expr, key: Key) -> bool:
-    """Syntactic test: does e read the field named by key?
-
-    Only the expression itself is inspected; bodies of methods it calls
-    are not unfolded.
-    """
-    l, f = key
-    return any(
-        isinstance(s, FieldAccess) and s.fname == f and s.recv == Loc(l) for s in iter_subexprs(e)
-    )

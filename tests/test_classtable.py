@@ -190,7 +190,8 @@ def test_lookups_match_a_walk_over_corpus_declarations(path):
 
 def test_lookups_match_a_walk_over_generated_declarations():
     for seed in range(200):
-        assert_lookups_match_a_walk_over_the_declarations(generate_program(GenConfig(seed=seed)))
+        program, _ = generate_program(GenConfig(seed=seed))
+        assert_lookups_match_a_walk_over_the_declarations(program)
 
 
 def test_table_answers_for_the_program_as_it_was_built():

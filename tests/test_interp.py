@@ -45,7 +45,7 @@ from fsj.syntax import (
     Seq,
     Subscribe,
     Var,
-    contains,
+    iter_subexprs,
 )
 
 from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
@@ -329,6 +329,18 @@ def test_subst_into_brace_body():
 # ------------------------------------------------- dependency functions
 
 
+def contains(e, key):
+    """effect_oracle's syntactic test: does e read the field named by key?
+
+    Only the expression itself is inspected; bodies of methods it calls
+    are not unfolded.
+    """
+    l, f = key
+    return any(
+        isinstance(s, FieldAccess) and s.fname == f and s.recv == Loc(l) for s in iter_subexprs(e)
+    )
+
+
 def test_contains_is_syntactic():
     e = parse_expr("this.a.plus(this.b)")
     e = subst(e, {"this": Loc(5)})
@@ -399,8 +411,7 @@ def test_effect_matches_oracle_on_corpus_runs(name):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=5_000))
 def test_effect_matches_oracle_on_generated(seed):
-    program = generate_program(GenConfig(seed=seed))
-    ct = build_class_table(program)
+    program, ct = generate_program(GenConfig(seed=seed))
     res = run(ct, program.main, fuel=400, collect_trace=False)
     store = res.state.store
     for l, obj in store.items():
@@ -671,8 +682,7 @@ def test_peano_push_512_terminates():
 @pytest.mark.parametrize("seed", [12, 205])
 def test_cascading_handlers_run_without_crashing(seed):
     """Handlers that write signals nest the context over 1300 frames deep here."""
-    program = generate_program(GenConfig(handlers_write_signals=True, seed=seed))
-    ct = build_class_table(program)
+    program, ct = generate_program(GenConfig(handlers_write_signals=True, seed=seed))
     assert check_program(ct, program).ok
     res = run(ct, program.main, fuel=2000, collect_trace=False)
     assert res.status in ("terminal", "fuel")

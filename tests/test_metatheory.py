@@ -1,6 +1,7 @@
 """Soundness oracles: store typing, per-step audits, the generator, and
 the seeded campaign."""
 
+import hashlib
 import json
 import runpy
 from dataclasses import replace
@@ -23,7 +24,7 @@ from fsj import (
     scenario_suite,
     type_expr,
 )
-from fsj import interp, is_subtype, metatheory
+from fsj import gen, interp, is_subtype, metatheory
 from fsj.gen import GenConfig, _size, generate_program, shrink
 from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, MachineState, StoredObject, subst
 from fsj.metatheory import (
@@ -400,8 +401,7 @@ def test_incremental_audit_matches_full_recheck_on_seeds(mutations, seeds, fails
     dispatch breaks the write discipline but never typing."""
     steps = failed = 0
     for seed in seeds:
-        program = generate_program(GenConfig(seed=seed))
-        ct = build_class_table(program)
+        program, ct = generate_program(GenConfig(seed=seed))
         assert check_program(ct, program).ok
         compared = differential_audit(ct, program.main, CAMPAIGN_FUEL, mutations)
         steps += len(compared)
@@ -519,21 +519,73 @@ def test_audit_statuses():
 
 
 def test_generator_is_deterministic():
-    a = render_program(generate_program(GenConfig(seed=12)))
-    b = render_program(generate_program(GenConfig(seed=12)))
-    assert a == b
+    a, _ = generate_program(GenConfig(seed=12))
+    b, _ = generate_program(GenConfig(seed=12))
+    assert render_program(a) == render_program(b)
+
+
+GENERATED = json.loads((GOLDEN / "generated_programs.json").read_text())
+GEN_CONFIGS = {"default": GenConfig(), "handlers_write_signals": GenConfig(handlers_write_signals=True)}
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """generate_program's pair for each golden seed, per config name."""
+    first, last = GENERATED["seeds"]
+    return {
+        name: [generate_program(replace(cfg, seed=s)) for s in range(first, last + 1)]
+        for name, cfg in GEN_CONFIGS.items()
+    }
+
+
+def test_generated_programs_match_golden(generated):
+    """One sha256 per config over every golden seed's rendered program,
+    each text ended by a NUL byte, pins the generator's output itself."""
+    digests = {}
+    for name, pairs in generated.items():
+        h = hashlib.sha256()
+        for program, _ in pairs:
+            h.update(render_program(program).encode() + b"\0")
+        digests[name] = h.hexdigest()
+    assert digests == GENERATED["sha256"]
+
+
+def test_generated_table_equals_a_fresh_build(generated):
+    for pairs in generated.values():
+        for program, ct in pairs:
+            fresh = build_class_table(program)
+            assert list(ct.items()) == list(fresh.items())
+            for c, info in ct.items():
+                assert list(info.fields) == list(fresh[c].fields)
+                assert list(info.methods) == list(fresh[c].methods)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17, 101, 512, 999])
+def test_campaign_seed_builds_three_tables(seed, monkeypatch):
+    """The generator's skeleton, with-methods and final tables, and no
+    build of the campaign's own."""
+    builds = []
+
+    def counted(program):
+        builds.append(program)
+        return build_class_table(program)
+
+    monkeypatch.setattr(gen, "build_class_table", counted)
+    monkeypatch.setattr(metatheory, "build_class_table", counted)
+    res = campaign(1, base_seed=seed)
+    assert res.violations == []
+    assert len(builds) == 3
 
 
 def test_generator_varies_with_seed():
-    texts = {render_program(generate_program(GenConfig(seed=s))) for s in range(12)}
+    texts = {render_program(generate_program(GenConfig(seed=s))[0]) for s in range(12)}
     assert len(texts) > 6
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_generated_programs_check(seed):
-    program = generate_program(GenConfig(seed=seed))
-    ct = build_class_table(program)
+    program, ct = generate_program(GenConfig(seed=seed))
     report = check_program(ct, program)
     assert report.ok, report.errors
 
@@ -542,14 +594,13 @@ def test_generated_programs_check(seed):
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_generated_programs_with_signal_handlers_check(seed):
     cfg = GenConfig(seed=seed, handlers_write_signals=True, subscribe_probability=0.9)
-    program = generate_program(cfg)
-    ct = build_class_table(program)
+    program, ct = generate_program(cfg)
     assert check_program(ct, program).ok
 
 
 def test_generated_subscribe_respects_probability():
     def has_subscribe(cfg):
-        program = generate_program(cfg)
+        program, _ = generate_program(cfg)
         return any(
             isinstance(e, Subscribe) for e in iter_subexprs(program.main)
         )
@@ -618,8 +669,7 @@ def test_source_modifier_irrelevant_without_subscribe(seed):
     """With no subscriptions anywhere, flipping source-field modifiers
     cannot change whether or what the program types to."""
     cfg = GenConfig(seed=seed, subscribe_probability=0.0)
-    program = generate_program(cfg)
-    ct = build_class_table(program)
+    program, ct = generate_program(cfg)
     before = check_program(ct, program)
 
     flip = {Modifier.SIGNAL: Modifier.PLAIN, Modifier.PLAIN: Modifier.SIGNAL}
@@ -677,8 +727,7 @@ def test_campaign_reports_match_separate_checks(mutation):
     mutations = frozenset({mutation})
     violated = 0
     for seed in range(60):
-        program = generate_program(GenConfig(seed=seed))
-        ct = build_class_table(program)
+        program, ct = generate_program(GenConfig(seed=seed))
         label = f"seed={seed}"
         res = campaign(1, base_seed=seed, mutations=mutations)
         reports = [r for _, r in res.reports]
@@ -721,7 +770,8 @@ def test_campaign_crash_keeps_going_and_shrinks(monkeypatch):
         (s, "crash", f"RuntimeError in audit of seed {s}: boom") for s in range(3)
     ]
     shrunk = shrink_campaign_failure(0, P_NO_CRASH)
-    assert _size(shrunk) < _size(generate_program(GenConfig(seed=0)))
+    program, _ = generate_program(GenConfig(seed=0))
+    assert _size(shrunk) < _size(program)
     # a candidate still fails only if it checks and then the audit raises
     ct = build_class_table(shrunk)
     assert check_program(ct, shrunk).ok
@@ -738,7 +788,7 @@ def test_report_line_format():
 
 
 def test_shrink_keeps_predicate_and_never_grows():
-    program = generate_program(GenConfig(seed=77))
+    program, _ = generate_program(GenConfig(seed=77))
 
     def has_let(p):
         from fsj.syntax import Let

@@ -307,7 +307,7 @@ def test_corpus_round_trips(path: Path):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_generated_programs_round_trip(seed: int):
-    program = generate_program(GenConfig(seed=seed))
+    program, _ = generate_program(GenConfig(seed=seed))
     text = render_program(program)
     assert render_program(parse_program(text)) == text
 
@@ -523,7 +523,7 @@ def test_subst_fits_the_default_stack_at_the_depth_cap(shape):
 
 def test_depth_cap_admits_every_generated_program():
     for seed in range(1000):
-        parse_program(render_program(generate_program(GenConfig(seed=seed))))
+        parse_program(render_program(generate_program(GenConfig(seed=seed))[0]))
 
 
 @settings(max_examples=200, deadline=None)
