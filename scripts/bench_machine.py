@@ -9,10 +9,11 @@ way; the `audited` family: `metatheory.audit_run` on `loop_handler.fsj`
 at fuel 2500, 5000 and 10000, each checked the same way and for no
 violation; and the `campaign` family: the 200 campaign operations of the
 `harness` workload, each checked against the recorded snapshot.  An
-operation's time is the fastest of REPEAT runs, AUDIT_REPEAT for the
-audited ones, which take seconds; the repeats go round all operations in
-turn, so a change in the host's speed reaches every operation alike.  A
-failed check stops the script.
+operation's time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30)
+for the audited ones, which can take seconds each: with 10, two sides
+running the same audit code read 2.51 and 3.05 s at fuel 10000.  The
+repeats go round all operations in turn, so a change in the host's speed
+reaches every operation alike.  A failed check stops the script.
 
 Each checkout is measured in a worker process of its own, which imports
 fsj and the workloads from that checkout and runs one operation per
@@ -51,7 +52,7 @@ HERE = Path(__file__).resolve().parent.parent
 REPEAT = 60
 LONG_FUEL = 20000
 AUDIT_FUELS = (2500, 5000, 10000)
-AUDIT_REPEAT = 10
+AUDIT_REPEAT = 30
 
 
 def slope(points: list[tuple[int, float]]) -> float:

@@ -8,7 +8,8 @@ The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
 A step writes both stores in place: the state it returns shares both
 dicts with the state it came from, which is current only until it is
-stepped.  `run` copies the stores only for its observers.
+stepped.  While observers listen, `run` journals both stores and shows
+them the stores from before each step as `Version` handles, not copies.
 
 Reduction is deterministic: subexpressions evaluate left to right
 (receiver, then arguments; assignment receiver, then assigned value) and
@@ -506,6 +507,81 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
 # driver
 
 
+ABSENT = object()  # what a journal records for a key the store did not hold
+
+
+class Journal(dict):
+    """A store that records what the current step overwrote.
+
+    `undo` maps each key the step assigned to the value it held when the
+    step began, or ABSENT.  Every other dict mutator raises TypeError, so
+    nothing changes the store behind the record.  `run` clears `undo` as
+    each observed step begins: Baker's shallow binding, one version deep.
+    """
+
+    __slots__ = ("undo",)
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.undo = {}
+
+    def __setitem__(self, key, value):
+        undo = self.undo
+        if key not in undo:
+            undo[key] = self.get(key, ABSENT)
+        dict.__setitem__(self, key, value)
+
+    def _unrecorded(self, *args, **kwargs):
+        raise TypeError("a journaled store changes only by item assignment")
+
+    __delitem__ = pop = popitem = setdefault = update = clear = __ior__ = _unrecorded
+
+
+class Version:
+    """A journaled store as it was when the current step began.
+
+    A key the step wrote is read from the journal's record, any other
+    from the store itself, so `get`, `[]` and `in` cost O(1), and `==`
+    against the journal compares only the keys it recorded.  A handle is
+    valid until the journal is cleared for the next step.
+    """
+
+    __slots__ = ("journal",)
+
+    def __init__(self, journal: Journal):
+        self.journal = journal
+
+    def get(self, key, default=None):
+        undo = self.journal.undo
+        value = undo[key] if key in undo else self.journal.get(key, ABSENT)
+        return default if value is ABSENT else value
+
+    def __getitem__(self, key):
+        value = self.get(key, ABSENT)
+        if value is ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key):
+        return self.get(key, ABSENT) is not ABSENT
+
+    def __eq__(self, other):
+        journal = self.journal
+        if other is journal:
+            return all(journal[key] == old for key, old in journal.undo.items())
+        whole = {**journal, **journal.undo}  # another store: compare all of it
+        return {key: v for key, v in whole.items() if v is not ABSENT} == other
+
+
+def written_keys(old, store) -> dict:
+    """The keys at which store may differ from old: those its journal
+    recorded when old is its `Version`, else all of store's (plain dicts,
+    or a store replaced outright).  Either way, all are keys of store."""
+    if type(old) is Version and old.journal is store:
+        return store.undo
+    return store
+
+
 @dataclass
 class RunResult:
     status: str  # "terminal" | "fuel" | "stuck"
@@ -534,18 +610,25 @@ def run(
     order, until one returns a violation (anything but None).  From then
     on the machine runs on unobserved, so the final status never depends
     on the observers.  A step writes both stores in place, so while they
-    listen `before` holds copies of both stores taken before the step:
-    the only store copies the program makes, and what every oracle
-    compares `after` against.
+    listen both stores are `Journal`s, and `before` holds a `Version` of
+    each, made once per run: the stores as they were before the step,
+    which every oracle compares `after` against.  A store replaced
+    outright is journaled afresh, and journaling stops with the observers.
     """
     st = initial_state(main)
     trace: list[TraceEvent] = []
     violation = None
+    was_store = was_handlers = Version(None)
     while st.steps < fuel:
         watching = observers and violation is None
         if watching:
+            if was_store.journal is not st.store or was_handlers.journal is not st.handlers:
+                st.store, st.handlers = Journal(st.store), Journal(st.handlers)
+                was_store, was_handlers = Version(st.store), Version(st.handlers)
+            st.store.undo.clear()
+            st.handlers.undo.clear()
             before = MachineState(
-                st.focus, dict(st.store), dict(st.handlers), st.next_loc, st.steps, st.stack
+                st.focus, was_store, was_handlers, st.next_loc, st.steps, st.stack
             )
         try:
             out = step(ct, st, mutations)
@@ -561,7 +644,9 @@ def run(
         if watching:
             for observe in observers:
                 violation = observe(before, out, out.state)
-                if violation is not None:
+                if violation is not None:  # journaling stops with the observers
+                    after = out.state
+                    after.store, after.handlers = dict(after.store), dict(after.handlers)
                     break
         st = out.state
     if is_terminal(st.focus):

@@ -29,10 +29,12 @@ progress report off that run; `scenario_suite` runs the property classes
 on curated corpus programs and fails one that judged nothing.
 
 No oracle reads the machine's events.  Subject reduction re-types only
-what a step changed, which it finds itself (see `SubjectReduction`).
-That is sound because terms, frames and `StoredObject`s are immutable,
-typing is syntax-directed, contexts never reach under a binder, and the
-store typing only grows.  The property classes read what a step wrote
+what a step changed, which it finds itself: the frames the step pushed,
+and the store entries that `run`'s journals recorded, compared with
+`before`'s `interp.Version` handles (see `SubjectReduction`).  That is
+sound because terms, frames and `StoredObject`s are immutable, typing
+is syntax-directed, contexts never reach under a binder, and the store
+typing only grows.  The property classes read what a step wrote
 or subscribed off its redex, and what the redex reduced to off the
 frames the step pushed.
 
@@ -55,6 +57,7 @@ from .interp import (
     effect,
     run,
     step,  # unused here; kept for the benchmark's tracer, which wraps it by name
+    written_keys,
 )
 from .syntax import (
     Assign,
@@ -124,21 +127,27 @@ def check_store_typing(
     stored field location must fit the declared field type; every
     registered handler must type to Unit over locations alone.
 
-    `checked` is a pair of stores that passed this check against a store
-    typing that `store_typing` extends.  Entries still holding the very
-    same `StoredObject` or handler `Expr` (`is`) are then not re-typed:
-    both are immutable, and a store typing only gains locations, never
-    changes one, so whatever typed under the smaller one types the same
-    under the larger.  A handler entry `Seq(prev, h)` whose `prev` is the
-    very entry checked types only `h`.  Every other entry is re-typed,
-    whoever changed it.
+    `checked` is a pair of stores, plain dicts or `interp.Version`s of
+    these two, that passed this check against a store typing that
+    `store_typing` extends.  Entries still holding the very same
+    `StoredObject` or handler `Expr` (`is`) are then not re-typed: both
+    are immutable, and a store typing only gains locations, never changes
+    one, so whatever typed under the smaller one types the same under the
+    larger.  A handler entry `Seq(prev, h)` whose `prev` is the very
+    entry checked types only `h`.  Every other entry is re-typed, whoever
+    changed it; against a `Version`, only the keys its journal recorded
+    can have changed, so only those are read.
     """
     old_store, old_handlers = checked or ({}, {})
-    if store.keys() != store_typing.keys():
-        return "object store and store typing have different domains"
-    for l, obj in store.items():
+    domains = "object store and store typing have different domains"
+    if len(store) != len(store_typing):
+        return domains
+    for l in written_keys(old_store, store):
+        obj = store[l]
         if old_store.get(l) is obj:
             continue
+        if l not in store_typing:
+            return domains
         if store_typing[l] != obj.cls:
             return f"@{l} typed {store_typing[l]} but stores a {obj.cls}"
         as_new = New(obj.cls, tuple(map(Loc, obj.fields)))
@@ -148,8 +157,8 @@ def check_store_typing(
             return f"@{l} holds an ill-typed object: {err.message}"
         if t != obj.cls:
             return f"@{l} re-types to {t}, expected {obj.cls}"
-    for key, h in handlers.items():
-        prev = old_handlers.get(key)
+    for key in written_keys(old_handlers, handlers):
+        h, prev = handlers[key], old_handlers.get(key)
         if prev is h:
             continue
         l, f = key
@@ -221,10 +230,12 @@ class SubjectReduction:
     identity, with the hole type it was typed at and the whole
     expression's type.  The walk stops at the first cell cached at the
     same hole type, so a step types its focus, the frames it pushed and
-    one more.  Store entries still the very object `before` holds are not
-    re-typed either.  What is reused stays right because Σ only grows.
-    The observer works all this out from the state, never from the
-    machine's events.  `type` is the type after the last step that passed.
+    one more.  Σ and the store check read only the keys the step's
+    journal recorded (every key, of a store replaced outright), and
+    re-type only entries that are not the very object `before` holds.
+    What is reused stays right because Σ only grows.  The observer works
+    all this out from the state, never from the machine's events.
+    `type` is the type after the last step that passed.
     """
 
     def __init__(self, ct: ClassTable, subject: str, t0: str):
@@ -276,11 +287,12 @@ class SubjectReduction:
 
     def __call__(self, before, out, after):
         ct, sigma, store = self.ct, self.sigma, after.store
-        # one pass over the store: Σ learns new locations, and a changed
-        # entry whose class differs from Σ's is a retyped location
+        # Σ learns new locations, and a changed entry whose class differs
+        # from Σ's is a retyped location
         old = before.store
         retyped = False
-        for l, obj in store.items():
+        for l in written_keys(old, store):
+            obj = store[l]
             if old.get(l) is not obj and sigma.setdefault(l, obj.cls) != obj.cls:
                 retyped = True
         try:
@@ -294,7 +306,7 @@ class SubjectReduction:
             lost = next(l for l, c in sigma.items() if l not in store or store[l].cls != c)
             return self.fail(after, f"store typing dropped or retyped @{lost}")
         # observers fall silent at the first violation, so before holds
-        # run's copy of the stores the previous step passed with
+        # the stores as the previous step passed with them
         msg = check_store_typing(ct, store, after.handlers, sigma, (old, before.handlers))
         if msg is not None:
             return self.fail(after, f"after {out.rule}: {msg}")
@@ -421,7 +433,7 @@ class PullPreservesStores(Scenario):
         if out.rule != "R-FIELDS":
             return None
         self.exercised += 1
-        if (after.store, after.handlers) != (before.store, before.handlers):
+        if before.store != after.store or before.handlers != after.handlers:
             return self.fail(after, "a pull changed a store")
         return None
 
@@ -448,7 +460,7 @@ class PlainWriteSilent(Scenario):
         match _write(self.ct, before):
             case (_, f, cls, Modifier.PLAIN):
                 self.exercised += 1
-                if out.rule != "R-ASSIGN" or after.handlers != before.handlers:
+                if out.rule != "R-ASSIGN" or before.handlers != after.handlers:
                     msg = f"write to unmodified field {cls}.{f} scheduled notification work"
                     return self.fail(after, msg)
         return None

@@ -2,6 +2,7 @@
 against brute-force oracles, then whole-program behaviors."""
 
 import json
+import operator
 import runpy
 from collections import Counter
 
@@ -612,6 +613,39 @@ def test_run_shows_observers_the_stores_from_before_each_step():
     res = run(ct, program.main, fuel=2000, collect_trace=False, observers=[observe])
     assert res.status == "fuel"
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
+
+
+JOURNAL_MUTATORS = {
+    "__setitem__": lambda d: d.__setitem__(2, "z"),
+    "__delitem__": lambda d: d.__delitem__(0),
+    "pop": lambda d: d.pop(0),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault(2, "z"),
+    "update": lambda d: d.update({0: "z", 2: "z"}),
+    "clear": lambda d: d.clear(),
+    "|=": lambda d: operator.ior(d, {0: "z", 2: "z"}),
+}
+
+
+@pytest.mark.parametrize("mutator", JOURNAL_MUTATORS)
+def test_journal_records_or_refuses_every_dict_mutator(mutator):
+    """A Version reads through the journal's record, so a mutator that
+    changed the store without recording would change the past too."""
+    entries = {0: "a", 1: "b"}
+    journal = interp.Journal(entries)
+    version = interp.Version(journal)
+    try:
+        JOURNAL_MUTATORS[mutator](journal)
+    except TypeError:
+        assert journal == entries and not journal.undo
+        return
+    assert journal != entries
+    assert version == entries  # compared in full
+    assert version != journal  # compared on the recorded keys
+    for key in (0, 1, 2):
+        assert version.get(key) == entries.get(key)
+        assert (key in version) == (key in entries)
+    assert [version[key] for key in entries] == list(entries.values())
 
 
 def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):

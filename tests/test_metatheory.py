@@ -4,6 +4,7 @@ the seeded campaign."""
 import hashlib
 import json
 import runpy
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -263,6 +264,71 @@ def test_audit_accepts_an_equal_copy_of_an_object(monkeypatch):
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
     assert hit and res.status == "terminal" and res.violation is None
+
+
+def test_audit_refuses_an_object_deleted_in_place(monkeypatch):
+    """A journaled store refuses every change it cannot record, so an
+    allocation that deletes an entry behind the step's back raises
+    instead of going unseen."""
+
+    def delete(out):
+        l = untouched_object(out)
+        if l is None:
+            return False
+        del out.state.store[l]
+        return True
+
+    hit = replace_once(monkeypatch, "R-NEW", delete)
+    ct, program = load_corpus_file("peano_pull.fsj")
+    with pytest.raises(TypeError, match="changes only by item assignment"):
+        audit_run(ct, program.main, "peano_pull.fsj")
+    assert not hit
+
+
+WHOLE_STORE = (
+    "__iter__", "__reversed__", "keys", "items", "values", "copy", "__eq__", "__ne__",
+    "__or__", "__ror__",
+)
+
+
+def whole_store_passes(monkeypatch, fuel):
+    """Passes over a whole journaled store during an audit of loop_handler."""
+    passes = Counter()
+
+    def counted(name):
+        method = getattr(dict, name)
+
+        def pass_over(self, *args):
+            passes[name] += 1
+            return method(self, *args)
+
+        return pass_over
+
+    counting = type("Counting", (interp.Journal,), {n: counted(n) for n in WHOLE_STORE})
+    monkeypatch.setattr(interp, "Journal", counting)
+    ct, program = load_corpus_file("loop_handler.fsj")
+    res = audit_run(ct, program.main, "loop_handler.fsj", fuel=fuel)
+    assert (res.status, res.violation) == ("fuel", None)
+    store, made = res.run.state.store, passes.total()
+    assert type(store) is counting
+    dict(store)
+    assert passes.total() > made  # a copy counts
+    return made
+
+
+def test_audit_makes_as_many_whole_store_passes_at_any_fuel(monkeypatch):
+    """An audited step reads only the entries its journal recorded, so a
+    longer run, with a larger store, makes no more passes over a store."""
+    assert whole_store_passes(monkeypatch, 500) == whole_store_passes(monkeypatch, 2000)
+
+
+def test_audit_of_a_long_loop_runs_to_fuel():
+    """loop_handler audited to fuel 10000 allocates 3334 objects and breaks nothing."""
+    fuel = 10_000
+    ct, program = load_corpus_file("loop_handler.fsj")
+    res = audit_run(ct, program.main, "loop_handler.fsj", fuel=fuel)
+    assert (res.status, res.violation) == ("fuel", None)
+    assert len(res.run.state.store) == 3 + (fuel - 6) // 3
 
 
 def test_audit_types_a_deep_context_to_fuel():
