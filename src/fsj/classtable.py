@@ -162,7 +162,7 @@ def build_class_table(program: Program) -> ClassTable:
     decls: dict[str, ClassDecl] = {}
     for cl in program.classes:
         if cl.name in decls or cl.name == OBJECT:
-            raise DuplicateClassError(cl.name)
+            raise DuplicateClassError(f"duplicate class {cl.name}")
         decls[cl.name] = cl
 
     for cl in program.classes:

@@ -7,9 +7,9 @@ field locations) records indexed like the class's uninitialized fields.
 The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
 A step writes both stores in place: the state it returns shares both
-dicts with the state it came from, which is current only until it is
-stepped.  While observers listen, `run` journals both stores and shows
-them the stores from before each step as `Version` handles, not copies.
+dicts with the state it came from, which is spent once stepped.  While
+observers listen, `run` journals both stores and shows them the spent
+state as `before`, its stores repointed at the journals' `Version`s.
 
 Reduction is deterministic: subexpressions evaluate left to right
 (receiver, then arguments; assignment receiver, then assigned value) and
@@ -188,7 +188,8 @@ class MachineState:
     context instead.  Either way the focus ends up a redex, a stuck
     node, or a terminal with an empty stack, so the state is terminal
     exactly when its focus is.  Stepping the state writes `store` and
-    `handlers` in place, and the next state holds the very same dicts.
+    `handlers` in place and spends it: the next state holds the same
+    dicts, and an observed `run` repoints this one's at their `Version`s.
     """
 
     __slots__ = ("focus", "stack", "store", "handlers", "next_loc", "steps", "_expr")
@@ -238,10 +239,6 @@ def _registrations(e: Expr) -> int:
     while isinstance(e, Seq):
         n, e = n + 1, e.first
     return n
-
-
-def is_terminal(e: Expr) -> bool:
-    return isinstance(e, (Loc, Empty))
 
 
 class StuckError(Exception):
@@ -516,14 +513,16 @@ class Journal(dict):
     `undo` maps each key the step assigned to the value it held when the
     step began, or ABSENT.  Every other dict mutator raises TypeError, so
     nothing changes the store behind the record.  `run` clears `undo` as
-    each observed step begins: Baker's shallow binding, one version deep.
+    each observed step begins: Baker's shallow binding, one version deep,
+    read through `before`, the journal's one `Version`.
     """
 
-    __slots__ = ("undo",)
+    __slots__ = ("undo", "before")
 
     def __init__(self, entries=()):
         super().__init__(entries)
         self.undo = {}
+        self.before = Version(self)
 
     def __setitem__(self, key, value):
         undo = self.undo
@@ -610,26 +609,22 @@ def run(
     order, until one returns a violation (anything but None).  From then
     on the machine runs on unobserved, so the final status never depends
     on the observers.  A step writes both stores in place, so while they
-    listen both stores are `Journal`s, and `before` holds a `Version` of
-    each, made once per run: the stores as they were before the step,
-    which every oracle compares `after` against.  A store replaced
-    outright is journaled afresh, and journaling stops with the observers.
+    listen both stores are `Journal`s, and `before` is the spent state
+    `step` was handed, its stores pointed at the journals' `before`
+    versions: the stores as the step found them, which every oracle
+    compares `after` against.  A store replaced outright is journaled
+    afresh, and journaling stops with the observers.
     """
     st = initial_state(main)
     trace: list[TraceEvent] = []
     violation = None
-    was_store = was_handlers = Version(None)
     while st.steps < fuel:
         watching = observers and violation is None
         if watching:
-            if was_store.journal is not st.store or was_handlers.journal is not st.handlers:
+            if type(st.store) is not Journal or type(st.handlers) is not Journal:
                 st.store, st.handlers = Journal(st.store), Journal(st.handlers)
-                was_store, was_handlers = Version(st.store), Version(st.handlers)
             st.store.undo.clear()
             st.handlers.undo.clear()
-            before = MachineState(
-                st.focus, was_store, was_handlers, st.next_loc, st.steps, st.stack
-            )
         try:
             out = step(ct, st, mutations)
         except StuckError as err:
@@ -641,15 +636,16 @@ def run(
                 TraceEvent(st.steps, "step", rule=out.rule, expr=render_expr(out.state.expr))
             )
             trace.extend(out.events)
-        if watching:
+        if watching:  # st is spent: it becomes before
+            st.store, st.handlers = st.store.before, st.handlers.before
             for observe in observers:
-                violation = observe(before, out, out.state)
+                violation = observe(st, out, out.state)
                 if violation is not None:  # journaling stops with the observers
                     after = out.state
                     after.store, after.handlers = dict(after.store), dict(after.handlers)
                     break
         st = out.state
-    if is_terminal(st.focus):
+    if type(st.focus) in (Loc, Empty):
         return RunResult("terminal", st, trace, violation=violation)
     return RunResult("fuel", st, trace, pending=st.pending_key, violation=violation)
 

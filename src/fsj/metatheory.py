@@ -31,7 +31,8 @@ on curated corpus programs and fails one that judged nothing.
 No oracle reads the machine's events.  Subject reduction re-types only
 what a step changed, which it finds itself: the frames the step pushed,
 and the store entries that `run`'s journals recorded, compared with
-`before`'s `interp.Version` handles (see `SubjectReduction`).  That is
+`before`'s stores, the journals' `interp.Version`s, since `before` is
+the very state the machine stepped (see `SubjectReduction`).  That is
 sound because terms, frames and `StoredObject`s are immutable, typing
 is syntax-directed, contexts never reach under a binder, and the store
 typing only grows.  The property classes read what a step wrote

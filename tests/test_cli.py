@@ -87,6 +87,14 @@ def test_check_table_error_is_semantic(tmp_path, capsys):
     assert "cycle" in err.lower()
 
 
+def test_check_duplicate_class_is_semantic(tmp_path, capsys):
+    bad = tmp_path / "twice.fsj"
+    bad.write_text("class A extends Object { A() { super(); } }\n" * 2 + "unit\n")
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == EXIT_SEMANTIC
+    assert err == f"{bad}: duplicate class A\n"
+
+
 SIGNAL_A = "class A extends Object { signal A a = this; A() { super(); } }\n"
 
 

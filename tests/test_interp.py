@@ -590,11 +590,9 @@ def test_loop_handler_runs_out_of_fuel():
     assert res.state.store[l].cls == "Pump"
 
 
-def test_run_shows_observers_the_stores_from_before_each_step():
-    """The machine writes its stores in place, so `before` must be run's
-    own copy: every allocation, write and subscription shows as a difference."""
-    ct, program = load_corpus_file("loop_handler.fsj")
-    seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
+def stores_differ_on_each_write(seen):
+    """An observer that finds every allocation, write and subscription as
+    a difference between before's stores and after's, counted in seen."""
 
     def observe(before, out, after):
         if out.rule == "R-NEW":
@@ -610,8 +608,40 @@ def test_run_shows_observers_the_stores_from_before_each_step():
         seen[out.rule] += 1
         return None
 
+    return observe
+
+
+def test_run_shows_observers_the_stores_from_before_each_step():
+    """The machine writes its stores in place, so `before` must read them
+    as the step found them: every allocation, write and subscription shows
+    as a difference."""
+    ct, program = load_corpus_file("loop_handler.fsj")
+    seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
+    observe = stores_differ_on_each_write(seen)
     res = run(ct, program.main, fuel=2000, collect_trace=False, observers=[observe])
     assert res.status == "fuel"
+    assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
+
+
+def test_observers_see_the_state_the_machine_stepped(monkeypatch):
+    """`before` is the very state `step` was handed, its stores pointed
+    back at the step's start, so an observed step builds no second state."""
+    stepped = []
+    real = interp.step
+
+    def recording(ct, st, mutations=frozenset()):
+        stepped.append(st)
+        return real(ct, st, mutations)
+
+    def same_state(before, out, after):
+        assert before is stepped[-1] and after is out.state, after.steps
+
+    monkeypatch.setattr(interp, "step", recording)
+    ct, program = load_corpus_file("loop_handler.fsj")
+    seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
+    observers = [same_state, stores_differ_on_each_write(seen)]
+    res = run(ct, program.main, fuel=2000, collect_trace=False, observers=observers)
+    assert res.status == "fuel" and len(stepped) == 2000
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
 

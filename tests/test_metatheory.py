@@ -163,7 +163,7 @@ def corrupting_step(monkeypatch, rule, corrupt):
 
 def test_audit_sees_a_pull_that_changes_handlers_in_place(monkeypatch):
     """A pull shares its handler dict with the state before it, so only the
-    audit's own copy of the stores can show the change."""
+    journal's record of the stores can show the change."""
 
     def add_handler(st, out):
         st.handlers[(min(st.store), "probe")] = EMPTY  # well typed: unit
@@ -320,6 +320,23 @@ def test_audit_makes_as_many_whole_store_passes_at_any_fuel(monkeypatch):
     """An audited step reads only the entries its journal recorded, so a
     longer run, with a larger store, makes no more passes over a store."""
     assert whole_store_passes(monkeypatch, 500) == whole_store_passes(monkeypatch, 2000)
+
+
+def test_audit_refocuses_once_per_step(monkeypatch):
+    """An observed step hands observers the state it stepped as `before`,
+    so an audit refocuses once to start and once per step, like a plain run."""
+    calls = Counter()
+    real = interp._refocus
+
+    def counted(e, k):
+        calls["refocus"] += 1
+        return real(e, k)
+
+    monkeypatch.setattr(interp, "_refocus", counted)
+    ct, program = load_corpus_file("loop_handler.fsj")
+    res = audit_run(ct, program.main, "loop_handler.fsj", fuel=500)
+    assert (res.status, res.violation) == ("fuel", None)
+    assert calls["refocus"] == 501
 
 
 def test_audit_of_a_long_loop_runs_to_fuel():
