@@ -7,7 +7,8 @@ construction, which the test suite re-verifies rather than trusts:
      field's type refers to a strictly earlier class, so every class is
      constructible from ground `new` chains;
   2. methods: bodies built from parameters, field reads, lets, and news.
-     Bodies never call methods, so calls always terminate;
+     Bodies never call methods, because they are drawn against the
+     skeleton table, which lists none, so calls always terminate;
   3. initialized fields: initializers read uninitialized fields, call
      the (call-free) methods, and allocate.  They never read other
      initialized fields, so pulls never cycle;
@@ -90,7 +91,6 @@ def _pure_expr(
     env: dict[str, str],
     target: str,
     depth: int,
-    allow_calls: bool,
 ) -> Expr:
     """An expression of a subtype of target, built without side effects.
 
@@ -105,11 +105,10 @@ def _pure_expr(
                 options += [("read", x, sf.name)] * 3
     if depth > 0:
         options += [("new",)] * 2
-        if allow_calls:
-            for x, t in env.items():
-                for m in ct[t].methods.values():
-                    if m.ret != UNIT and is_subtype(ct, m.ret, target):
-                        options.append(("call", x, m))
+        for x, t in env.items():
+            for m in ct[t].methods.values():
+                if m.ret != UNIT and is_subtype(ct, m.ret, target):
+                    options.append(("call", x, m))
     if not options:
         return _ground_new(ct, rng.choice(subs[target]))
     match rng.choice(options):
@@ -122,7 +121,7 @@ def _pure_expr(
             return New(
                 cls,
                 tuple(
-                    _pure_expr(rng, ct, subs, env, sf.ftype, depth - 1, allow_calls)
+                    _pure_expr(rng, ct, subs, env, sf.ftype, depth - 1)
                     for sf in ct[cls].source
                 ),
             )
@@ -131,7 +130,7 @@ def _pure_expr(
                 Var(x),
                 m.name,
                 tuple(
-                    _pure_expr(rng, ct, subs, env, p.ptype, depth - 1, allow_calls)
+                    _pure_expr(rng, ct, subs, env, p.ptype, depth - 1)
                     for p in m.params
                 ),
             )
@@ -170,7 +169,7 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
     universe = [OBJECT] + names
     subs = {t: [c for c in universe if is_subtype(skeleton, c, t)] for t in universe}
 
-    # pass 2: call-free method bodies
+    # pass 2: method bodies, call-free since the skeleton lists no methods
     for decl in decls:
         for _ in range(rng.randint(0, MAX_METHODS_PER_CLASS)):
             params = [
@@ -185,15 +184,13 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
                     t = rng.choice(universe)
                     body = Let(
                         "y",
-                        _pure_expr(rng, skeleton, subs, env, t, 1, allow_calls=False),
+                        _pure_expr(rng, skeleton, subs, env, t, 1),
                         EMPTY,
                     )
                 decl.methods.append(MethodDecl(UNIT, next(fresh_method), params, body))
             else:
                 ret = rng.choice(universe)
-                body = _pure_expr(
-                    rng, skeleton, subs, env, ret, MAX_METHOD_DEPTH, allow_calls=False
-                )
+                body = _pure_expr(rng, skeleton, subs, env, ret, MAX_METHOD_DEPTH)
                 decl.methods.append(MethodDecl(ret, next(fresh_method), params, body))
 
     # pass 3: initializers; biased toward reading this class's own state.
@@ -208,7 +205,7 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
                 ftype, init = sf.ftype, FieldAccess(Var("this"), sf.name)
             else:
                 ftype = rng.choice(universe)
-                init = _pure_expr(rng, with_methods, subs, env, ftype, 2, allow_calls=True)
+                init = _pure_expr(rng, with_methods, subs, env, ftype, 2)
             decl.composites.append(
                 CompositeField(Modifier.SIGNAL, ftype, next(fresh_field), init)
             )
@@ -243,7 +240,7 @@ def _gen_main(
         signals.extend((x, f.name) for f in fields if f.modifier is Modifier.SIGNAL)
 
     def value(target: str, depth: int) -> Expr:
-        return _pure_expr(rng, ct, subs, env, target, depth, allow_calls=True)
+        return _pure_expr(rng, ct, subs, env, target, depth)
 
     def handler(depth: int = 1) -> Expr:
         writable = [

@@ -1,9 +1,11 @@
 """Small-step interpreter for the calculus.
 
-A machine state is (handlers, store, expr): the handler store maps
-field keys (location, field name) to the accumulated handler expression
-registered on that key, and the object store maps locations to (class,
-field locations) records indexed like the class's uninitialized fields.
+A machine state is (handlers, store, expr) and a step count, and keeps
+nothing it can derive from them: the handler store maps field keys
+(location, field name) to the accumulated handler expression registered
+on that key, and the object store maps locations, allocated densely
+from 0, to (class, field locations) records indexed like the class's
+uninitialized fields, so the next fresh location is the store's size.
 The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
 A step writes both stores in place: the state it returns shares both
@@ -46,14 +48,16 @@ how deep the focus sits, and neither walks the context by recursion.
 Both, like `syntax.with_child` and `syntax.subst` that they call, read
 the node's exact type once and branch on it in an if-chain, the most
 frequent node type first; `match` with class patterns would pay an
-`isinstance` and attribute reads for every case it tries.  `_contract`
-calls `subst` and `handlers_of`, and `handlers_of` calls `effect`,
-through this module's globals, so a wrapper installed at one of those
+`isinstance` and attribute reads for every case it tries.  `step`
+dispatches on the focus itself: a rule that finds the focus wedged
+raises StuckError on the spot, before any store write.  It calls
+`subst` and `handlers_of`, and `handlers_of` calls `effect`, through
+this module's globals, so a wrapper installed at one of those
 attributes sees every call.
-`MachineState.expr` plugs the focus back into its context when someone
-asks for the whole expression (traces, stuck reports and final results),
-and the innermost brace around the focus is the pending key a fuel-cut
-run reports.
+`MachineState.expr` plugs the focus back into its context each time
+someone asks for the whole expression (traces, stuck reports and final
+results), and the innermost brace around the focus is the pending key a
+fuel-cut run reports.
 
 A step records its allocation, write or subscription as a note, a plain
 tuple of the values at step time, and `StepOutcome.events` turns notes
@@ -183,40 +187,38 @@ class MachineState:
     """A configuration: the two stores, and the expression as a focus in
     its evaluation context.
 
-    `MachineState(expr, store, handlers, next_loc, steps)` decomposes a
-    whole expression; given a `stack`, expr is taken to sit in that
-    context instead.  Either way the focus ends up a redex, a stuck
-    node, or a terminal with an empty stack, so the state is terminal
-    exactly when its focus is.  Stepping the state writes `store` and
+    `MachineState(expr, store, handlers, steps)` decomposes a whole
+    expression; given a `stack`, expr is taken to sit in that context
+    instead.  Either way the focus ends up a redex, a stuck node, or a
+    terminal with an empty stack, so the state is terminal exactly when
+    its focus is.  Nothing that the rest determines is kept: the next
+    free location is `len(store)`, and `expr` plugs the focus into its
+    context on every read.  Stepping the state writes `store` and
     `handlers` in place and spends it: the next state holds the same
     dicts, and an observed `run` repoints this one's at their `Version`s.
     """
 
-    __slots__ = ("focus", "stack", "store", "handlers", "next_loc", "steps", "_expr")
+    __slots__ = ("focus", "stack", "store", "handlers", "steps")
 
     def __init__(
         self,
         expr: Expr,
         store: dict[int, StoredObject],
         handlers: dict[Key, Expr],
-        next_loc: int = 0,
         steps: int = 0,
         stack: Stack = None,
     ):
-        self.store, self.handlers, self.next_loc, self.steps = store, handlers, next_loc, steps
+        self.store, self.handlers, self.steps = store, handlers, steps
         self.focus, self.stack = _refocus(expr, stack)
-        self._expr = expr if stack is None else None
 
     @property
     def expr(self) -> Expr:
-        """The whole expression: the focus plugged into its context, once."""
-        if self._expr is None:
-            e, k = self.focus, self.stack
-            while k is not None:
-                node, slot, k = k
-                e = with_child(node, slot, e)
-            self._expr = e
-        return self._expr
+        """The whole expression: the focus plugged into its context."""
+        e, k = self.focus, self.stack
+        while k is not None:
+            node, slot, k = k
+            e = with_child(node, slot, e)
+        return e
 
     @property
     def pending_key(self) -> Key | None:
@@ -379,49 +381,51 @@ def _note_events(step: int, kind: str, l: int, name: str, *write) -> list[TraceE
     ]
 
 
-def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutcome | None:
+def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
     """Apply the rule for st's focus and refocus in the same context.
 
     Dispatch is on the exact type of the focus, most frequent rule
-    first; a node whose subterms do not fit its rule is stuck (a free
-    variable, or a finished form where the node needs something else)
-    and gives None.
+    first.  A terminal focus (a location or unit, whose stack is then
+    empty) gives None.  A node whose subterms do not fit its rule is
+    stuck (a free variable, or a finished form where the node needs
+    something else) and raises StuckError where the rule finds it,
+    always before the step writes either store.
     """
     e = st.focus
     t = type(e)
-    store, handlers, next_loc = st.store, st.handlers, st.next_loc
+    store, handlers = st.store, st.handlers
     notes: tuple = ()
     if t is New:
         c, args = e.cls, e.args
-        if _first_open(args) is not None:
-            return None
-        if c not in ct or len(ct[c].source) != len(args):
-            return None
-        l = next_loc
+        if _first_open(args) is not None or c not in ct or len(ct[c].source) != len(args):
+            raise StuckError(st)
+        # Fresh: locations are allocated densely from 0, a Journal refuses
+        # deletion, and nothing in fsj deletes from a plain store dict.
+        l = len(store)
         store[l] = StoredObject(c, tuple(a.loc for a in args))
-        out, rule, next_loc = Loc(l), "R-NEW", l + 1
+        out, rule = Loc(l), "R-NEW"
         notes = ((st.steps, "alloc", l, c),)
 
     elif t is Seq:
         if type(e.first) is not Empty:
-            return None
+            raise StuckError(st)
         out, rule = e.second, "R-CAT"
 
     elif t is Assign:
         recv, value, f = e.recv, e.value, e.fname
         if type(recv) is not Loc or type(value) is not Loc:
-            return None
+            raise StuckError(st)
         l, v = recv.loc, value.loc
         obj = store.get(l)
         if obj is None:
-            return None
+            raise StuckError(st)
         i, sf = ct[obj.cls].fields.get(f) or (None, None)
         if i is None:
-            return None
+            raise StuckError(st)
         old = obj.fields[i]
         store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
         signal = sf.modifier is Modifier.SIGNAL
-        if MUT_SWAP_ASSIGN in mut:
+        if MUT_SWAP_ASSIGN in mutations:
             signal = not signal
         if signal:
             key = (l, f)
@@ -435,69 +439,60 @@ def _contract(ct: ClassTable, st: MachineState, mut: frozenset[str]) -> StepOutc
     elif t is FieldAccess:
         recv, f = e.recv, e.fname
         if type(recv) is not Loc:
-            return None
+            raise StuckError(st)
         l = recv.loc
         obj = store.get(l)
         if obj is None:
-            return None
+            raise StuckError(st)
         i, cf = ct[obj.cls].fields.get(f) or (None, None)
         if cf is None:
-            return None
+            raise StuckError(st)
         if i is not None:
             out, rule = Loc(obj.fields[i]), "R-FIELD"
         else:
             out, rule = cf.init, "R-FIELDS"
-            if MUT_NO_THIS_SUBST not in mut:
+            if MUT_NO_THIS_SUBST not in mutations:
                 out = subst(cf.init, {"this": Loc(l)})
 
     elif t is Invoke:
         recv, m, args = e.recv, e.method, e.args
         if type(recv) is not Loc or _first_open(args) is not None:
-            return None
+            raise StuckError(st)
         obj = store.get(recv.loc)
         if obj is None:
-            return None
+            raise StuckError(st)
         md = ct[obj.cls].methods.get(m)
         if md is None or len(md.params) != len(args):
-            return None
+            raise StuckError(st)
         mapping: dict[str, Expr] = {p.name: a for p, a in zip(md.params, args)}
         mapping["this"] = recv
         out, rule = subst(md.body, mapping), "R-INVK"
 
     elif t is EffectBrace:
         if type(e.body) is not Empty:
-            return None
+            raise StuckError(st)
         out, rule = handlers_of(ct, handlers, store, e.key), "R-ASSIGNCONT"
 
     elif t is Let:
         b = e.bound
         if type(b) is not Loc:
-            return None
+            raise StuckError(st)
         out, rule = subst(e.body, {e.var: b}), "R-LET"
 
     elif t is Subscribe:
         recv, f = e.recv, e.fname
         if type(recv) is not Loc:
-            return None
+            raise StuckError(st)
         key = (recv.loc, f)
         handlers[key] = Seq(handlers.get(key, EMPTY), e.handler)
         out, rule = EMPTY, "R-SUBSCRIBE"
         notes = ((st.steps, "subscribe", recv.loc, f),)
 
-    else:
+    elif t is Loc or t is Empty:
         return None
-    state = MachineState(out, store, handlers, next_loc, st.steps + 1, st.stack)
-    return StepOutcome(state, rule, notes)
-
-
-def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
-    """Perform one reduction; None if terminal, StuckError if wedged."""
-    if type(st.focus) in (Loc, Empty):
-        return None
-    out = _contract(ct, st, mutations)
-    if out is None:
+    else:  # a free variable
         raise StuckError(st)
-    return out
+    return StepOutcome(MachineState(out, store, handlers, st.steps + 1, st.stack), rule, notes)
 
 
 # =========================================================================

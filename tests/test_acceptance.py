@@ -210,7 +210,6 @@ def test_criterion_08_composite_writes_rejected(big_campaign, capsys):
         Assign(Loc(0), "echo", Loc(1)),
         {0: StoredObject("Cell", (1, 1)), 1: StoredObject("Nat", ())},
         {},
-        next_loc=2,
     )
     try:
         step(ct, state)

@@ -80,7 +80,6 @@ def cell_state(expr, handlers=None):
         expr,
         {0: StoredObject("Cell", (1, 2)), 1: StoredObject("Nat", ()), 2: StoredObject("Nat", ())},
         dict(handlers or {}),
-        next_loc=3,
     )
 
 
@@ -101,7 +100,6 @@ def test_rule_fields_substitutes_this(ct):
     assert out.state.expr == FieldAccess(Loc(0), "src")
     assert out.state.store == store
     assert out.state.handlers == handlers
-    assert out.state.next_loc == st0.next_loc
 
 
 def test_rule_invk_binds_this_and_params(ct):
@@ -117,7 +115,7 @@ def test_rule_new_allocates(ct):
     assert out.rule == "R-NEW"
     assert out.state.expr == Loc(3)
     assert out.state.store[3] == StoredObject("Nat", ())
-    assert out.state.next_loc == 4
+    assert len(out.state.store) == 4
     kinds = [e.kind for e in out.events]
     assert kinds == ["alloc"]
 
@@ -172,12 +170,12 @@ def test_rule_subscribe_appends(ct):
     assert isinstance(out.state.expr, Empty)
     assert out.state.handlers[(0, "src")] == Seq(EMPTY, h1)
     st = out.state
-    st1 = MachineState(Subscribe(Loc(0), "src", h2), st.store, st.handlers, st.next_loc, st.steps)
+    st1 = MachineState(Subscribe(Loc(0), "src", h2), st.store, st.handlers, st.steps)
     out = step(ct, st1)
     assert out.state.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
     # a write reports one registration per subscription on its key
     st = out.state
-    st2 = MachineState(Assign(Loc(0), "src", Loc(2)), st.store, st.handlers, st.next_loc, st.steps)
+    st2 = MachineState(Assign(Loc(0), "src", Loc(2)), st.store, st.handlers, st.steps)
     out = step(ct, st2)
     assert [e.count for e in out.events if e.kind == "handler-enqueue"] == [2]
 
@@ -192,7 +190,7 @@ def test_lazy_events_keep_step_time_values(ct):
     later = [Assign(Loc(0), "src", Loc(1)), Subscribe(Loc(0), "src", h1)]
     st = first.state
     for e in later:
-        st = step(ct, MachineState(e, st.store, st.handlers, st.next_loc, st.steps)).state
+        st = step(ct, MachineState(e, st.store, st.handlers, st.steps)).state
     assert st.store[0].fields == (1, 2)
     assert st.handlers[key] == Seq(Seq(Seq(EMPTY, h1), h2), h1)
     write, enqueue = first.events
@@ -296,6 +294,45 @@ def test_stuck_on_composite_write(ct):
     """The dynamic half of the write restriction: no rule covers it."""
     with pytest.raises(StuckError):
         step(ct, cell_state(Assign(Loc(0), "echo", Loc(1))))
+
+
+WEDGES = {
+    "free-variable": Var("ghost"),
+    "location-left-of-seq": Seq(Loc(1), EMPTY),
+    "new-with-unit-argument": New("Cell", (EMPTY, Loc(1))),
+    "new-of-undeclared-class": New("Ghost", ()),
+    "new-with-wrong-arity": New("Cell", (Loc(1),)),
+    "assign-to-unit": Assign(EMPTY, "src", Loc(1)),
+    "assign-of-unit": Assign(Loc(0), "src", EMPTY),
+    "assign-to-dangling-location": Assign(Loc(99), "src", Loc(1)),
+    "assign-to-unknown-field": Assign(Loc(0), "ghost", Loc(1)),
+    "assign-to-composite-field": Assign(Loc(0), "echo", Loc(1)),
+    "read-of-unit": FieldAccess(EMPTY, "src"),
+    "read-on-dangling-location": FieldAccess(Loc(99), "src"),
+    "read-of-unknown-field": FieldAccess(Loc(0), "ghost"),
+    "call-on-unit": Invoke(EMPTY, "id", (Loc(2),)),
+    "call-with-unit-argument": Invoke(Loc(1), "id", (EMPTY,)),
+    "call-on-dangling-location": Invoke(Loc(99), "id", (Loc(2),)),
+    "call-of-unknown-method": Invoke(Loc(1), "ghost", ()),
+    "call-with-wrong-arity": Invoke(Loc(1), "id", ()),
+    "brace-around-location": EffectBrace(Loc(1), (0, "src")),
+    "let-bound-to-unit": Let("x", EMPTY, Var("x")),
+    "subscribe-on-unit": Subscribe(EMPTY, "src", EMPTY),
+}
+
+
+@pytest.mark.parametrize("wedge", WEDGES.values(), ids=WEDGES.keys())
+def test_every_wedge_is_stuck_before_any_store_write(ct, wedge):
+    """Each way a focus can fit no rule raises StuckError for that very
+    state, and the step has written neither store."""
+    st0 = cell_state(wedge, handlers={(0, "src"): Seq(EMPTY, EMPTY)})
+    assert st0.focus == wedge
+    store, handlers = dict(st0.store), dict(st0.handlers)
+    with pytest.raises(StuckError) as stuck:
+        step(ct, st0)
+    assert stuck.value.state is st0
+    assert st0.store == store
+    assert st0.handlers == handlers
 
 
 def test_run_reports_stuck(ct):
@@ -596,7 +633,7 @@ def stores_differ_on_each_write(seen):
 
     def observe(before, out, after):
         if out.rule == "R-NEW":
-            l = before.next_loc
+            l = len(after.store) - 1
             assert l in after.store and l not in before.store, after.steps
         elif out.rule == "R-ASSIGNS":
             l = before.focus.recv.loc

@@ -205,7 +205,8 @@ def replace_once(monkeypatch, rule, replace_entry):
 
 def untouched_object(out):
     """A location with fields that this allocation did not create, or None."""
-    store, fresh = out.state.store, out.state.next_loc - 1
+    store = out.state.store
+    fresh = len(store) - 1
     return next((l for l in sorted(store) if l != fresh and store[l].fields), None)
 
 
@@ -380,9 +381,7 @@ def replace_second_step(monkeypatch, contractum):
         out = real(ct, st, mutations)
         if st.steps != 1:
             return out
-        state = interp.MachineState(
-            contractum, st.store, st.handlers, st.next_loc, st.steps + 1, st.stack
-        )
+        state = interp.MachineState(contractum, st.store, st.handlers, st.steps + 1, st.stack)
         return interp.StepOutcome(state, out.rule, [])
 
     monkeypatch.setattr(interp, "step", wrapped)
@@ -536,7 +535,7 @@ def test_audit_catches_handlers_scheduled_out_of_registration_order(monkeypatch)
                 chain = Seq(chain, h)
             s = out.state
             out.state = MachineState(
-                EffectBrace(chain, key), s.store, s.handlers, s.next_loc, s.steps, st.stack
+                EffectBrace(chain, key), s.store, s.handlers, s.steps, st.stack
             )
         return out
 
@@ -545,6 +544,36 @@ def test_audit_catches_handlers_scheduled_out_of_registration_order(monkeypatch)
     res = audit_run(ct, program.main, "broadcast.fsj")
     assert res.violation.prop == "handler_delivery", res.violation.line()
     assert res.violation.detail == "handlers on @1.n scheduled out of registration order"
+
+
+def test_audit_catches_one_of_two_equal_handlers_missing_from_a_write(monkeypatch):
+    """Two equal handlers subscribed on one field; a write whose brace
+    holds only one of them is missing a handler, not out of order."""
+    real = interp.step
+
+    def dropped_delivery(ct, st, mutations=frozenset()):
+        out = real(ct, st, mutations)
+        if out is not None and out.rule == "R-ASSIGNS":
+            s = out.state
+            key = (st.focus.recv.loc, st.focus.fname)
+            brace = EffectBrace(Seq(EMPTY, EMPTY), key)  # one unit of the two
+            out.state = MachineState(brace, s.store, s.handlers, s.steps, st.stack)
+        return out
+
+    monkeypatch.setattr(interp, "step", dropped_delivery)
+    program = parse_program(
+        """
+        class Nat extends Object { Nat() { super(); } }
+        class Pump extends Object { signal Nat n; Pump(Nat n) { super(); this.n = n; } }
+        let p = new Pump(new Nat()) in
+        (p.n.subscribe(unit); (p.n.subscribe(unit); (p.n = new Nat(); p.n)))
+        """
+    )
+    ct = build_class_table(program)
+    assert not check_program(ct, program).errors
+    res = audit_run(ct, program.main)
+    assert res.violation.prop == "handler_delivery", res.violation.line()
+    assert res.violation.detail == "handler on @1.n missing from its write"
 
 
 def test_oracles_never_read_the_machine_events(monkeypatch, corpus_audits, scenario_reports):
