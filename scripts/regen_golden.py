@@ -1,7 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate the golden trace files and the checker errors under tests/golden/.
+"""Regenerate the golden traces, trace digests and checker errors under tests/golden/.
 
 The traces are `fsj trace` of corpus/subscribe_push.fsj in both formats.
+trace_digests.json pins every other trace without storing it: a sha256
+over each event's `to_json()` line, then the final status and step
+count, of traced `run`s of every corpus program at fuel 2500
+(loop_handler.fsj at 300, since a traced step renders the whole
+expression), of default-config generated programs of seeds 0-199 at the
+campaign fuel, of `handlers_write_signals` programs of seeds 0-199 at
+fuel 300, and of the corpus under each mutation at fuel 300.
 checker_errors.json holds, for every row of the typing table in
 tests/test_typing_rules.py and every program in corpus/ and
 corpus/illtyped/, each error `check_program` reports as (kind, message,
@@ -9,25 +16,90 @@ span), in order, and the main expression's type.
 
 Run from the repository root after any deliberate change to the trace
 format, the stepping order or a typing error, then review the diff by
-hand. Tests compare byte for byte against these files, and
-tests/test_typecheck.py recomputes the checker errors and compares.
+hand. Tests compare byte for byte against these files, and recompute
+the trace digests (tests/test_interp.py) and the checker errors
+(tests/test_typecheck.py) and compare.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fsj import build_class_table, check_program, parse_program  # noqa: E402
+from fsj import (  # noqa: E402
+    GenConfig,
+    build_class_table,
+    check_program,
+    generate_program,
+    load_corpus,
+    parse_program,
+    run,
+)
+from fsj.interp import MUTATIONS  # noqa: E402
+from fsj.metatheory import CAMPAIGN_FUEL  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 SUBJECT = ROOT / "corpus" / "subscribe_push.fsj"
 ERRORS = GOLDEN / "checker_errors.json"
+DIGESTS = GOLDEN / "trace_digests.json"
 FSJ = [sys.executable, "-m", "fsj.cli"]
+
+CORPUS_FUEL = 2500
+SHORT_FUEL = 300  # loop_handler.fsj, handler cascades and mutated machines
+SEEDS = range(200)
+
+
+def feed_trace(h, ct, main, fuel: int, mutations: frozenset[str] = frozenset()) -> None:
+    """Hash each trace event's JSON line, then the final status and step count."""
+    res = run(ct, main, fuel, mutations)
+    for event in res.trace:
+        h.update(f"{event.to_json()}\n".encode())
+    h.update(f"status={res.status} steps={res.state.steps}\n".encode())
+
+
+def trace_digests(root: Path = ROOT) -> dict:
+    """One sha256 per corpus program's trace, and one per family of traces."""
+    loaded = load_corpus(root / "corpus")
+    corpus = {}
+    for name, program, ct in loaded:
+        h = hashlib.sha256()
+        feed_trace(h, ct, program.main, SHORT_FUEL if name == "loop_handler.fsj" else CORPUS_FUEL)
+        corpus[name] = h.hexdigest()
+    families = {}
+    for label, cfg, fuel in (
+        ("default", GenConfig(), CAMPAIGN_FUEL),
+        ("handlers_write_signals", GenConfig(handlers_write_signals=True), SHORT_FUEL),
+    ):
+        h = hashlib.sha256()
+        for seed in SEEDS:
+            program, ct = generate_program(replace(cfg, seed=seed))
+            h.update(f"seed={seed}\n".encode())
+            if check_program(ct, program).ok:
+                feed_trace(h, ct, program.main, fuel)
+            else:
+                h.update(b"ill-typed\n")
+        families[label] = {"fuel": fuel, "sha256": h.hexdigest()}
+    mutated = {}
+    for mutation in sorted(MUTATIONS):
+        h = hashlib.sha256()
+        for name, program, ct in loaded:
+            h.update(f"program={name}\n".encode())
+            feed_trace(h, ct, program.main, SHORT_FUEL, frozenset({mutation}))
+        mutated[mutation] = h.hexdigest()
+    return {
+        "corpus_fuel": CORPUS_FUEL,
+        "short_fuel": SHORT_FUEL,
+        "corpus": corpus,
+        "seeds": [SEEDS.start, SEEDS.stop - 1],
+        "generated": families,
+        "mutated_corpus": mutated,
+    }
 
 
 def checker_errors(root: Path = ROOT) -> dict:
@@ -70,6 +142,8 @@ def main() -> int:
     lines = [f" {json.dumps(name)}: {json.dumps(entry)}" for name, entry in errors.items()]
     ERRORS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {ERRORS.relative_to(ROOT)} ({len(errors)} programs)")
+    DIGESTS.write_text(json.dumps(trace_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS.relative_to(ROOT)}")
     return 0
 
 

@@ -768,6 +768,13 @@ def test_rule_sequences_match_golden():
     assert digests() == json.loads((GOLDEN / "rule_sequences.json").read_text())
 
 
+def test_traces_match_golden_digests():
+    """Every traced corpus run, generated program and mutated corpus run
+    emits the recorded events (scripts/regen_golden.py)."""
+    digests = runpy.run_path(str(ROOT / "scripts" / "regen_golden.py"))["trace_digests"]
+    assert digests() == json.loads((GOLDEN / "trace_digests.json").read_text())
+
+
 def test_peano_push_512_terminates():
     """Doubling a numeral of 256 nests about 500 `new Succ(...)` frames."""
     text = (ROOT / "perfbench" / "peano_push.fsj.tmpl").read_text()
