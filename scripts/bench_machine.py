@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the machine, the audited machine and the campaign, and write a BENCH_*.json record.
+"""Time the plain, audited and traced machine and the campaign; write a BENCH_*.json record.
 
 The operations are those of the `machine` benchmark workload, taken from
 `perfbench/workloads.py` with their output checks (`loop_handler.fsj` at
@@ -7,10 +7,14 @@ fuel 125, 250 and 500, the Peano push program at N = 16, 32 and 64),
 plus one long point, `loop_handler.fsj` at fuel 20000, checked the same
 way; the `audited` family: `metatheory.audit_run` on `loop_handler.fsj`
 at fuel 2500, 5000 and 10000, each checked the same way and for no
-violation; and the `campaign` family: the 200 campaign operations of the
-`harness` workload, each checked against the recorded snapshot.  An
-operation's time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30)
-for the audited ones, which can take seconds each: with 10, two sides
+violation; the `traced` family: the `trace:` operations of the
+`harness` workload's `corpus_trace` family, with their checks, and a
+traced `run` of `loop_handler.fsj` at fuel 250, 500 and 1000 with every
+event rendered by `to_line`, checked like the plain loop; and the
+`campaign` family: the 200 campaign operations of the `harness`
+workload, each checked against the recorded snapshot.  An operation's
+time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30) for the
+audited and traced ones, which can take seconds each: with 10, two sides
 running the same audit code read 2.51 and 3.05 s at fuel 10000.  The
 repeats go round all operations in turn, so a change in the host's speed
 reaches every operation alike.  A failed check stops the script.
@@ -25,8 +29,8 @@ on both sides alike.
 A record gives per-operation seconds and steps/s (the campaign as one
 summed time and as the median operation's time), the six `machine`
 operations' total, and per family the least-squares slope of log(time)
-against log(size).  Records are stored by label in `--out`, next to the
-records already there:
+against log(size) (for `traced`, over the loop's three fuels).  Records
+are stored by label in `--out`, next to the records already there:
 
     python3 scripts/bench_machine.py --out BENCH_<n>.json --parent ../parent
     python3 scripts/bench_machine.py --out BENCH_<n>.json --label change
@@ -45,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -53,6 +58,7 @@ REPEAT = 60
 LONG_FUEL = 20000
 AUDIT_FUELS = (2500, 5000, 10000)
 AUDIT_REPEAT = 30
+TRACE_FUELS = (250, 500, 1000)
 
 
 def slope(points: list[tuple[int, float]]) -> float:
@@ -65,7 +71,7 @@ def slope(points: list[tuple[int, float]]) -> float:
 
 def operations(root: Path):
     """The `machine` workload's operations, the long loop, the audited runs,
-    then the campaign operations."""
+    the traced runs, then the campaign operations."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(1, str(root / "perfbench"))
     import workloads
@@ -99,8 +105,23 @@ def operations(root: Path):
         )
         for fuel in AUDIT_FUELS
     ]
+
+    def traced_loop(fuel: int):
+        check = checker(fuel)
+
+        def work():
+            res = workloads.interp.run(ct, program.main, fuel=fuel)
+            return res, [e.to_line() for e in res.trace]
+
+        return workloads.Op("traced", f"fuel={fuel}", work, lambda out: check(out[0]), size=fuel)
+
+    traced = [
+        replace(op, family="traced")
+        for op in workloads.corpus_trace(root, 0).ops
+        if op.key.startswith("trace:")
+    ] + [traced_loop(fuel) for fuel in TRACE_FUELS]
     machine = workloads.WORKLOADS["machine"](root, 0).ops
-    return machine + [long_loop] + audited + workloads.campaign(root, 0).ops
+    return machine + [long_loop] + audited + traced + workloads.campaign(root, 0).ops
 
 
 def worker(root: Path) -> int:
@@ -154,19 +175,20 @@ class Side:
         rows = [
             {
                 "family": family,
+                "key": key,
                 "size": size,
                 "steps": n,
                 "seconds": round(t, 6),
                 "steps_per_s": round(n / t, 1),
             }
-            for (family, _, size), n, t in timed
+            for (family, key, size), n, t in timed
             if family != "campaign"
         ]
         campaign = [(n, t) for (family, _, _), n, t in timed if family == "campaign"]
         machine = [r for r in rows if r["family"] in ("deep_handler", "peano_push")]
         families = {}
-        for fam in ("deep_handler", "peano_push", "audited"):
-            pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam]
+        for fam in ("deep_handler", "peano_push", "audited", "traced"):
+            pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam and r["size"]]
             families[fam] = {"size_slope": round(slope(pts), 3)}
         total = sum(r["seconds"] for r in machine)
         campaign_s = sum(t for _, t in campaign)
@@ -187,13 +209,13 @@ class Side:
 
 
 def measure(sides: list[Side]) -> None:
-    """Run every operation REPEAT times (AUDIT_REPEAT for the audited ones)
+    """Run every operation REPEAT times (AUDIT_REPEAT for the audited and traced ones)
     on every side, alternating sides per operation and flipping the order
     on each repeat."""
     ops = sides[0].ops
     if any(side.ops != ops for side in sides):
         raise SystemExit("the checkouts define different operations")
-    repeats = [AUDIT_REPEAT if family == "audited" else REPEAT for family, _, _ in ops]
+    repeats = [AUDIT_REPEAT if family in ("audited", "traced") else REPEAT for family, _, _ in ops]
     for r in range(REPEAT):
         order = sides if r % 2 == 0 else sides[::-1]
         for i in range(len(ops)):
@@ -227,12 +249,15 @@ def main() -> int:
         record = records[side.label] = side.record()
         seconds = {(r["family"], r["size"]): r["seconds"] for r in record["operations"]}
         audited = ", ".join(f"{seconds['audited', n]:.2f}" for n in AUDIT_FUELS)
+        traced = ", ".join(f"{seconds['traced', n]:.3f}" for n in TRACE_FUELS)
         print(
             f"{side.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
             f" {record['machine_steps_per_s']:.0f} steps/s;"
             f" long loop {seconds['long_loop', LONG_FUEL]:.3f} s;"
             f" audited {audited} s,"
             f" slope {record['families']['audited']['size_slope']:.2f};"
+            f" traced loop {traced} s,"
+            f" slope {record['families']['traced']['size_slope']:.2f};"
             f" campaign {record['campaign_wall_s']:.4f} s,"
             f" p50 {record['campaign_p50_s'] * 1e6:.1f} us"
         )

@@ -18,7 +18,6 @@ from .interp import (
     chain_depth,
     effect,
     handlers_of,
-    initial_state,
     run,
     step,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "effect",
     "generate_program",
     "handlers_of",
-    "initial_state",
     "is_subtype",
     "load_corpus",
     "parse_expr",

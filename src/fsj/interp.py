@@ -59,17 +59,15 @@ someone asks for the whole expression (traces, stuck reports and final
 results), and the innermost brace around the focus is the pending key a
 fuel-cut run reports.
 
-A step records its allocation, write or subscription as a note, a plain
-tuple of the values at step time, and `StepOutcome.events` turns notes
-into `TraceEvent`s only when someone reads them, so an untraced run
-builds no events and never counts a handler chain.
-
 Which initialized fields a write reaches is read off the class's record
 (`ClassInfo.downstream`, worked out on its first read), since a checked
 initializer only reads through `this`.
 
-`run` is the only loop that calls `step`.  The soundness oracles ride
-along as per-step observers instead of stepping the machine themselves.
+`run` is the only loop that calls `step`.  The trace and the soundness
+oracles ride along as per-step observers instead of stepping the machine
+themselves: `trace_step` reads a step's allocation, write or subscription
+off the redex and the stores as the step found them, so `step` records
+nothing for it and an untraced run builds no events.
 `mutations` deliberately breaks the machine for sensitivity testing of
 the soundness oracles; production callers leave it empty.
 """
@@ -79,7 +77,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 from .classtable import ClassTable
@@ -231,10 +228,6 @@ class MachineState:
         return e.key
 
 
-def initial_state(main: Expr) -> MachineState:
-    return MachineState(main, {}, {})
-
-
 def _registrations(e: Expr) -> int:
     """Subscriptions in a handler chain: each one wrapped it in a left `Seq`."""
     n = 0
@@ -345,40 +338,12 @@ class TraceEvent:
 
 @dataclass
 class StepOutcome:
-    """What one step did: the state it reached, the rule it applied, and
-    its store events.
-
-    A step records each allocation, write and subscription as a note, a
-    plain tuple of the values as they were at step time: the step number,
-    the kind, the location, the field or class, and for a signal write
-    the old and new locations and the handler chain it left pending
-    (expressions never change, so the chain is a snapshot).  `events`
-    turns the notes into `TraceEvent`s the first time it is read, so an
-    untraced run builds none; it can be assigned like a plain field.
-    """
+    """What one step did: the state it reached and the rule it applied.
+    What the step allocated, wrote or subscribed is read off the redex and
+    the stores by whoever wants it (`trace_step`, the oracles)."""
 
     state: MachineState
     rule: str
-    notes: Sequence[tuple]
-
-    @cached_property
-    def events(self) -> list[TraceEvent]:
-        events: list[TraceEvent] = []
-        for note in self.notes:
-            events += _note_events(*note)
-        return events
-
-
-def _note_events(step: int, kind: str, l: int, name: str, *write) -> list[TraceEvent]:
-    if kind == "alloc":
-        return [TraceEvent(step, kind, loc=l, cls=name)]
-    if kind != "signal-write":
-        return [TraceEvent(step, kind, loc=l, fname=name)]
-    old, new, pending = write
-    return [
-        TraceEvent(step, kind, loc=l, fname=name, old=old, new=new),
-        TraceEvent(step, "handler-enqueue", loc=l, fname=name, count=_registrations(pending)),
-    ]
 
 
 def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
@@ -394,7 +359,6 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
     e = st.focus
     t = type(e)
     store, handlers = st.store, st.handlers
-    notes: tuple = ()
     if t is New:
         c, args = e.cls, e.args
         if _first_open(args) is not None or c not in ct or len(ct[c].source) != len(args):
@@ -404,7 +368,6 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         l = len(store)
         store[l] = StoredObject(c, tuple(a.loc for a in args))
         out, rule = Loc(l), "R-NEW"
-        notes = ((st.steps, "alloc", l, c),)
 
     elif t is Seq:
         if type(e.first) is not Empty:
@@ -422,19 +385,15 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         i, sf = ct[obj.cls].fields.get(f) or (None, None)
         if i is None:
             raise StuckError(st)
-        old = obj.fields[i]
         store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
         signal = sf.modifier is Modifier.SIGNAL
         if MUT_SWAP_ASSIGN in mutations:
             signal = not signal
         if signal:
             key = (l, f)
-            pending = handlers.get(key, EMPTY)
-            out, rule = EffectBrace(pending, key), "R-ASSIGNS"
-            notes = ((st.steps, "signal-write", l, f, old, v, pending),)
+            out, rule = EffectBrace(handlers.get(key, EMPTY), key), "R-ASSIGNS"
         else:
             out, rule = EMPTY, "R-ASSIGN"
-            notes = ((st.steps, "plain-write", l, f),)
 
     elif t is FieldAccess:
         recv, f = e.recv, e.fname
@@ -486,13 +445,12 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         key = (recv.loc, f)
         handlers[key] = Seq(handlers.get(key, EMPTY), e.handler)
         out, rule = EMPTY, "R-SUBSCRIBE"
-        notes = ((st.steps, "subscribe", recv.loc, f),)
 
     elif t is Loc or t is Empty:
         return None
     else:  # a free variable
         raise StuckError(st)
-    return StepOutcome(MachineState(out, store, handlers, st.steps + 1, st.stack), rule, notes)
+    return StepOutcome(MachineState(out, store, handlers, st.steps + 1, st.stack), rule)
 
 
 # =========================================================================
@@ -576,6 +534,33 @@ def written_keys(old, store) -> dict:
     return store
 
 
+def trace_step(ct: ClassTable, before: MachineState, out: StepOutcome) -> list[TraceEvent]:
+    """The trace events of one step: the step, then what it allocated,
+    wrote or subscribed.
+
+    The redex is `before.focus`, and `before`'s stores are the journals'
+    `Version`s, so a signal write's old location is the one the step
+    overwrote.  R-ASSIGNS leaves the handler store alone, so the chain the
+    brace holds is the one registered on the key after the step.
+    """
+    e, n, after = before.focus, before.steps, out.state
+    events = [TraceEvent(n, "step", rule=out.rule, expr=render_expr(after.expr))]
+    if out.rule == "R-NEW":
+        events.append(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
+    elif out.rule == "R-ASSIGN":
+        events.append(TraceEvent(n, "plain-write", loc=e.recv.loc, fname=e.fname))
+    elif out.rule == "R-SUBSCRIBE":
+        events.append(TraceEvent(n, "subscribe", loc=e.recv.loc, fname=e.fname))
+    elif out.rule == "R-ASSIGNS":
+        l, f = e.recv.loc, e.fname
+        obj = before.store[l]
+        old = obj.fields[ct[obj.cls].fields[f][0]]
+        count = _registrations(after.handlers.get((l, f), EMPTY))
+        events.append(TraceEvent(n, "signal-write", loc=l, fname=f, old=old, new=e.value.loc))
+        events.append(TraceEvent(n, "handler-enqueue", loc=l, fname=f, count=count))
+    return events
+
+
 @dataclass
 class RunResult:
     status: str  # "terminal" | "fuel" | "stuck"
@@ -609,9 +594,16 @@ def run(
     versions: the stores as the step found them, which every oracle
     compares `after` against.  A store replaced outright is journaled
     afresh, and journaling stops with the observers.
+
+    With `collect_trace` the trace is the first observer, `trace_step`
+    appending to `RunResult.trace`, so a traced run journals its stores
+    and returns `Journal`s.  Like every observer it falls silent at the
+    first violation; no caller combines the trace with the oracles.
     """
-    st = initial_state(main)
+    st = MachineState(main, {}, {})
     trace: list[TraceEvent] = []
+    if collect_trace:
+        observers = [lambda before, out, after: trace.extend(trace_step(ct, before, out)), *observers]
     violation = None
     while st.steps < fuel:
         watching = observers and violation is None
@@ -626,11 +618,6 @@ def run(
             return RunResult("stuck", st, trace, stuck_message=str(err), violation=violation)
         if out is None:
             return RunResult("terminal", st, trace, violation=violation)
-        if collect_trace:
-            trace.append(
-                TraceEvent(st.steps, "step", rule=out.rule, expr=render_expr(out.state.expr))
-            )
-            trace.extend(out.events)
         if watching:  # st is spent: it becomes before
             st.store, st.handlers = st.store.before, st.handlers.before
             for observe in observers:

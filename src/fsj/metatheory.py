@@ -28,16 +28,17 @@ audits each seeded program once and reads its first violation and its
 progress report off that run; `scenario_suite` runs the property classes
 on curated corpus programs and fails one that judged nothing.
 
-No oracle reads the machine's events.  Subject reduction re-types only
-what a step changed, which it finds itself: the frames the step pushed,
-and the store entries that `run`'s journals recorded, compared with
-`before`'s stores, the journals' `interp.Version`s, since `before` is
-the very state the machine stepped (see `SubjectReduction`).  That is
-sound because terms, frames and `StoredObject`s are immutable, typing
-is syntax-directed, contexts never reach under a binder, and the store
-typing only grows.  The property classes read what a step wrote
-or subscribed off its redex, and what the redex reduced to off the
-frames the step pushed.
+A step reports only the state it reached and its rule, and no oracle
+reads the trace, which is `run`'s observer too (`interp.trace_step`).
+Subject reduction re-types only what a step changed, which it finds
+itself: the frames the step pushed, and the store entries that `run`'s
+journals recorded, compared with `before`'s stores, the journals'
+`interp.Version`s, since `before` is the very state the machine stepped
+(see `SubjectReduction`).  That is sound because terms, frames and
+`StoredObject`s are immutable, typing is syntax-directed, contexts never
+reach under a binder, and the store typing only grows.  The property
+classes read what a step wrote or subscribed off its redex, and what the
+redex reduced to off the frames the step pushed.
 
 A seed whose generation, checking or audit raises becomes a `crash`
 report of its own, and the campaign carries on.
@@ -235,7 +236,7 @@ class SubjectReduction:
     journal recorded (every key, of a store replaced outright), and
     re-type only entries that are not the very object `before` holds.
     What is reused stays right because Σ only grows.  The observer works
-    all this out from the state, never from the machine's events.
+    all this out from the states alone.
     `type` is the type after the last step that passed.
     """
 
@@ -370,9 +371,9 @@ class Scenario:
     silences all its observers at the first violation, so the others
     judge only the steps before it.
 
-    No property reads the machine's events.  What a step wrote or
-    subscribed comes from its redex, `before.focus`, and the kind of a
-    written field from the class table.
+    What a step wrote or subscribed comes from its redex, `before.focus`,
+    and the kind of a written field from the class table, never from the
+    trace.
     """
 
     prop = ""

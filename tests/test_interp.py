@@ -31,7 +31,6 @@ from fsj.interp import (
     TraceEvent,
     effect,
     handlers_of,
-    initial_state,
 )
 from fsj.syntax import (
     EMPTY,
@@ -83,6 +82,27 @@ def cell_state(expr, handlers=None):
     )
 
 
+def traced_steps(ct, source):
+    """A traced run of source to the end, as (rule, events) per step."""
+    res = run(ct, parse_expr(source))
+    assert res.status == "terminal"
+    steps = []
+    for ev in res.trace:
+        if ev.kind == "step":
+            steps.append((ev.rule, []))
+        else:
+            steps[-1][1].append(ev)
+    return steps
+
+
+def events_of(steps, rule):
+    """The events of every step that applied rule, one list per step."""
+    return [events for r, events in steps if r == rule]
+
+
+CELL = "let c = new Cell(new Nat(), new Nat()) in "  # @0 src, @1 plain, @2 the Cell
+
+
 # ---------------------------------------------------------------- rules
 
 
@@ -116,8 +136,8 @@ def test_rule_new_allocates(ct):
     assert out.state.expr == Loc(3)
     assert out.state.store[3] == StoredObject("Nat", ())
     assert len(out.state.store) == 4
-    kinds = [e.kind for e in out.events]
-    assert kinds == ["alloc"]
+    [(alloc,)] = events_of(traced_steps(ct, "new Nat()"), "R-NEW")
+    assert (alloc.kind, alloc.loc, alloc.cls) == ("alloc", 0, "Nat")
 
 
 def test_rule_assign_plain_is_silent(ct):
@@ -126,7 +146,10 @@ def test_rule_assign_plain_is_silent(ct):
     assert isinstance(out.state.expr, Empty)
     assert out.state.store[0].fields == (1, 1)
     assert out.state.handlers == {}
-    assert [e.kind for e in out.events] == ["plain-write"]
+    steps = traced_steps(ct, CELL + "c.plain = c.src")
+    [(write,)] = events_of(steps, "R-ASSIGN")
+    assert (write.kind, write.loc, write.fname) == ("plain-write", 2, "plain")
+    assert {ev.kind for _, events in steps for ev in events} == {"alloc", "plain-write"}
 
 
 def test_rule_assigns_writes_then_braces(ct):
@@ -137,7 +160,11 @@ def test_rule_assigns_writes_then_braces(ct):
     # store updated before the scheduled work runs
     assert out.state.store[0].fields == (2, 2)
     assert out.state.expr == EffectBrace(Seq(EMPTY, h), (0, "src"))
-    assert [e.kind for e in out.events] == ["signal-write", "handler-enqueue"]
+    steps = traced_steps(ct, CELL + "(c.src.subscribe(c.plain = c.src); c.src = new Nat())")
+    [events] = events_of(steps, "R-ASSIGNS")
+    assert [e.kind for e in events] == ["signal-write", "handler-enqueue"]
+    assert [(e.loc, e.fname) for e in events] == [(2, "src")] * 2
+    assert (events[0].old, events[0].new, events[1].count) == (0, 3, 1)
 
 
 def test_rule_assigns_without_listeners(ct):
@@ -174,28 +201,24 @@ def test_rule_subscribe_appends(ct):
     out = step(ct, st1)
     assert out.state.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
     # a write reports one registration per subscription on its key
-    st = out.state
-    st2 = MachineState(Assign(Loc(0), "src", Loc(2)), st.store, st.handlers, st.steps)
-    out = step(ct, st2)
-    assert [e.count for e in out.events if e.kind == "handler-enqueue"] == [2]
+    source = "(c.src.subscribe(c.plain = c.src); (c.src.subscribe(unit); c.src = new Nat()))"
+    steps = traced_steps(ct, CELL + source)
+    subscribes = events_of(steps, "R-SUBSCRIBE")
+    assert [[(e.kind, e.loc, e.fname) for e in events] for events in subscribes] == [
+        [("subscribe", 2, "src")]
+    ] * 2
+    [(_, enqueue)] = events_of(steps, "R-ASSIGNS")
+    assert enqueue.count == 2
 
 
-def test_lazy_events_keep_step_time_values(ct):
-    """Events first read after later steps rewrote both stores in place
-    still report the values of the step that made them."""
-    h1 = Assign(Loc(0), "plain", Loc(1))
-    h2 = Assign(Loc(0), "plain", Loc(2))
-    key = (0, "src")
-    first = step(ct, cell_state(Assign(Loc(0), "src", Loc(2)), {key: Seq(Seq(EMPTY, h1), h2)}))
-    later = [Assign(Loc(0), "src", Loc(1)), Subscribe(Loc(0), "src", h1)]
-    st = first.state
-    for e in later:
-        st = step(ct, MachineState(e, st.store, st.handlers, st.steps)).state
-    assert st.store[0].fields == (1, 2)
-    assert st.handlers[key] == Seq(Seq(Seq(EMPTY, h1), h2), h1)
-    write, enqueue = first.events
-    assert (write.kind, write.step, write.old, write.new) == ("signal-write", 0, 1, 2)
-    assert (enqueue.kind, enqueue.count) == ("handler-enqueue", 2)
+def test_trace_reads_each_write_as_its_step_found_the_stores(ct):
+    """Every write to one key reports the location it overwrote, which the
+    step before it wrote, and as many registrations as precede it."""
+    write = "c.src = new Nat()"
+    source = f"({write}; (c.src.subscribe(unit); ({write}; (c.src.subscribe(unit); {write}))))"
+    writes = events_of(traced_steps(ct, CELL + source), "R-ASSIGNS")
+    got = [(w.old, w.new, enqueue.count) for w, enqueue in writes]
+    assert got == [(0, 3, 0), (3, 4, 1), (4, 5, 2)]
 
 
 def test_rule_subscribe_keeps_handler_unevaluated(ct):
@@ -419,7 +442,7 @@ def stores_of(name, fuel=300):
     """The store before and after each step of a hand-stepped run, each
     copied, since the machine writes its store in place."""
     ct, program = load_corpus_file(name)
-    st = initial_state(program.main)
+    st = MachineState(program.main, {}, {})
     stores = [dict(st.store)]
     while st.steps < fuel:
         out = step(ct, st)

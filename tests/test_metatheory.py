@@ -382,7 +382,7 @@ def replace_second_step(monkeypatch, contractum):
         if st.steps != 1:
             return out
         state = interp.MachineState(contractum, st.store, st.handlers, st.steps + 1, st.stack)
-        return interp.StepOutcome(state, out.rule, [])
+        return interp.StepOutcome(state, out.rule)
 
     monkeypatch.setattr(interp, "step", wrapped)
     program = parse_program(PAIR)
@@ -574,24 +574,6 @@ def test_audit_catches_one_of_two_equal_handlers_missing_from_a_write(monkeypatc
     res = audit_run(ct, program.main)
     assert res.violation.prop == "handler_delivery", res.violation.line()
     assert res.violation.detail == "handler on @1.n missing from its write"
-
-
-def test_oracles_never_read_the_machine_events(monkeypatch, corpus_audits, scenario_reports):
-    """Every audit and scenario report stays the same when no step reports
-    any event: the oracles work from the states alone."""
-    real = interp.step
-
-    def silent(ct, st, mutations=frozenset()):
-        out = real(ct, st, mutations)
-        if out is not None:
-            out.events = []
-        return out
-
-    monkeypatch.setattr(interp, "step", silent)
-    assert scenario_suite(CORPUS) == scenario_reports
-    for name, program, ct in load_corpus(CORPUS):
-        res = audit_run(ct, program.main, name, fuel=2500)
-        assert res.reports() == corpus_audits[name].reports()
 
 
 def test_untraced_runs_build_no_trace_events(monkeypatch, corpus_audits, scenario_reports):
