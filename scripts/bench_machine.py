@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the plain, audited and traced machine and the campaign; write a BENCH_*.json record.
+"""Time the machine, the campaign and the front end; write a BENCH_*.json record.
 
 The operations are those of the `machine` benchmark workload, taken from
 `perfbench/workloads.py` with their output checks (`loop_handler.fsj` at
@@ -12,12 +12,19 @@ violation; the `traced` family: the `trace:` operations of the
 traced `run` of `loop_handler.fsj` at fuel 250, 500 and 1000 with every
 event rendered by `to_line`, checked like the plain loop; and the
 `campaign` family: the 200 campaign operations of the `harness`
-workload, each checked against the recorded snapshot.  An operation's
-time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30) for the
-audited and traced ones, which can take seconds each: with 10, two sides
-running the same audit code read 2.51 and 3.05 s at fuel 10000.  The
-repeats go round all operations in turn, so a change in the host's speed
-reaches every operation alike.  A failed check stops the script.
+workload, each checked against the recorded snapshot; and the
+`frontend` family: `parse_program` over every file of `corpus/` and
+`corpus/illtyped/` as one operation, checked to render to text that
+parses back to the same rendering, then for n = 1200, 2400 and 4800
+classes declared child first (`chain_source`) the parse, checked for n
+classes, and the class table build of the parsed program, checked for
+n + 1 records and `is_subtype` between C<n-1> and C0 both ways.  An
+operation's time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30)
+for the audited, traced and frontend ones, which can take seconds each:
+with 10, two sides running the same audit code read 2.51 and 3.05 s at
+fuel 10000.  The repeats go round all operations in turn, so a change in
+the host's speed reaches every operation alike.  A failed check stops
+the script.
 
 Each checkout is measured in a worker process of its own, which imports
 fsj and the workloads from that checkout and runs one operation per
@@ -28,8 +35,10 @@ on both sides alike.
 
 A record gives per-operation seconds and steps/s (the campaign as one
 summed time and as the median operation's time), the six `machine`
-operations' total, and per family the least-squares slope of log(time)
-against log(size) (for `traced`, over the loop's three fuels).  Records
+operations' total, per family the least-squares slope of log(time)
+against log(size) (for `traced`, over the loop's three fuels; for
+`frontend`, one over the chain's parses and one over its builds), and
+how many class tables one campaign seed builds, counted on seed 0.  Records
 are stored by label in `--out`, next to the records already there:
 
     python3 scripts/bench_machine.py --out BENCH_<n>.json --parent ../parent
@@ -59,6 +68,8 @@ LONG_FUEL = 20000
 AUDIT_FUELS = (2500, 5000, 10000)
 AUDIT_REPEAT = 30
 TRACE_FUELS = (250, 500, 1000)
+CHAIN_SIZES = (1200, 2400, 4800)
+SLOW_FAMILIES = ("audited", "traced", "frontend")  # timed AUDIT_REPEAT times
 
 
 def slope(points: list[tuple[int, float]]) -> float:
@@ -69,9 +80,88 @@ def slope(points: list[tuple[int, float]]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def chain_source(n: int) -> str:
+    """n empty classes, each declared before the superclass it extends."""
+    return "".join(
+        f"class C{i} extends {f'C{i - 1}' if i else 'Object'} {{ C{i}() {{ super(); }} }}\n"
+        for i in reversed(range(n))
+    ) + "unit\n"
+
+
+def frontend(workloads, root: Path) -> list:
+    """The `frontend` family's operations, on the fsj modules `workloads`
+    imported.  They do no reduction steps, so each reports 0 steps."""
+    syntax = workloads.syntax
+    texts = [p.read_text() for p in sorted((root / "corpus").glob("**/*.fsj"))]
+
+    def check_corpus(programs):
+        for program in programs:
+            text = syntax.render_program(program)
+            if syntax.render_program(syntax.parse_program(text)) != text:
+                return 0, f"{text!r} does not parse back to itself"
+        return 0, None if len(programs) == len(texts) else f"{len(programs)} programs"
+
+    ops = [
+        workloads.Op(
+            "frontend",
+            f"parse corpus ({len(texts)} files)",
+            lambda: [syntax.parse_program(text) for text in texts],
+            check_corpus,
+        )
+    ]
+    for n in CHAIN_SIZES:
+        text = chain_source(n)
+        program = syntax.parse_program(text)
+
+        def check_parse(p, n=n):
+            got = (len(p.classes), p.classes[0].name, p.classes[-1].parent)
+            want = (n, f"C{n - 1}", "Object")
+            return 0, None if got == want else f"{got}, want {want}"
+
+        def check_build(ct, n=n):
+            is_subtype = workloads.typecheck.is_subtype
+            got = (len(ct), is_subtype(ct, f"C{n - 1}", "C0"), is_subtype(ct, "C0", f"C{n - 1}"))
+            want = (n + 1, True, False)
+            return 0, None if got == want else f"{got}, want {want}"
+
+        ops += [
+            workloads.Op(
+                "frontend", f"parse n={n}", lambda text=text: syntax.parse_program(text), check_parse, size=n
+            ),
+            workloads.Op(
+                "frontend",
+                f"build n={n}",
+                lambda program=program: workloads.classtable.build_class_table(program),
+                check_build,
+                size=n,
+            ),
+        ]
+    return ops
+
+
+def campaign_builds() -> int:
+    """How many class tables campaign seed 0 builds, through the names
+    `gen` and `metatheory` call."""
+    from fsj import gen, metatheory
+
+    real = gen.build_class_table, metatheory.build_class_table
+    builds = []
+
+    def counted(program):
+        builds.append(program)
+        return real[0](program)
+
+    gen.build_class_table = metatheory.build_class_table = counted
+    try:
+        metatheory.campaign(1, base_seed=0)
+    finally:
+        gen.build_class_table, metatheory.build_class_table = real
+    return len(builds)
+
+
 def operations(root: Path):
     """The `machine` workload's operations, the long loop, the audited runs,
-    the traced runs, then the campaign operations."""
+    the traced runs, the campaign operations, then the front end's."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(1, str(root / "perfbench"))
     import workloads
@@ -121,15 +211,17 @@ def operations(root: Path):
         if op.key.startswith("trace:")
     ] + [traced_loop(fuel) for fuel in TRACE_FUELS]
     machine = workloads.WORKLOADS["machine"](root, 0).ops
-    return machine + [long_loop] + audited + traced + workloads.campaign(root, 0).ops
+    campaign = workloads.campaign(root, 0).ops
+    return machine + [long_loop] + audited + traced + campaign + frontend(workloads, root)
 
 
 def worker(root: Path) -> int:
-    """Serve timed operations: announce the operations as one JSON line,
-    then answer each operation index read from stdin with
-    [steps, seconds, error]."""
+    """Serve timed operations: announce the operations and the campaign's
+    class table builds per seed as one JSON line, then answer each
+    operation index read from stdin with [steps, seconds, error]."""
     ops = operations(root)
-    print(json.dumps([[op.family, op.key, op.size] for op in ops]), flush=True)
+    announce = {"ops": [[op.family, op.key, op.size] for op in ops], "campaign_builds": campaign_builds()}
+    print(json.dumps(announce), flush=True)
     for line in sys.stdin:
         op = ops[int(line)]
         res = None  # free the last output before the clock starts
@@ -153,7 +245,8 @@ class Side:
             text=True,
             cwd=root,
         )
-        self.ops = json.loads(self.proc.stdout.readline())
+        announce = json.loads(self.proc.stdout.readline())
+        self.ops, self.campaign_builds = announce["ops"], announce["campaign_builds"]
         self.best = [math.inf] * len(self.ops)
         self.steps = [0] * len(self.ops)
 
@@ -190,6 +283,13 @@ class Side:
         for fam in ("deep_handler", "peano_push", "audited", "traced"):
             pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam and r["size"]]
             families[fam] = {"size_slope": round(slope(pts), 3)}
+        families["frontend"] = {
+            f"{what}_slope": round(slope([
+                (r["size"], r["seconds"]) for r in rows
+                if r["family"] == "frontend" and r["key"].startswith(f"{what} n=")
+            ]), 3)
+            for what in ("parse", "build")
+        }
         total = sum(r["seconds"] for r in machine)
         campaign_s = sum(t for _, t in campaign)
         return {
@@ -205,17 +305,18 @@ class Side:
             "campaign_wall_s": round(campaign_s, 6),
             "campaign_p50_s": round(statistics.median(t for _, t in campaign), 7),
             "campaign_steps_per_s": round(sum(n for n, _ in campaign) / campaign_s, 1),
+            "campaign_builds_per_seed": self.campaign_builds,
         }
 
 
 def measure(sides: list[Side]) -> None:
-    """Run every operation REPEAT times (AUDIT_REPEAT for the audited and traced ones)
+    """Run every operation REPEAT times (AUDIT_REPEAT for SLOW_FAMILIES)
     on every side, alternating sides per operation and flipping the order
     on each repeat."""
     ops = sides[0].ops
     if any(side.ops != ops for side in sides):
         raise SystemExit("the checkouts define different operations")
-    repeats = [AUDIT_REPEAT if family in ("audited", "traced") else REPEAT for family, _, _ in ops]
+    repeats = [AUDIT_REPEAT if family in SLOW_FAMILIES else REPEAT for family, _, _ in ops]
     for r in range(REPEAT):
         order = sides if r % 2 == 0 else sides[::-1]
         for i in range(len(ops)):
@@ -250,6 +351,9 @@ def main() -> int:
         seconds = {(r["family"], r["size"]): r["seconds"] for r in record["operations"]}
         audited = ", ".join(f"{seconds['audited', n]:.2f}" for n in AUDIT_FUELS)
         traced = ", ".join(f"{seconds['traced', n]:.3f}" for n in TRACE_FUELS)
+        front = {r["key"]: r["seconds"] for r in record["operations"] if r["family"] == "frontend"}
+        corpus = next(t for key, t in front.items() if key.startswith("parse corpus"))
+        builds = ", ".join(f"{front[f'build n={n}']:.3f}" for n in CHAIN_SIZES)
         print(
             f"{side.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
             f" {record['machine_steps_per_s']:.0f} steps/s;"
@@ -259,7 +363,11 @@ def main() -> int:
             f" traced loop {traced} s,"
             f" slope {record['families']['traced']['size_slope']:.2f};"
             f" campaign {record['campaign_wall_s']:.4f} s,"
-            f" p50 {record['campaign_p50_s'] * 1e6:.1f} us"
+            f" p50 {record['campaign_p50_s'] * 1e6:.1f} us,"
+            f" {record['campaign_builds_per_seed']} table build(s) per seed;"
+            f" parse corpus {corpus * 1e3:.2f} ms;"
+            f" chain builds {builds} s,"
+            f" slope {record['families']['frontend']['build_slope']:.2f}"
         )
     args.out.write_text(json.dumps(records, indent=2) + "\n")
     print(f"-> {args.out}")

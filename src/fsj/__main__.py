@@ -1,0 +1,8 @@
+"""`python -m fsj`: the `fsj` command line, exiting with its code."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

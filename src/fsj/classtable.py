@@ -18,21 +18,25 @@ superclass is a typing concern (see typecheck.check_class).
 
 Building the table resolves each class once into a `ClassInfo`: its
 field lists, a map from field name to slot and declaration, the nearest
-declaration of each visible method, and its superclasses.  The table is
+declaration of each visible method, and its place in the class tree as
+pre- and post-order numbers, so that `typecheck.is_subtype` is one
+interval test (Schubert et al., IEEE Computer 1983).  The table is
 the dict from class name to that record and nothing else, so every
 reader asks for a class's members the one way, `ct[c].source`,
 `ct[c].fields.get(f)` or `ct[c].methods.get(m)`.  Every lookup answers
 for the program as it was built: a declaration changed afterwards is
-not seen.  Object is a fieldless, methodless root that is always
+not seen until `refresh` resolves its class again.  Object is a fieldless, methodless root that is always
 present.  Field lists are ordered superclass-first, which is also the
 argument order of `new C(...)`.  Each record also answers, per field,
 which initialized fields are downstream of it (`ClassInfo.downstream`,
 worked out on its first read).
 
-Classes are resolved by one iterative walk per class: up its parent
+Classes are numbered by one iterative walk of the tree down from
+Object, and resolved by one iterative walk per class: up its parent
 chain to the nearest class already resolved, then back down, so no
 hierarchy is too deep to build, and a class met twice on one walk is an
-inheritance cycle.
+inheritance cycle.  Each step costs the same whatever the class's depth,
+so a build is linear in the size of the hierarchy and its members.
 """
 
 from __future__ import annotations
@@ -89,22 +93,28 @@ class UnknownClassError(ClassTableError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClassInfo:
-    """One class's members, resolved when the table is built.
+    """One class's members, resolved when the table is built.  Nothing
+    writes to a record once it is built (`refresh` puts a new one in its
+    place); it is not frozen only because a frozen dataclass takes about
+    three times as long to make.
 
     fields maps each field name to its slot in source, None for an
     initialized field, and its declaration.  methods holds the nearest
     declaration of each visible method, own methods first, then the
-    superclass's in its order.  supers holds the class and every
-    superclass, Object included.
+    superclass's in its order.  pre and post number the class in a
+    pre-order and a post-order walk of the class tree, so a class's
+    subclasses, itself included, are those whose pre is at least its pre
+    and whose post is at most its post.
     """
 
     composite: tuple[CompositeField, ...]
     source: tuple[SourceField, ...]
     fields: dict[str, tuple[int | None, CompositeField | SourceField]]
     methods: dict[str, MethodDecl]
-    supers: frozenset[str]
+    pre: int
+    post: int
 
     @cached_property
     def downstream(self) -> dict[str, tuple[str, ...]]:
@@ -158,18 +168,51 @@ def _check_ctor_local(decl: ClassDecl) -> None:
         )
 
 
+def _members(d: ClassDecl, up: ClassInfo) -> tuple:
+    """d's composite, source, fields and methods, given its superclass's record."""
+    composite, source = up.composite + tuple(d.composites), up.source + tuple(d.sources)
+    fields = {cf.name: (None, cf) for cf in composite}
+    fields.update((sf.name, (i, sf)) for i, sf in enumerate(source))
+    methods: dict[str, MethodDecl] = {}
+    for m in (*d.methods, *up.methods.values()):
+        methods.setdefault(m.name, m)
+    return composite, source, fields, methods
+
+
+def _number(kids: dict[str, list[str]]) -> dict[str, tuple[int, int]]:
+    """The pre- and post-order numbers of Object and of every class below
+    it, from one iterative walk down kids, each class's direct subclasses
+    in declaration order.  A class on an inheritance cycle gets none."""
+    pre: dict[str, int] = {}
+    numbers: dict[str, tuple[int, int]] = {}  # a class's post counts those finished before it
+    todo = [OBJECT]  # a class is pushed to be entered, then again to be finished
+    while todo:
+        name = todo.pop()
+        if name in pre:
+            numbers[name] = (pre[name], len(numbers))
+        else:
+            pre[name] = len(pre)
+            todo.append(name)
+            todo += reversed(kids[name])
+    return numbers
+
+
 def build_class_table(program: Program) -> ClassTable:
     decls: dict[str, ClassDecl] = {}
+    kids: dict[str, list[str]] = {OBJECT: []}  # each class's direct subclasses
     for cl in program.classes:
         if cl.name in decls or cl.name == OBJECT:
             raise DuplicateClassError(f"duplicate class {cl.name}")
         decls[cl.name] = cl
+        kids[cl.name] = []
 
     for cl in program.classes:
         if cl.parent != OBJECT and cl.parent not in decls:
             raise UnknownParentError(f"{cl.name} extends unknown class {cl.parent}")
+        kids[cl.parent].append(cl.name)
 
-    table = ClassTable({OBJECT: ClassInfo((), (), {}, {}, frozenset({OBJECT}))})
+    numbers = _number(kids)
+    table = ClassTable({OBJECT: ClassInfo((), (), {}, {}, *numbers[OBJECT])})
     for cl in program.classes:
         chain: dict[str, None] = {}  # unresolved classes met on the way up
         name = cl.name
@@ -180,14 +223,7 @@ def build_class_table(program: Program) -> ClassTable:
             name = decls[name].parent
         for name in reversed(chain):
             d = decls[name]
-            up = table[d.parent]
-            composite, source = up.composite + tuple(d.composites), up.source + tuple(d.sources)
-            fields = {cf.name: (None, cf) for cf in composite}
-            fields.update((sf.name, (i, sf)) for i, sf in enumerate(source))
-            methods: dict[str, MethodDecl] = {}
-            for m in (*d.methods, *up.methods.values()):
-                methods.setdefault(m.name, m)
-            table[name] = ClassInfo(composite, source, fields, methods, up.supers | {name})
+            table[name] = ClassInfo(*_members(d, table[d.parent]), *numbers[name])
 
     for cl in program.classes:
         own = [f.name for f in cl.composites] + [f.name for f in cl.sources]
@@ -218,6 +254,17 @@ def build_class_table(program: Program) -> ClassTable:
         _check_ctor_local(cl)
 
     return table
+
+
+def refresh(table: ClassTable, decls: list[ClassDecl]) -> None:
+    """Resolve the classes of decls again, each after its superclass, and
+    put their new records in table in place of the old, so that table
+    answers for members added to them since it was built.  For a builder
+    that adds members to the program a table was built from, without
+    moving a class: the numbers stay, and nothing is checked again."""
+    for d in decls:
+        info = table[d.name]
+        table[d.name] = ClassInfo(*_members(d, table[d.parent]), info.pre, info.post)
 
 
 def _dependents(

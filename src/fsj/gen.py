@@ -19,10 +19,11 @@ Handlers only write plain fields unless `handlers_write_signals` is
 set, so a default campaign never cascades pushes and always terminates
 inside a modest fuel budget.  Same seed, same program.
 
-`generate_program` hands back the program with the class table it
-built for pass 4.  No declaration changes after that build, so the
-table equals a fresh `build_class_table` of the program, and a caller
-needs no second build.
+`generate_program` builds one class table, from pass 1's skeletons,
+and hands it back with the program.  `classtable.refresh` resolves its
+records again after pass 2 adds methods and after pass 3 adds
+initialized fields, so the table equals a fresh `build_class_table` of
+the program, and a caller needs no second build.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import copy
 import random
 from dataclasses import dataclass
 
-from .classtable import ClassTable, build_class_table
+from .classtable import ClassTable, build_class_table, refresh
 from .syntax import (
     EMPTY,
     OBJECT,
@@ -165,11 +166,11 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
         decls.append(ClassDecl(name, parent, [], sources, None, []))  # type: ignore[arg-type]
     _rebuild_ctors(decls)
 
-    skeleton = build_class_table(Program(decls, EMPTY))
+    ct = build_class_table(Program(decls, EMPTY))
     universe = [OBJECT] + names
-    subs = {t: [c for c in universe if is_subtype(skeleton, c, t)] for t in universe}
+    subs = {t: [c for c in universe if is_subtype(ct, c, t)] for t in universe}
 
-    # pass 2: method bodies, call-free since the skeleton lists no methods
+    # pass 2: method bodies, call-free since the table lists no methods yet
     for decl in decls:
         for _ in range(rng.randint(0, MAX_METHODS_PER_CLASS)):
             params = [
@@ -184,33 +185,33 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
                     t = rng.choice(universe)
                     body = Let(
                         "y",
-                        _pure_expr(rng, skeleton, subs, env, t, 1),
+                        _pure_expr(rng, ct, subs, env, t, 1),
                         EMPTY,
                     )
                 decl.methods.append(MethodDecl(UNIT, next(fresh_method), params, body))
             else:
                 ret = rng.choice(universe)
-                body = _pure_expr(rng, skeleton, subs, env, ret, MAX_METHOD_DEPTH)
+                body = _pure_expr(rng, ct, subs, env, ret, MAX_METHOD_DEPTH)
                 decl.methods.append(MethodDecl(ret, next(fresh_method), params, body))
 
     # pass 3: initializers; biased toward reading this class's own state.
-    # The table is a snapshot, so it is rebuilt to see pass 2's methods.
-    with_methods = build_class_table(Program(decls, EMPTY))
+    # The table is a snapshot, so its records are resolved again to see
+    # pass 2's methods, and once more for pass 3's own fields.
+    refresh(ct, decls)
     for decl in decls:
         for _ in range(rng.randint(0, MAX_FIELDS_PER_CLASS)):
             env = {"this": decl.name}
-            visible = with_methods[decl.name].source
+            visible = ct[decl.name].source
             if visible and rng.random() < 0.7:
                 sf = rng.choice(visible)
                 ftype, init = sf.ftype, FieldAccess(Var("this"), sf.name)
             else:
                 ftype = rng.choice(universe)
-                init = _pure_expr(rng, with_methods, subs, env, ftype, 2)
+                init = _pure_expr(rng, ct, subs, env, ftype, 2)
             decl.composites.append(
                 CompositeField(Modifier.SIGNAL, ftype, next(fresh_field), init)
             )
-
-    ct = build_class_table(Program(decls, EMPTY))
+    refresh(ct, decls)
     return Program(decls, _gen_main(rng, cfg, ct, universe, subs)), ct
 
 

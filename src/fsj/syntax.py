@@ -40,6 +40,7 @@ carry a span over to a new node.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -283,53 +284,48 @@ class Program:
 # =========================================================================
 # lexer
 
-_PUNCT = frozenset("{}();,.=")
+# One alternative per kind of lexeme, each starting on characters no other
+# takes, save `//` before a stray `/`.  Every character is matched, so one
+# `finditer` scan yields each lexeme in order.  Words and punctuation are
+# ASCII; any other character is stray.
+_LEXEME = re.compile(
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<blank>[ \t\r]+)"
+    r"|(?P<punct>[{}();,.=])"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<stray>.)",
+    re.DOTALL,
+)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "kw", "punct", "eof"
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, col); kind is "ident", "kw",
+# "punct" or "eof".
+_Token = tuple[str, str, int, int]
 
 
 def _lex(text: str) -> list[_Token]:
+    """text's tokens, ending with "eof".  A token's column is 1 plus the
+    number of characters before it on its line, where a comment's
+    characters count for none, which shows only in an "eof" right after
+    a comment."""
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    append = toks.append
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    m = None
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "word":
+            word = m[0]
+            append(("kw" if word in RESERVED else "ident", word, line, m.start() - line_start + 1))
+        elif kind == "punct":
+            append(("punct", m[0], line, m.start() - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isascii() and (c.isalpha() or c == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in RESERVED else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"stray character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "stray":
+            raise ParseError(f"stray character {m[0]!r}", line, m.start() - line_start + 1)
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    append(("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -355,45 +351,53 @@ def _depth_checked(e: Expr) -> Expr:
 
 
 class _Parser:
+    """Recursive descent over a token list that ends with "eof".
+
+    The cursor `pos` never passes the "eof" token, so `toks[pos]` is
+    always the next token.  `_at`, `_eat` and `_expect` are only asked
+    for keywords and punctuation, which no identifier spells and "eof"'s
+    empty text is not, so they compare texts alone."""
+
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
         self.depth = 0  # nesting levels open, see MAX_DEPTH
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def _next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def _at(self, text: str) -> bool:
-        return self._peek().text == text and self._peek().kind in ("kw", "punct")
+        return self.toks[self.pos][1] == text
+
+    def _eat(self, text: str) -> bool:
+        """Step past the next token if it is the keyword or punctuation text."""
+        if self.toks[self.pos][1] == text:
+            self.pos += 1
+            return True
+        return False
 
     def _fail(self, message: str, expected: set[str] = frozenset()) -> ParseError:
-        t = self._peek()
-        shown = t.text if t.kind != "eof" else "end of input"
-        return ParseError(f"{message}, found {shown!r}", t.line, t.col, frozenset(expected))
+        kind, text, line, col = self.toks[self.pos]
+        shown = text if kind != "eof" else "end of input"
+        return ParseError(f"{message}, found {shown!r}", line, col, frozenset(expected))
 
     def _expect(self, text: str) -> _Token:
-        if not self._at(text):
+        t = self.toks[self.pos]
+        if t[1] != text:
             raise self._fail("unexpected token", {text})
-        return self._next()
+        self.pos += 1
+        return t
 
-    def _ident(self, what: str) -> _Token:
-        t = self._peek()
-        if t.kind != "ident":
+    def _ident(self, what: str) -> str:
+        t = self.toks[self.pos]
+        if t[0] != "ident":
             raise self._fail(f"expected {what}", {"identifier"})
-        return self._next()
+        self.pos += 1
+        return t[1]
 
-    def _typename(self, allow_unit: bool = False) -> _Token:
-        t = self._peek()
-        if t.kind == "ident" or t.text == OBJECT or (allow_unit and t.text == UNIT):
-            return self._next()
-        expected = {"class name"} | ({UNIT} if allow_unit else set())
-        raise self._fail("expected a type", expected)
+    def _typename(self) -> str:
+        t = self.toks[self.pos]
+        if t[0] == "ident" or t[1] == OBJECT:
+            self.pos += 1
+            return t[1]
+        raise self._fail("expected a type", {"class name"})
 
     # ---- program and declarations
 
@@ -402,15 +406,15 @@ class _Parser:
         while self._at("class"):
             classes.append(self.class_decl())
         main = _depth_checked(self.expr())
-        if self._peek().kind != "eof":
+        if self.toks[self.pos][0] != "eof":
             raise self._fail("trailing input after main expression", {"end of input"})
         return Program(classes, main)
 
     def class_decl(self) -> ClassDecl:
         start = self._expect("class")
-        name = self._ident("class name").text
+        name = self._ident("class name")
         self._expect("extends")
-        parent = self._typename().text
+        parent = self._typename()
         self._expect("{")
         composites: list[CompositeField] = []
         sources: list[SourceField] = []
@@ -432,40 +436,34 @@ class _Parser:
                 ctor = member
         close = self._expect("}")
         if ctor is None:
-            raise ParseError(
-                f"class {name} has no constructor", close.line, close.col
-            )
+            raise ParseError(f"class {name} has no constructor", close[2], close[3])
         return ClassDecl(name, parent, composites, sources, ctor, methods,
-                         span=Span(start.line, start.col))
+                         span=Span(start[2], start[3]))
 
     def _member(self, class_name: str):
-        t = self._peek()
-        span = Span(t.line, t.col)
-        if self._at("signal"):
-            self._next()
+        _, _, line, col = self.toks[self.pos]
+        span = Span(line, col)
+        if self._eat("signal"):
             return self._field_decl(Modifier.SIGNAL, span)
-        if self._at(UNIT):
-            self._next()
+        if self._eat(UNIT):
             return self._method_decl(UNIT, span)
         # one leading type/name token; "(" right after means a constructor
         head = self._typename()
         if self._at("("):
-            if head.text != class_name:
+            if head != class_name:
                 raise ParseError(
-                    f"constructor name {head.text!r} must match class {class_name!r}",
-                    head.line, head.col,
+                    f"constructor name {head!r} must match class {class_name!r}", line, col
                 )
-            return self._ctor_decl(head.text, span)
-        if self._peek().kind == "ident" and self._peek(1).text == "(":
-            return self._method_decl(head.text, span)
-        return self._field_decl(Modifier.PLAIN, span, typ=head.text)
+            return self._ctor_decl(head, span)
+        if self.toks[self.pos][0] == "ident" and self.toks[self.pos + 1][1] == "(":
+            return self._method_decl(head, span)
+        return self._field_decl(Modifier.PLAIN, span, typ=head)
 
     def _field_decl(self, modifier: Modifier, span: Span, typ: str | None = None):
         if typ is None:
-            typ = self._typename().text
-        name = self._ident("field name").text
-        if self._at("="):
-            self._next()
+            typ = self._typename()
+        name = self._ident("field name")
+        if self._eat("="):
             # assignment level, so the terminating ';' is unambiguous;
             # sequences or lets in an initializer need parentheses
             init = _depth_checked(self._assign())
@@ -481,26 +479,24 @@ class _Parser:
         self._expect("(")
         super_args: list[str] = []
         if not self._at(")"):
-            super_args.append(self._ident("argument name").text)
-            while self._at(","):
-                self._next()
-                super_args.append(self._ident("argument name").text)
+            super_args.append(self._ident("argument name"))
+            while self._eat(","):
+                super_args.append(self._ident("argument name"))
         self._expect(")")
         self._expect(";")
         inits: list[tuple[str, str]] = []
-        while self._at("this"):
-            self._next()
+        while self._eat("this"):
             self._expect(".")
-            fname = self._ident("field name").text
+            fname = self._ident("field name")
             self._expect("=")
-            pname = self._ident("parameter name").text
+            pname = self._ident("parameter name")
             self._expect(";")
             inits.append((fname, pname))
         self._expect("}")
         return CtorDecl(name, params, super_args, inits, span=span)
 
     def _method_decl(self, ret: str, span: Span) -> MethodDecl:
-        name = self._ident("method name").text
+        name = self._ident("method name")
         params = self._params()
         self._expect("{")
         body = _depth_checked(self.expr())
@@ -512,12 +508,11 @@ class _Parser:
         params: list[Param] = []
         if not self._at(")"):
             while True:
-                ptype = self._typename().text
-                pname = self._ident("parameter name").text
+                ptype = self._typename()
+                pname = self._ident("parameter name")
                 params.append(Param(ptype, pname))
-                if not self._at(","):
+                if not self._eat(","):
                     break
-                self._next()
         self._expect(")")
         return params
 
@@ -536,29 +531,26 @@ class _Parser:
         return self._deeper(self._expr)
 
     def _expr(self) -> Expr:
-        if self._at("let"):
-            start = self._next()
-            var = self._ident("variable name").text
+        _, _, line, col = self.toks[self.pos]
+        if self._eat("let"):
+            var = self._ident("variable name")
             self._expect("=")
             bound = self.expr()
             self._expect("in")
             body = self.expr()
-            return Let(var, bound, body, span=Span(start.line, start.col))
+            return Let(var, bound, body, span=Span(line, col))
         first = self._assign()
-        if self._at(";"):
-            self._next()
+        if self._eat(";"):
             rest = self.expr()
             return Seq(first, rest, span=first.span)
         return first
 
     def _assign(self) -> Expr:
         target = self._postfix()
-        if self._at("="):
-            eq = self._next()
+        _, _, line, col = self.toks[self.pos]
+        if self._eat("="):
             if not isinstance(target, FieldAccess):
-                raise ParseError(
-                    "assignment target must be a field access", eq.line, eq.col
-                )
+                raise ParseError("assignment target must be a field access", line, col)
             value = self._deeper(self._assign)
             return Assign(target.recv, target.fname, value, span=target.span)
         return target
@@ -566,19 +558,17 @@ class _Parser:
     def _postfix(self) -> Expr:
         e = self._primary()
         while self._at("."):
-            dot = self._next()
-            if self._at("subscribe"):
-                self._next()
+            _, _, line, col = self.toks[self.pos]
+            self.pos += 1
+            if self._eat("subscribe"):
                 if not isinstance(e, FieldAccess):
-                    raise ParseError(
-                        "subscribe must follow a field access", dot.line, dot.col
-                    )
+                    raise ParseError("subscribe must follow a field access", line, col)
                 self._expect("(")
                 handler = self.expr()
                 self._expect(")")
                 e = Subscribe(e.recv, e.fname, handler, span=e.span)
                 continue
-            name = self._ident("field or method name").text
+            name = self._ident("field or method name")
             if self._at("("):
                 e = Invoke(e, name, tuple(self._args()), span=e.span)
             else:
@@ -590,33 +580,32 @@ class _Parser:
         args: list[Expr] = []
         if not self._at(")"):
             args.append(self.expr())
-            while self._at(","):
-                self._next()
+            while self._eat(","):
                 args.append(self.expr())
         self._expect(")")
         return args
 
     def _primary(self) -> Expr:
-        t = self._peek()
-        span = Span(t.line, t.col)
-        if self._at("unit"):
-            self._next()
-            return Empty(span=span)
-        if self._at("this"):
-            self._next()
-            return Var("this", span=span)
-        if self._at("new"):
-            self._next()
-            cls = self._typename().text
-            return New(cls, tuple(self._args()), span=span)
-        if self._at("("):
-            self._next()
+        kind, text, line, col = self.toks[self.pos]
+        # no identifier spells the keywords and punctuation below
+        if kind == "ident":
+            self.pos += 1
+            return Var(text, span=Span(line, col))
+        if text == "unit":
+            self.pos += 1
+            return Empty(span=Span(line, col))
+        if text == "this":
+            self.pos += 1
+            return Var("this", span=Span(line, col))
+        if text == "new":
+            self.pos += 1
+            cls = self._typename()
+            return New(cls, tuple(self._args()), span=Span(line, col))
+        if text == "(":
+            self.pos += 1
             e = self.expr()
             self._expect(")")
             return e
-        if t.kind == "ident":
-            self._next()
-            return Var(t.text, span=span)
         raise self._fail(
             "expected an expression", {"unit", "this", "new", "let", "(", "identifier"}
         )
@@ -629,7 +618,7 @@ def parse_program(text: str) -> Program:
 def parse_expr(text: str) -> Expr:
     p = _Parser(_lex(text))
     e = _depth_checked(p.expr())
-    if p._peek().kind != "eof":
+    if p.toks[p.pos][0] != "eof":
         raise p._fail("trailing input after expression", {"end of input"})
     return e
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .classtable import ClassTable
+from .classtable import ClassTable, UnknownClassError
 from .syntax import (
     UNIT,
     Assign,
@@ -103,18 +103,21 @@ class TypingError(Exception):
 def is_subtype(ct: ClassTable, sub: str, sup: str, span: Span | None = None) -> bool:
     """Reflexive-transitive extends; Unit is unrelated to every class.
 
-    Reads sub's superclasses straight out of the name -> `ClassInfo`
-    table.  An undeclared class is a TypingError at span; `type_expr`
-    skips this call only for an exact, declared type, so no error is lost."""
+    sub is below sup exactly when sup's pre- and post-order numbers in
+    the class tree enclose sub's (see `ClassInfo`), an O(1) test on the
+    two records of the name -> `ClassInfo` table.  An undeclared class
+    is a TypingError at span, sub checked first; `type_expr` skips this
+    call only for an exact, declared type, so no error is lost."""
     if sub == sup:
         return True
     if sub == UNIT or sup == UNIT:
         return False
-    if sub not in ct:
-        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sub}", span)
-    if sup not in ct:
-        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {sup}", span)
-    return sup in ct[sub].supers
+    try:
+        a = ct[sub]
+        b = ct[sup]
+    except UnknownClassError as e:
+        raise TypingError(ErrKind.UNKNOWN_CLASS_TYPE, f"unknown class {e.args[0]}", span) from None
+    return b.pre <= a.pre and a.post <= b.post
 
 
 def _class_of(ct: ClassTable, t: str, role: str, span: Span | None) -> str:

@@ -1,10 +1,12 @@
 """Class table construction and lookup functions."""
 
+import random
+
 import pytest
 
 from conftest import CORPUS
 from fsj import build_class_table, is_subtype, parse_program
-from fsj.gen import GenConfig, generate_program
+from fsj.gen import GenConfig, _rebuild_ctors, generate_program
 from fsj.classtable import (
     CtorMismatchError,
     CycleError,
@@ -16,7 +18,7 @@ from fsj.classtable import (
     UnknownParentError,
 )
 from fsj.interp import StoredObject, effect
-from fsj.syntax import OBJECT, MethodDecl, Modifier, Var
+from fsj.syntax import EMPTY, OBJECT, ClassDecl, MethodDecl, Modifier, Program, SourceField, Var
 
 
 def table(text: str):
@@ -79,7 +81,7 @@ def test_table_is_the_name_to_info_mapping(ct):
 def test_object_is_empty(ct):
     assert ct["Object"].source == ()
     assert ct["Object"].composite == ()
-    assert ct["Object"].supers == {"Object"}
+    assert {c for c in ct if is_subtype(ct, "Object", c)} == {"Object"}
 
 
 def declared_chain(decls, name: str) -> list[str]:
@@ -93,7 +95,10 @@ def declared_chain(decls, name: str) -> list[str]:
 
 def test_ancestry(ct, decls):
     assert declared_chain(decls, "C") + [OBJECT] == ["C", "B", "A", "Object"]
-    assert ct["C"].supers == {"C", "B", "A", "Object"}
+    for cls in ct:
+        ancestry = {*declared_chain(decls, cls), OBJECT}
+        assert {c for c in ct if is_subtype(ct, cls, c)} == ancestry
+    assert {c for c in ct if is_subtype(ct, "C", c)} == {"C", "B", "A", "Object"}
 
 
 def test_fields_are_superclass_first(ct):
@@ -194,6 +199,38 @@ def test_lookups_match_a_walk_over_generated_declarations():
         assert_lookups_match_a_walk_over_the_declarations(program)
 
 
+def random_hierarchy(rng: random.Random, n: int, shape: str) -> Program:
+    """n classes in one of three shapes, declared in shuffled order: a
+    "chain", a "wide" tree of few levels, or a "forest" of subtrees under
+    Object.  Some classes declare a field, or a method `m` or `k` that
+    may override an inherited one."""
+    decls = []
+    for i in range(n):
+        if shape == "chain":
+            parent = decls[-1].name if decls else OBJECT
+        elif shape == "wide":
+            parent = rng.choice([OBJECT, *[d.name for d in decls[:3]]])
+        else:
+            parent = rng.choice([OBJECT, OBJECT, *[d.name for d in decls]])
+        sources = [SourceField(Modifier.PLAIN, OBJECT, f"f{i}")] if rng.random() < 0.3 else []
+        methods = [MethodDecl(OBJECT, m, [], Var("this")) for m in "mk" if rng.random() < 0.2]
+        decls.append(ClassDecl(f"C{i}", parent, [], sources, None, methods))
+    _rebuild_ctors(decls)
+    rng.shuffle(decls)
+    return Program(decls, EMPTY)
+
+
+def test_lookups_match_a_walk_over_random_hierarchies():
+    """Generated programs have at most four classes; these have up to 60,
+    so sibling subtrees and deep chains meet the interval test."""
+    rng = random.Random(8)
+    for i in range(200):
+        shape = ("chain", "wide", "forest")[i % 3]
+        assert_lookups_match_a_walk_over_the_declarations(
+            random_hierarchy(rng, rng.randint(1, 60), shape)
+        )
+
+
 def test_table_answers_for_the_program_as_it_was_built():
     program = parse_program(HIERARCHY)
     ct = build_class_table(program)
@@ -216,13 +253,15 @@ def test_downstream_is_worked_out_on_first_read_only():
 
 def test_a_deep_hierarchy_declared_child_first_builds():
     """Resolving a class walks its parent chain without recursing."""
-    n = 1200
+    n = 4800
     text = "".join(
         f"class C{i} extends {f'C{i - 1}' if i else OBJECT} {{ C{i}() {{ super(); }} }}\n"
         for i in reversed(range(n))
     )
     ct = table(text + "unit")
-    assert len(ct[f"C{n - 1}"].supers) == n + 1
+    assert sum(is_subtype(ct, f"C{n - 1}", c) for c in ct) == n + 1
+    assert is_subtype(ct, "C4799", "C0")
+    assert not is_subtype(ct, "C0", "C4799")
 
 
 # -------------------------------------------------------------- errors

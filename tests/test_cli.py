@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and the golden traces."""
 
+import importlib.util
 import json
 import random
 import re
@@ -19,7 +20,7 @@ from fsj.cli import (
     main,
 )
 
-from conftest import CORPUS, GOLDEN
+from conftest import CORPUS, GOLDEN, ROOT
 
 
 def run_cli(argv, capsys):
@@ -501,6 +502,16 @@ def test_console_script_runs():
     assert "ok" in proc.stdout
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsj", "check", path("seq_cat.fsj")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == f"{path('seq_cat.fsj')}: ok (main: Ping)\n"
+
+
 def test_closed_stdout_exits_without_a_traceback():
     """A reader that stops after one line closes the pipe while the trace,
     larger than the pipe buffer, is still being written."""
@@ -514,3 +525,26 @@ def test_closed_stdout_exits_without_a_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == EXIT_PARSE
     assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+# ---------------------------------------------------------------- scripts
+
+
+def load_file(monkeypatch, name: str, path):
+    """Import one file under a private module name, listed in sys.modules
+    (as dataclasses need) for this test only."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_machine_frontend_operations_pass_their_checks(monkeypatch):
+    bench = load_file(monkeypatch, "_fsj_bench_machine", ROOT / "scripts" / "bench_machine.py")
+    workloads = load_file(monkeypatch, "_fsj_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    ops = bench.frontend(workloads, ROOT)
+    sizes = bench.CHAIN_SIZES
+    assert [op.size for op in ops] == [None, *[n for n in sizes for _ in "pb"]]
+    for op in ops:
+        assert op.check(op.run()) == (0, None), op.key

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import pickle
+import random
 import sys
 from pathlib import Path
 
@@ -534,3 +535,89 @@ def test_parser_is_total(text: str):
         parse_program(text)
     except ParseError:
         pass
+
+
+# ----------------------------------------------------------------- lexer
+
+
+def reference_lex(text: str) -> list[tuple[str, str, int, int]]:
+    """The lexer as it was written character by character, kept as the
+    reference for `syntax._lex`: the same tokens, (kind, text, line, col),
+    or the same ParseError."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "/" and text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isascii() and (c.isalpha() or c == "_"):
+            j = i
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "kw" if word in syntax.RESERVED else "ident"
+            toks.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        if c in "{}();,.=":
+            toks.append(("punct", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"stray character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def lexed(lex, text: str):
+    """lex's tokens for text, or its ParseError as (message, line, col, expected)."""
+    try:
+        return lex(text)
+    except ParseError as err:
+        return err.message, err.line, err.col, err.expected
+
+
+MUTANT_CHARS = "{}();,.=/@xZ_09 \t\r\n\0\ufeff\u00e9"
+MUTANTS = 5000
+
+
+def char_mutants(texts: list[str], count: int, seed: int = 21):
+    """count texts, each one of texts with one to three characters
+    inserted, replaced or deleted, drawn from MUTANT_CHARS."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            edit = rng.choice(("insert", "replace", "delete"))
+            if edit == "insert" or i == len(chars):
+                chars.insert(i, rng.choice(MUTANT_CHARS))
+            elif edit == "replace":
+                chars[i] = rng.choice(MUTANT_CHARS)
+            else:
+                del chars[i]
+        yield "".join(chars)
+
+
+def test_lexer_matches_the_reference_on_the_corpus_and_its_mutants():
+    texts = [p.read_text() for p in sorted(CORPUS.glob("**/*.fsj"))]
+    errors = 0
+    for text in [*texts, *char_mutants(texts, MUTANTS)]:
+        got = lexed(syntax._lex, text)
+        assert got == lexed(reference_lex, text), repr(text)
+        errors += type(got) is tuple
+    # the mutants reach both outcomes, and every corpus file lexes
+    assert 0 < errors < MUTANTS
