@@ -18,9 +18,14 @@ workload, each checked against the recorded snapshot; and the
 parses back to the same rendering, then for n = 1200, 2400 and 4800
 classes declared child first (`chain_source`) the parse, checked for n
 classes, and the class table build of the parsed program, checked for
-n + 1 records and `is_subtype` between C<n-1> and C0 both ways.  An
-operation's time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30)
-for the audited, traced and frontend ones, which can take seconds each:
+n + 1 records and `is_subtype` between C<n-1> and C0 both ways; and the
+`mutated` family: the campaign of seeds 0-119 on each deliberately
+broken machine (`interp.MUT_NO_THIS_SUBST` and `MUT_SWAP_ASSIGN`), the
+only operations that run the mutants' outcome rewrites, each checked
+against its record in `tests/golden/campaign_reports.json` (violation
+count and digest).  An operation's time is the fastest of REPEAT (60)
+runs, AUDIT_REPEAT (30) for the audited, traced, frontend and mutated
+ones, which can take seconds each:
 with 10, two sides running the same audit code read 2.51 and 3.05 s at
 fuel 10000.  The repeats go round all operations in turn, so a change in
 the host's speed reaches every operation alike.  A failed check stops
@@ -54,6 +59,7 @@ import json
 import math
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -69,7 +75,8 @@ AUDIT_FUELS = (2500, 5000, 10000)
 AUDIT_REPEAT = 30
 TRACE_FUELS = (250, 500, 1000)
 CHAIN_SIZES = (1200, 2400, 4800)
-SLOW_FAMILIES = ("audited", "traced", "frontend")  # timed AUDIT_REPEAT times
+MUTATED_SEEDS = 120
+SLOW_FAMILIES = ("audited", "traced", "frontend", "mutated")  # timed AUDIT_REPEAT times
 
 
 def slope(points: list[tuple[int, float]]) -> float:
@@ -139,6 +146,28 @@ def frontend(workloads, root: Path) -> list:
     return ops
 
 
+def mutated(workloads, root: Path) -> list:
+    """The `mutated` family's operations, on the fsj modules `workloads`
+    imported.  A campaign's steps are its progress reports' step counts,
+    which are where each seed's machine stopped."""
+    interp, metatheory = workloads.interp, workloads.metatheory
+    golden = json.loads((root / "tests" / "golden" / "campaign_reports.json").read_text())
+    record = runpy.run_path(str(root / "scripts" / "regen_campaign_reports.py"))["record"]
+
+    def op(name: str):
+        def work():
+            return metatheory.campaign(MUTATED_SEEDS, base_seed=0, mutations=frozenset({name}))
+
+        def check(res):
+            steps = sum(r.step for _, r in res.reports if r.prop == metatheory.P_PROGRESS)
+            got = record(name, res)
+            return steps, None if got == golden[name] else f"{got}, want {golden[name]}"
+
+        return workloads.Op("mutated", name, work, check)
+
+    return [op(interp.MUT_NO_THIS_SUBST), op(interp.MUT_SWAP_ASSIGN)]
+
+
 def campaign_builds() -> int:
     """How many class tables campaign seed 0 builds, through the names
     `gen` and `metatheory` call."""
@@ -161,7 +190,8 @@ def campaign_builds() -> int:
 
 def operations(root: Path):
     """The `machine` workload's operations, the long loop, the audited runs,
-    the traced runs, the campaign operations, then the front end's."""
+    the traced runs, the campaign operations, the front end's, then the
+    mutated campaigns."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(1, str(root / "perfbench"))
     import workloads
@@ -212,7 +242,8 @@ def operations(root: Path):
     ] + [traced_loop(fuel) for fuel in TRACE_FUELS]
     machine = workloads.WORKLOADS["machine"](root, 0).ops
     campaign = workloads.campaign(root, 0).ops
-    return machine + [long_loop] + audited + traced + campaign + frontend(workloads, root)
+    front, mutants = frontend(workloads, root), mutated(workloads, root)
+    return machine + [long_loop] + audited + traced + campaign + front + mutants
 
 
 def worker(root: Path) -> int:
@@ -354,6 +385,7 @@ def main() -> int:
         front = {r["key"]: r["seconds"] for r in record["operations"] if r["family"] == "frontend"}
         corpus = next(t for key, t in front.items() if key.startswith("parse corpus"))
         builds = ", ".join(f"{front[f'build n={n}']:.3f}" for n in CHAIN_SIZES)
+        mutants = ", ".join(f"{r['seconds']:.3f}" for r in record["operations"] if r["family"] == "mutated")
         print(
             f"{side.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
             f" {record['machine_steps_per_s']:.0f} steps/s;"
@@ -367,7 +399,8 @@ def main() -> int:
             f" {record['campaign_builds_per_seed']} table build(s) per seed;"
             f" parse corpus {corpus * 1e3:.2f} ms;"
             f" chain builds {builds} s,"
-            f" slope {record['families']['frontend']['build_slope']:.2f}"
+            f" slope {record['families']['frontend']['build_slope']:.2f};"
+            f" mutated campaigns {mutants} s"
         )
     args.out.write_text(json.dumps(records, indent=2) + "\n")
     print(f"-> {args.out}")

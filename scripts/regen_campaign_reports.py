@@ -22,14 +22,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fsj import campaign  # noqa: E402
-from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN  # noqa: E402
+from fsj.interp import MUTANTS  # noqa: E402
 
 DEST = ROOT / "tests" / "golden" / "campaign_reports.json"
 # name -> (seed count, mutations); every campaign starts at seed 0
 CAMPAIGNS = {
     "default": (1000, frozenset()),
-    MUT_NO_THIS_SUBST: (120, frozenset({MUT_NO_THIS_SUBST})),
-    MUT_SWAP_ASSIGN: (120, frozenset({MUT_SWAP_ASSIGN})),
+    **{name: (120, frozenset({name})) for name in sorted(MUTANTS)},
 }
 
 

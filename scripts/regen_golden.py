@@ -41,7 +41,7 @@ from fsj import (  # noqa: E402
     parse_program,
     run,
 )
-from fsj.interp import MUTATIONS  # noqa: E402
+from fsj.interp import MUTANTS  # noqa: E402
 from fsj.metatheory import CAMPAIGN_FUEL  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -86,7 +86,7 @@ def trace_digests(root: Path = ROOT) -> dict:
                 h.update(b"ill-typed\n")
         families[label] = {"fuel": fuel, "sha256": h.hexdigest()}
     mutated = {}
-    for mutation in sorted(MUTATIONS):
+    for mutation in sorted(MUTANTS):
         h = hashlib.sha256()
         for name, program, ct in loaded:
             h.update(f"program={name}\n".encode())

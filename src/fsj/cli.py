@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .classtable import ClassTable, ClassTableError, build_class_table
-from .interp import DEFAULT_FUEL, MUTATIONS, chain_depth, run
+from .interp import DEFAULT_FUEL, MUTANTS, chain_depth, run
 from .metatheory import CAMPAIGN_FUEL, campaign, shrink_campaign_failure
 from .syntax import Loc, ParseError, Program, parse_program, render_expr, render_program
 from .typecheck import check_program
@@ -35,6 +35,7 @@ EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_STUCK = 4
+EXIT_FOR_STATUS = {"terminal": EXIT_OK, "fuel": EXIT_FUEL, "stuck": EXIT_STUCK}
 
 TRACE_TEXT_HEADER = "# fsj trace v1"
 TRACE_JSON_HEADER = '{"format": "fsj-trace", "version": 1}'
@@ -107,11 +108,11 @@ def cmd_run(args) -> int:
             " machine, not in the program",
             file=sys.stderr,
         )
-        return EXIT_STUCK
+        return EXIT_FOR_STATUS[result.status]
     if result.status == "fuel":
         pend = f"@{result.pending[0]}.{result.pending[1]}" if result.pending else "none"
         print(f"status=fuel steps={result.state.steps} pending={pend}")
-        return EXIT_FUEL
+        return EXIT_FOR_STATUS[result.status]
     final = result.final
     print(f"final={render_expr(final)}")
     if isinstance(final, Loc):
@@ -122,7 +123,7 @@ def cmd_run(args) -> int:
     keys = sorted(result.state.handlers)
     print("handlers=" + (",".join(f"@{l}.{f}" for l, f in keys) if keys else "none"))
     print(f"steps={result.state.steps}")
-    return EXIT_OK
+    return EXIT_FOR_STATUS[result.status]
 
 
 def cmd_trace(args) -> int:
@@ -149,11 +150,7 @@ def cmd_trace(args) -> int:
         )
     else:
         print(f"status={result.status} final={final} steps={result.state.steps}")
-    if result.status == "stuck":
-        return EXIT_STUCK
-    if result.status == "fuel":
-        return EXIT_FUEL
-    return EXIT_OK
+    return EXIT_FOR_STATUS[result.status]
 
 
 def cmd_meta(args) -> int:
@@ -222,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=count, default=os.environ.get("FSJ_FUEL", CAMPAIGN_FUEL))
     p.add_argument(
         "--mutate",
-        choices=sorted(MUTATIONS),
+        choices=sorted(MUTANTS),
         default=None,
         help="deliberately break the machine; the campaign must then fail",
     )

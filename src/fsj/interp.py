@@ -68,8 +68,8 @@ oracles ride along as per-step observers instead of stepping the machine
 themselves: `trace_step` reads a step's allocation, write or subscription
 off the redex and the stores as the step found them, so `step` records
 nothing for it and an untraced run builds no events.
-`mutations` deliberately breaks the machine for sensitivity testing of
-the soundness oracles; production callers leave it empty.
+`MUTANTS` holds broken machines for the oracles to catch: each rewrites
+one rule's outcome and no store, and `run` composes the named ones on `step`.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ DEFAULT_FUEL = 100_000
 
 MUT_NO_THIS_SUBST = "fields-no-this-subst"
 MUT_SWAP_ASSIGN = "swap-assign-dispatch"
-MUTATIONS = frozenset({MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN})
 
 # An evaluation context: None when empty, else (node, slot, outer), where
 # node's subterm number `slot`, counted as `syntax.children` lists them (in
@@ -346,7 +345,7 @@ class StepOutcome:
     rule: str
 
 
-def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset()) -> StepOutcome | None:
+def step(ct: ClassTable, st: MachineState) -> StepOutcome | None:
     """Apply the rule for st's focus and refocus in the same context.
 
     Dispatch is on the exact type of the focus, most frequent rule
@@ -354,7 +353,7 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
     empty) gives None.  A node whose subterms do not fit its rule is
     stuck (a free variable, or a finished form where the node needs
     something else) and raises StuckError where the rule finds it,
-    always before the step writes either store.
+    always before the step writes either store; a mutant rewrites the outcome.
     """
     e = st.focus
     t = type(e)
@@ -386,10 +385,7 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         if i is None:
             raise StuckError(st)
         store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
-        signal = sf.modifier is Modifier.SIGNAL
-        if MUT_SWAP_ASSIGN in mutations:
-            signal = not signal
-        if signal:
+        if sf.modifier is Modifier.SIGNAL:
             key = (l, f)
             out, rule = EffectBrace(handlers.get(key, EMPTY), key), "R-ASSIGNS"
         else:
@@ -409,9 +405,7 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
         if i is not None:
             out, rule = Loc(obj.fields[i]), "R-FIELD"
         else:
-            out, rule = cf.init, "R-FIELDS"
-            if MUT_NO_THIS_SUBST not in mutations:
-                out = subst(cf.init, {"this": Loc(l)})
+            out, rule = subst(cf.init, {"this": Loc(l)}), "R-FIELDS"
 
     elif t is Invoke:
         recv, m, args = e.recv, e.method, e.args
@@ -451,6 +445,38 @@ def step(ct: ClassTable, st: MachineState, mutations: frozenset[str] = frozenset
     else:  # a free variable
         raise StuckError(st)
     return StepOutcome(MachineState(out, store, handlers, st.steps + 1, st.stack), rule)
+
+
+def _fields_no_this_subst(ct: ClassTable, st: MachineState, out: StepOutcome) -> StepOutcome:
+    """R-FIELDS focuses the initializer with `this` left unbound."""
+    if out.rule != "R-FIELDS":
+        return out
+    e, after = st.focus, out.state
+    init = ct[after.store[e.recv.loc].cls].fields[e.fname][1].init
+    return StepOutcome(MachineState(init, after.store, after.handlers, after.steps, st.stack), out.rule)
+
+
+def _swap_assign_dispatch(ct: ClassTable, st: MachineState, out: StepOutcome) -> StepOutcome:
+    """A plain field's write pushes like a signal's, and a signal's like a plain one's."""
+    if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
+        return out
+    after, key = out.state, (st.focus.recv.loc, st.focus.fname)
+    if out.rule == "R-ASSIGN":
+        e, rule = EffectBrace(after.handlers.get(key, EMPTY), key), "R-ASSIGNS"
+    else:
+        e, rule = EMPTY, "R-ASSIGN"
+    return StepOutcome(MachineState(e, after.store, after.handlers, after.steps, st.stack), rule)
+
+
+MUTANTS = {MUT_NO_THIS_SUBST: _fields_no_this_subst, MUT_SWAP_ASSIGN: _swap_assign_dispatch}
+
+
+def _rewritten(inner: Callable, rewrite: Callable) -> Callable:
+    """inner, with each outcome it returns passed through rewrite."""
+    def stepped(ct: ClassTable, st: MachineState) -> StepOutcome | None:
+        out = inner(ct, st)
+        return None if out is None else rewrite(ct, st, out)
+    return stepped
 
 
 # =========================================================================
@@ -595,12 +621,19 @@ def run(
     compares `after` against.  A store replaced outright is journaled
     afresh, and journaling stops with the observers.
 
+    `mutations` names `MUTANTS` entries, composed in sorted order around
+    `step` as this module's globals hold it when `run` is called; with
+    none, `run` steps that `step` itself.
+
     With `collect_trace` the trace is the first observer, `trace_step`
     appending to `RunResult.trace`, so a traced run journals its stores
     and returns `Journal`s.  Like every observer it falls silent at the
     first violation; no caller combines the trace with the oracles.
     """
     st = MachineState(main, {}, {})
+    stepper = step
+    for name in sorted(mutations):
+        stepper = _rewritten(stepper, MUTANTS[name])
     trace: list[TraceEvent] = []
     if collect_trace:
         observers = [lambda before, out, after: trace.extend(trace_step(ct, before, out)), *observers]
@@ -613,7 +646,7 @@ def run(
             st.store.undo.clear()
             st.handlers.undo.clear()
         try:
-            out = step(ct, st, mutations)
+            out = stepper(ct, st)
         except StuckError as err:
             return RunResult("stuck", st, trace, stuck_message=str(err), violation=violation)
         if out is None:

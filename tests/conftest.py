@@ -11,7 +11,7 @@ from fsj import (
     parse_program,
     scenario_suite,
 )
-from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN
+from fsj.interp import MUTANTS
 from fsj.metatheory import audit_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,7 +63,7 @@ def mutated_campaigns():
     """Seeds 0-119 on each deliberately broken machine, keyed by mutation."""
     return {
         mut: campaign(120, base_seed=0, mutations=frozenset({mut}))
-        for mut in (MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN)
+        for mut in sorted(MUTANTS)
     }
 
 

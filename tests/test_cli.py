@@ -19,6 +19,7 @@ from fsj.cli import (
     TRACE_TEXT_HEADER,
     main,
 )
+from fsj.interp import MUTANTS
 
 from conftest import CORPUS, GOLDEN, ROOT
 
@@ -548,3 +549,13 @@ def test_bench_machine_frontend_operations_pass_their_checks(monkeypatch):
     assert [op.size for op in ops] == [None, *[n for n in sizes for _ in "pb"]]
     for op in ops:
         assert op.check(op.run()) == (0, None), op.key
+
+
+def test_bench_machine_mutated_operations_pass_their_checks(monkeypatch):
+    bench = load_file(monkeypatch, "_fsj_bench_machine", ROOT / "scripts" / "bench_machine.py")
+    workloads = load_file(monkeypatch, "_fsj_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    ops = bench.mutated(workloads, ROOT)
+    assert [op.key for op in ops] == sorted(MUTANTS)
+    for op in ops:
+        steps, err = op.check(op.run())
+        assert steps > 0 and err is None, (op.key, err)

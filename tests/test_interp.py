@@ -23,6 +23,7 @@ from fsj import (
 from fsj import interp
 from fsj.gen import GenConfig, generate_program
 from fsj.interp import (
+    MUTANTS,
     MUT_NO_THIS_SUBST,
     MUT_SWAP_ASSIGN,
     MachineState,
@@ -689,9 +690,9 @@ def test_observers_see_the_state_the_machine_stepped(monkeypatch):
     stepped = []
     real = interp.step
 
-    def recording(ct, st, mutations=frozenset()):
+    def recording(ct, st):
         stepped.append(st)
-        return real(ct, st, mutations)
+        return real(ct, st)
 
     def same_state(before, out, after):
         assert before is stepped[-1] and after is out.state, after.steps
@@ -828,18 +829,60 @@ def test_chain_depth_handles_cycles():
 
 
 def test_mutation_no_this_subst(ct):
-    out = step(ct, cell_state(FieldAccess(Loc(0), "echo")), frozenset({MUT_NO_THIS_SUBST}))
+    st = cell_state(FieldAccess(Loc(0), "echo"))
+    out = MUTANTS[MUT_NO_THIS_SUBST](ct, st, step(ct, st))
     assert out.rule == "R-FIELDS"
     assert out.state.expr == FieldAccess(Var("this"), "src")
 
 
 def test_mutation_swap_assign(ct):
-    out = step(ct, cell_state(Assign(Loc(0), "plain", Loc(1))), frozenset({MUT_SWAP_ASSIGN}))
+    st = cell_state(Assign(Loc(0), "plain", Loc(1)))
+    out = MUTANTS[MUT_SWAP_ASSIGN](ct, st, step(ct, st))
     assert out.rule == "R-ASSIGNS"
     assert isinstance(out.state.expr, EffectBrace)
-    out = step(ct, cell_state(Assign(Loc(0), "src", Loc(1))), frozenset({MUT_SWAP_ASSIGN}))
+    st = cell_state(Assign(Loc(0), "src", Loc(1)))
+    out = MUTANTS[MUT_SWAP_ASSIGN](ct, st, step(ct, st))
     assert out.rule == "R-ASSIGN"
     assert isinstance(out.state.expr, Empty)
+
+
+# the rules whose outcome each mutant rewrites
+MUTANT_TARGETS = {
+    MUT_NO_THIS_SUBST: {"R-FIELDS"},
+    MUT_SWAP_ASSIGN: {"R-ASSIGN", "R-ASSIGNS"},
+}
+
+
+def test_a_mutant_rewrites_only_the_outcome():
+    """On every step of every corpus program at fuel 300, each mutant keeps
+    the plain outcome's store dicts and their contents, leaves the rules it
+    does not target alone, and changes some program's rule sequence."""
+    assert MUTANT_TARGETS.keys() == MUTANTS.keys()
+
+    def rules(ct, main, mutations=frozenset()):
+        seen = []
+        run(ct, main, 300, mutations, collect_trace=False,
+            observers=[lambda before, out, after: seen.append(out.rule)])
+        return seen
+
+    changed = set()
+    for path in sorted(CORPUS.glob("*.fsj")):
+        ct, program = load_corpus_file(path.name)
+        st = MachineState(program.main, {}, {})
+        while st.steps < 300 and (out := step(ct, st)) is not None:
+            after = out.state
+            store, handlers = dict(after.store), dict(after.handlers)
+            for name, rewrite in MUTANTS.items():
+                mutated = rewrite(ct, st, out)
+                got = mutated.state
+                assert got.store is after.store and got.handlers is after.handlers, name
+                assert got.store == store and got.handlers == handlers, name
+                if out.rule not in MUTANT_TARGETS[name]:
+                    assert mutated.rule == out.rule and got.expr == after.expr, name
+            st = after
+        plain = rules(ct, program.main)
+        changed |= {name for name in MUTANTS if rules(ct, program.main, frozenset({name})) != plain}
+    assert changed == MUTANTS.keys()
 
 
 # ------------------------------------------------------------ trace form

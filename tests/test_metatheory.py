@@ -152,8 +152,8 @@ def corrupting_step(monkeypatch, rule, corrupt):
     """Make interp.step call corrupt(state_before, outcome) after each `rule` step."""
     real = interp.step
 
-    def wrapped(ct, st, mutations=frozenset()):
-        out = real(ct, st, mutations)
+    def wrapped(ct, st):
+        out = real(ct, st)
         if out is not None and out.rule == rule:
             corrupt(st, out)
         return out
@@ -377,8 +377,8 @@ def replace_second_step(monkeypatch, contractum):
     place, in the same context: `new Pair(@0, [])`."""
     real = interp.step
 
-    def wrapped(ct, st, mutations=frozenset()):
-        out = real(ct, st, mutations)
+    def wrapped(ct, st):
+        out = real(ct, st)
         if st.steps != 1:
             return out
         state = interp.MachineState(contractum, st.store, st.handlers, st.steps + 1, st.stack)
@@ -523,8 +523,8 @@ def test_audit_catches_handlers_scheduled_out_of_registration_order(monkeypatch)
     holds them in reverse order is a delivery violation at that write."""
     real = interp.step
 
-    def reversed_delivery(ct, st, mutations=frozenset()):
-        out = real(ct, st, mutations)
+    def reversed_delivery(ct, st):
+        out = real(ct, st)
         if out is not None and out.rule == "R-ASSIGNS":
             key = (st.focus.recv.loc, st.focus.fname)
             chain, handlers = out.state.handlers[key], []
@@ -551,8 +551,8 @@ def test_audit_catches_one_of_two_equal_handlers_missing_from_a_write(monkeypatc
     holds only one of them is missing a handler, not out of order."""
     real = interp.step
 
-    def dropped_delivery(ct, st, mutations=frozenset()):
-        out = real(ct, st, mutations)
+    def dropped_delivery(ct, st):
+        out = real(ct, st)
         if out is not None and out.rule == "R-ASSIGNS":
             s = out.state
             key = (st.focus.recv.loc, st.focus.fname)
@@ -810,12 +810,12 @@ def test_campaign_covers_every_rule():
         assert res.rules[rule] >= 2, rule
 
 
-@pytest.mark.parametrize("mutation", sorted([MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN]))
+@pytest.mark.parametrize("mutation", sorted(interp.MUTANTS))
 def test_campaign_detects_broken_machine(mutation, mutated_campaigns):
     assert len(mutated_campaigns[mutation].violations) > 0
 
 
-@pytest.mark.parametrize("mutation", sorted([MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN]))
+@pytest.mark.parametrize("mutation", sorted(interp.MUTANTS))
 def test_campaign_reports_match_separate_checks(mutation):
     """One audited run gives the same two reports as the two checks run apart."""
     mutations = frozenset({mutation})
