@@ -5,8 +5,9 @@ The traces are `fsj trace` of corpus/subscribe_push.fsj in both formats.
 trace_digests.json pins every other trace without storing it: a sha256
 over each event's `to_json()` line, then the final status and step
 count, of traced `run`s of every corpus program at fuel 2500
-(loop_handler.fsj at 300, since a traced step renders the whole
-expression), of default-config generated programs of seeds 0-199 at the
+(loop_handler.fsj at 300: its expression grows with every loop, so its
+trace's size grows as the square of the fuel; tests/test_cli.py pins the
+fuel-5000 trace's digests), of default-config generated programs of seeds 0-199 at the
 campaign fuel, of `handlers_write_signals` programs of seeds 0-199 at
 fuel 300, and of the corpus under each mutation at fuel 300.
 checker_errors.json holds, for every row of the typing table in

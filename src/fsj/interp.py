@@ -55,8 +55,8 @@ raises StuckError on the spot, before any store write.  It calls
 this module's globals, so a wrapper installed at one of those
 attributes sees every call.
 `MachineState.expr` plugs the focus back into its context each time
-someone asks for the whole expression (traces, stuck reports and final
-results), and the innermost brace around the focus is the pending key a
+someone asks for the whole expression (stuck reports and final results),
+and the innermost brace around the focus is the pending key a
 fuel-cut run reports.
 
 Which initialized fields a write reaches is read off the class's record
@@ -65,9 +65,14 @@ initializer only reads through `this`.
 
 `run` is the only loop that calls `step`.  The trace and the soundness
 oracles ride along as per-step observers instead of stepping the machine
-themselves: `trace_step` reads a step's allocation, write or subscription
-off the redex and the stores as the step found them, so `step` records
-nothing for it and an untraced run builds no events.
+themselves: a `TraceObserver` reads a step's allocation, write or
+subscription off the redex and the stores as the step found them, so
+`step` records nothing for it and an untraced run builds no events.  It
+renders a step's expression from the machine's own decomposition: it
+keeps each live frame's text left and right of its hole, split once when
+the frame is pushed (`syntax.split_frame`), so a step renders its focus
+and the frames it pushed, and joins the rest (`stack_delta` finds which
+frames those are, for the audit's typing too).
 `MUTANTS` holds broken machines for the oracles to catch: each rewrites
 one rule's outcome and no store, and `run` composes the named ones on `step`.
 """
@@ -95,7 +100,9 @@ from .syntax import (
     New,
     Seq,
     Subscribe,
+    _SEQ,
     render_expr,
+    split_frame,
     subst,
     with_child,
 )
@@ -227,6 +234,24 @@ class MachineState:
         return e.key
 
 
+def stack_delta(live: dict, old: Stack, new: Stack) -> tuple[list, Stack]:
+    """The cells of new pushed since old, innermost first, and the
+    innermost cell the two stacks share (None if none).
+
+    `live` holds, keyed by id, what an observer keeps for each cell of old;
+    the entries of the cells popped since old are deleted from it.  old
+    keeps its cells alive, so no cell of new can share an id with one.
+    """
+    pushed, k = [], new
+    while k is not None and id(k) not in live:
+        pushed.append(k)
+        k = k[2]
+    while old is not k:
+        del live[id(old)]
+        old = old[2]
+    return pushed, k
+
+
 def _registrations(e: Expr) -> int:
     """Subscriptions in a handler chain: each one wrapped it in a left `Seq`."""
     n = 0
@@ -293,7 +318,7 @@ def handlers_of(
 # trace events
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     kind: str  # step, alloc, plain-write, signal-write, handler-enqueue, subscribe
@@ -307,16 +332,22 @@ class TraceEvent:
     count: int | None = None
 
     def _fields(self) -> list[tuple[str, object]]:
-        pairs = [
-            ("loc", self.loc),
-            ("field", self.fname),
-            ("cls", self.cls),
-            ("old", self.old),
-            ("new", self.new),
-            ("count", self.count),
-            ("expr", self.expr),
-        ]
-        return [(k, v) for k, v in pairs if v is not None]
+        pairs: list[tuple[str, object]] = []
+        if self.loc is not None:
+            pairs.append(("loc", self.loc))
+        if self.fname is not None:
+            pairs.append(("field", self.fname))
+        if self.cls is not None:
+            pairs.append(("cls", self.cls))
+        if self.old is not None:
+            pairs.append(("old", self.old))
+        if self.new is not None:
+            pairs.append(("new", self.new))
+        if self.count is not None:
+            pairs.append(("count", self.count))
+        if self.expr is not None:
+            pairs.append(("expr", self.expr))
+        return pairs
 
     def to_line(self) -> str:
         head = f"rule={self.rule}" if self.kind == "step" else f"event={self.kind}"
@@ -339,7 +370,7 @@ class TraceEvent:
 class StepOutcome:
     """What one step did: the state it reached and the rule it applied.
     What the step allocated, wrote or subscribed is read off the redex and
-    the stores by whoever wants it (`trace_step`, the oracles)."""
+    the stores by whoever wants it (`TraceObserver`, the oracles)."""
 
     state: MachineState
     rule: str
@@ -560,31 +591,64 @@ def written_keys(old, store) -> dict:
     return store
 
 
-def trace_step(ct: ClassTable, before: MachineState, out: StepOutcome) -> list[TraceEvent]:
-    """The trace events of one step: the step, then what it allocated,
-    wrote or subscribed.
+class TraceObserver:
+    """`run`'s trace observer: appends the events of each step to `events`,
+    the step, then what it allocated, wrote or subscribed.
 
     The redex is `before.focus`, and `before`'s stores are the journals'
     `Version`s, so a signal write's old location is the one the step
     overwrote.  R-ASSIGNS leaves the handler store alone, so the chain the
     brace holds is the one registered on the key after the step.
+
+    A step's expression is rendered as the machine holds it, never
+    plugged: for each cell of the last stack, outermost first, `before`
+    and `after` hold its node's text left and right of the hole
+    (`syntax.split_frame`), and `live` maps the cell's id to one past its
+    index there, with the level its hole is rendered at.  A step truncates
+    away the cells popped since and splits only the cells pushed since, so
+    it renders its focus and those frames alone, and the lists hold text
+    for the live context only.
     """
-    e, n, after = before.focus, before.steps, out.state
-    events = [TraceEvent(n, "step", rule=out.rule, expr=render_expr(after.expr))]
-    if out.rule == "R-NEW":
-        events.append(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
-    elif out.rule == "R-ASSIGN":
-        events.append(TraceEvent(n, "plain-write", loc=e.recv.loc, fname=e.fname))
-    elif out.rule == "R-SUBSCRIBE":
-        events.append(TraceEvent(n, "subscribe", loc=e.recv.loc, fname=e.fname))
-    elif out.rule == "R-ASSIGNS":
-        l, f = e.recv.loc, e.fname
-        obj = before.store[l]
-        old = obj.fields[ct[obj.cls].fields[f][0]]
-        count = _registrations(after.handlers.get((l, f), EMPTY))
-        events.append(TraceEvent(n, "signal-write", loc=l, fname=f, old=old, new=e.value.loc))
-        events.append(TraceEvent(n, "handler-enqueue", loc=l, fname=f, count=count))
-    return events
+
+    __slots__ = ("ct", "events", "live", "before", "after", "stack")
+
+    def __init__(self, ct: ClassTable, events: list[TraceEvent]):
+        self.ct, self.events = ct, events
+        self.live: dict[int, tuple[int, int]] = {}  # id(cell) -> (index + 1, hole level)
+        self.before: list[str] = []
+        self.after: list[str] = []
+        self.stack: Stack = None  # the stack whose cells `live` holds
+
+    def render(self, st: MachineState) -> str:
+        """`render_expr(st.expr)`, from the frames pushed since the last call."""
+        live, before, after = self.live, self.before, self.after
+        pushed, k = stack_delta(live, self.stack, st.stack)
+        self.stack = st.stack
+        n, level = (0, _SEQ) if k is None else live[id(k)]
+        del before[n:], after[n:]
+        for cell in reversed(pushed):
+            head, tail, level = split_frame(cell[0], cell[1], level)
+            before.append(head)
+            after.append(tail)
+            live[id(cell)] = (len(before), level)
+        return "".join(before) + render_expr(st.focus, level) + "".join(reversed(after))
+
+    def __call__(self, before: MachineState, out: StepOutcome, after: MachineState) -> None:
+        e, n, rule, append = before.focus, before.steps, out.rule, self.events.append
+        append(TraceEvent(n, "step", rule, self.render(after)))
+        if rule == "R-NEW":
+            append(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
+        elif rule == "R-ASSIGN":
+            append(TraceEvent(n, "plain-write", loc=e.recv.loc, fname=e.fname))
+        elif rule == "R-SUBSCRIBE":
+            append(TraceEvent(n, "subscribe", loc=e.recv.loc, fname=e.fname))
+        elif rule == "R-ASSIGNS":
+            l, f = e.recv.loc, e.fname
+            obj = before.store[l]
+            old = obj.fields[self.ct[obj.cls].fields[f][0]]
+            count = _registrations(after.handlers.get((l, f), EMPTY))
+            append(TraceEvent(n, "signal-write", loc=l, fname=f, old=old, new=e.value.loc))
+            append(TraceEvent(n, "handler-enqueue", loc=l, fname=f, count=count))
 
 
 @dataclass
@@ -625,7 +689,7 @@ def run(
     `step` as this module's globals hold it when `run` is called; with
     none, `run` steps that `step` itself.
 
-    With `collect_trace` the trace is the first observer, `trace_step`
+    With `collect_trace` the trace is the first observer, a `TraceObserver`
     appending to `RunResult.trace`, so a traced run journals its stores
     and returns `Journal`s.  Like every observer it falls silent at the
     first violation; no caller combines the trace with the oracles.
@@ -636,7 +700,7 @@ def run(
         stepper = _rewritten(stepper, MUTANTS[name])
     trace: list[TraceEvent] = []
     if collect_trace:
-        observers = [lambda before, out, after: trace.extend(trace_step(ct, before, out)), *observers]
+        observers = [TraceObserver(ct, trace), *observers]
     violation = None
     while st.steps < fuel:
         watching = observers and violation is None

@@ -29,7 +29,7 @@ progress report off that run; `scenario_suite` runs the property classes
 on curated corpus programs and fails one that judged nothing.
 
 A step reports only the state it reached and its rule, and no oracle
-reads the trace, which is `run`'s observer too (`interp.trace_step`).
+reads the trace, which is `run`'s observer too (`interp.TraceObserver`).
 Subject reduction re-types only what a step changed, which it finds
 itself: the frames the step pushed, and the store entries that `run`'s
 journals recorded, compared with `before`'s stores, the journals'
@@ -58,10 +58,13 @@ from .interp import (
     RunResult,
     effect,
     run,
+    stack_delta,
     step,  # unused here; kept for the benchmark's tracer, which wraps it by name
     written_keys,
 )
 from .syntax import (
+    HOLE,
+    HOLE_VAR,
     Assign,
     EffectBrace,
     Empty,
@@ -73,7 +76,6 @@ from .syntax import (
     Program,
     Seq,
     Subscribe,
-    Var,
     iter_subexprs,
     parse_program,
     with_child,
@@ -213,10 +215,6 @@ def _verdict(prop: str, subject: str, res: RunResult) -> PropertyReport:
     return PropertyReport(prop, subject, outcome, res.state.steps)
 
 
-HOLE = "□"  # a frame's hole while the audit types it; no identifier can spell it
-HOLE_VAR = Var(HOLE)
-
-
 class SubjectReduction:
     """The audit's subject-reduction observer.
 
@@ -256,13 +254,8 @@ class SubjectReduction:
 
     def type_state(self, st: MachineState) -> str:
         """The type of st's expression, or the TypingError typing it plugged raises."""
-        frames, fresh, k = self.frames, [], st.stack
-        while k is not None and id(k) not in frames:
-            fresh.append(k)
-            k = k[2]
-        while self.stack is not k:  # drop the cells popped since
-            del frames[id(self.stack)]
-            self.stack = self.stack[2]
+        frames = self.frames
+        fresh, _ = stack_delta(frames, self.stack, st.stack)
         self.stack, k, typed = st.stack, st.stack, []
         try:
             t = type_expr(self.ct, {}, self.sigma, st.focus)

@@ -634,6 +634,21 @@ _SEQ, _ASSIGN, _POSTFIX, _ATOM = 0, 1, 2, 3
 # A node's own level; any node not listed is an atom.
 _LEVEL = {Seq: _SEQ, Let: _SEQ, Assign: _ASSIGN, FieldAccess: _POSTFIX, Invoke: _POSTFIX, Subscribe: _POSTFIX}
 
+# The level a node demands of its subterms: of the first, then of every later one.
+_CHILD_LEVEL = {
+    Seq: (_ASSIGN, _SEQ),
+    Let: (_SEQ, _SEQ),
+    Assign: (_POSTFIX, _ASSIGN),
+    FieldAccess: (_POSTFIX,),
+    Invoke: (_POSTFIX, _SEQ),
+    Subscribe: (_POSTFIX, _SEQ),
+    New: (_SEQ, _SEQ),
+    EffectBrace: (_SEQ,),
+}
+
+HOLE = "□"  # names an evaluation-context frame's hole; no identifier can spell it
+HOLE_VAR = Var(HOLE)
+
 
 def _args_last_first(args: tuple[Expr, ...]) -> list:
     parts: list = []
@@ -697,6 +712,16 @@ def render_expr(e: Expr, level: int = _SEQ) -> str:
         else:
             raise ValueError(f"cannot render {e!r}")
     return "".join(out)
+
+
+def split_frame(node: Expr, slot: int, level: int = _SEQ) -> tuple[str, str, int]:
+    """The text of node, rendered at level, before and after its subterm
+    number `slot` (numbered as `with_child` numbers it), and the level that
+    subterm is rendered at.  Whatever fills the slot, rendering it at that
+    level between the two pieces gives `render_expr` of the filled node."""
+    head, _, tail = render_expr(with_child(node, slot, HOLE_VAR), level).partition(HOLE)
+    levels = _CHILD_LEVEL[type(node)]
+    return head, tail, levels[0] if slot == 0 else levels[-1]
 
 
 def _render_modifier(m: Modifier) -> str:

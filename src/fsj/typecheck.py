@@ -136,7 +136,7 @@ def type_expr(ct: ClassTable, env: TypeEnv, store_typing: StoreTyping, e: Expr) 
     Syntax-directed: a node's type depends only on its form and its
     subterms' types, so a subterm can be replaced by a variable bound to
     its type.  The audit types each evaluation-context frame that way,
-    its hole `metatheory.HOLE`, the one variable that may be Unit.
+    its hole `syntax.HOLE`, the one variable that may be Unit.
     Dispatch is on the exact node type, most frequent first, and every
     subterm is typed through the module's `type_expr`.
 

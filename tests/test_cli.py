@@ -1,5 +1,7 @@
 """Exit codes, output shapes, and the golden traces."""
 
+import contextlib
+import hashlib
 import importlib.util
 import json
 import random
@@ -281,6 +283,20 @@ def test_trace_fuel_exit(capsys):
     code, out, _ = run_cli(["trace", path("loop_handler.fsj"), "--fuel", "40"], capsys)
     assert code == EXIT_FUEL
     assert "status=fuel" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "d07eabe4ae5f70178588676058aab7d8741cd613af0b987b55776b89448f5158"),
+    ("structured", "b3aec9c71cec0a83552b9b85ebc8abdd35c68296ebaa28fc22e821ad893c8c84"),
+], ids=["text", "structured"])
+def test_deep_trace_output_is_pinned(tmp_path, fmt, digest):
+    """A 5000-step trace whose context grows to 1667 frames deep."""
+    out = tmp_path / "trace"
+    with out.open("w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        code = main(["trace", path("loop_handler.fsj"), "--fuel", "5000", "--format", fmt])
+    assert code == EXIT_FUEL
+    with out.open("rb") as fh:
+        assert hashlib.file_digest(fh, "sha256").hexdigest() == digest
 
 
 def test_format_env_fallback(monkeypatch, capsys):

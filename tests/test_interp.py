@@ -5,6 +5,7 @@ import json
 import operator
 import runpy
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from fsj.interp import (
     effect,
     handlers_of,
 )
+from fsj.metatheory import load_corpus
 from fsj.syntax import (
     EMPTY,
     Assign,
@@ -47,6 +49,7 @@ from fsj.syntax import (
     Subscribe,
     Var,
     iter_subexprs,
+    render_expr,
 )
 
 from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
@@ -886,6 +889,41 @@ def test_a_mutant_rewrites_only_the_outcome():
 
 
 # ------------------------------------------------------------ trace form
+
+
+def rendered_against_reference(ct, main, fuel, mutations=frozenset()) -> int:
+    """Run main traced, and assert each step event's expr is `render_expr`
+    of the whole expression after that step, as a second observer sees it.
+    Returns the number of steps compared."""
+    reference = []
+    res = run(
+        ct, main, fuel, mutations,
+        observers=[lambda before, out, after: reference.append(render_expr(after.expr))],
+    )
+    assert [e.expr for e in res.trace if e.kind == "step"] == reference
+    return len(reference)
+
+
+def test_trace_renders_corpus_steps_like_render_expr():
+    for name, program, ct in load_corpus(CORPUS):
+        if name == "loop_handler.fsj":  # never terminates; its context grows every loop
+            assert rendered_against_reference(ct, program.main, 1000) == 1000
+        else:
+            rendered_against_reference(ct, program.main, 2500)
+
+
+@pytest.mark.parametrize("config", [GenConfig(), GenConfig(handlers_write_signals=True)],
+                         ids=["default", "handlers_write_signals"])
+def test_trace_renders_generated_steps_like_render_expr(config):
+    for seed in range(200):
+        program, ct = generate_program(replace(config, seed=seed))
+        rendered_against_reference(ct, program.main, 300)
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_trace_renders_mutated_steps_like_render_expr(mutant):
+    for _, program, ct in load_corpus(CORPUS):
+        rendered_against_reference(ct, program.main, 300, frozenset({mutant}))
 
 
 def test_trace_event_lines():

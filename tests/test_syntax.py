@@ -283,6 +283,31 @@ def test_render_parenthesizes_let_under_postfix():
     assert parse_expr(render_expr(e)) == e
 
 
+def test_split_frame_renders_every_slot_like_the_filled_node():
+    """For every node form and slot, at every level the node may sit at,
+    the split text around the filler rendered at the hole's level is the
+    filled node's rendering, for fillers of every level."""
+    x, y = Var("x"), Var("y")
+    nodes = [
+        FieldAccess(x, "f"),
+        Invoke(x, "m", (x, y)),
+        New("C", (x, y)),
+        Assign(x, "f", y),
+        Seq(x, y),
+        Subscribe(x, "f", y),
+        Let("z", x, y),
+        EffectBrace(x, (7, "f")),
+    ]
+    fillers = [Seq(x, y), Let("z", x, y), Assign(x, "f", y), FieldAccess(x, "g"), Loc(3)]
+    for node in nodes:
+        for slot in range(len(children(node))):
+            for level in range(4):
+                head, tail, hole = syntax.split_frame(node, slot, level)
+                for filler in fillers:
+                    whole = render_expr(syntax.with_child(node, slot, filler), level)
+                    assert head + render_expr(filler, hole) + tail == whole, (node, slot, level)
+
+
 def test_render_deeper_than_the_recursion_limit():
     """loop_handler nests one brace per loop; at fuel 5000 the context is
     deeper than the default recursion limit, and the whole term renders."""
