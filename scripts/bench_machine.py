@@ -23,12 +23,18 @@ n + 1 records and `is_subtype` between C<n-1> and C0 both ways; and the
 broken machine (`interp.MUT_NO_THIS_SUBST` and `MUT_SWAP_ASSIGN`), the
 only operations that run the mutants' outcome rewrites, each checked
 against its record in `tests/golden/campaign_reports.json` (violation
-count and digest).  An operation's time is the fastest of REPEAT (60)
-runs, AUDIT_REPEAT (30) for the audited, traced, frontend and mutated
-ones, which can take seconds each:
-with 10, two sides running the same audit code read 2.51 and 3.05 s at
-fuel 10000.  The repeats go round all operations in turn, so a change in
-the host's speed reaches every operation alike.  A failed check stops
+count and digest); and the `resubscribe` family: a program whose handler
+subscribes again before it writes (`resubscribe_source`), so each push
+leaves one more registration and nests the next write inside its brace,
+under plain `run` at fuel 2000, 5000 and 10000 and under `audit_run` at
+fuel 2000 and 5000, each checked to end in `fuel` with no violation.  An
+operation's time is the fastest of REPEAT (60) runs, AUDIT_REPEAT (30)
+for the audited, traced, frontend and mutated ones, which can take
+seconds each: with 10, two sides running the same audit code read 2.51
+and 3.05 s at fuel 10000; and RESUBSCRIBE_REPEAT (3) for the resubscribe
+ones, whose time grows as the square of the fuel, to seconds at 10000.
+The repeats go round all operations in turn, so a change in the host's
+speed reaches every operation alike.  A failed check stops
 the script.
 
 Each checkout is measured in a worker process of its own, which imports
@@ -43,7 +49,10 @@ summed time and as the median operation's time), the six `machine`
 operations' total, per family the least-squares slope of log(time)
 against log(size) (for `traced`, over the loop's three fuels; for
 `frontend`, one over the chain's parses and one over its builds), and
-how many class tables one campaign seed builds, counted on seed 0.  Records
+how many class tables one campaign seed builds, counted on seed 0, and per
+`resubscribe` operation the context depth (cells on the final stack) and
+the peak RSS, each read in a fresh process that runs that operation
+alone.  Records
 are stored by label in `--out`, next to the records already there:
 
     python3 scripts/bench_machine.py --out BENCH_<n>.json --parent ../parent
@@ -77,6 +86,14 @@ TRACE_FUELS = (250, 500, 1000)
 CHAIN_SIZES = (1200, 2400, 4800)
 MUTATED_SEEDS = 120
 SLOW_FAMILIES = ("audited", "traced", "frontend", "mutated")  # timed AUDIT_REPEAT times
+RESUBSCRIBE_FUELS = (2000, 5000, 10000)
+RESUBSCRIBE_AUDIT_FUELS = (2000, 5000)
+RESUBSCRIBE_REPEAT = 3
+RESUBSCRIBE_MAIN = (
+    "let p = new Pump(new Nat()) in\n"
+    "(p.n.subscribe(p.n.subscribe(unit); p.n = new Nat());\n"
+    " (p.n = new Nat(); p.n))\n"
+)
 
 
 def slope(points: list[tuple[int, float]]) -> float:
@@ -168,6 +185,37 @@ def mutated(workloads, root: Path) -> list:
     return [op(interp.MUT_NO_THIS_SUBST), op(interp.MUT_SWAP_ASSIGN)]
 
 
+def resubscribe_source(root: Path) -> str:
+    """loop_handler.fsj's classes under a main whose handler subscribes
+    again before it writes."""
+    text = (root / "corpus" / "loop_handler.fsj").read_text()
+    return text[: text.index("let p")] + RESUBSCRIBE_MAIN
+
+
+def resubscribe(workloads, root: Path, fuels=RESUBSCRIBE_FUELS,
+                audit_fuels=RESUBSCRIBE_AUDIT_FUELS) -> list:
+    """The `resubscribe` family's operations, on the fsj modules `workloads`
+    imported: plain `run` at each of fuels, then `audit_run` at each of
+    audit_fuels."""
+    ct, program = workloads.load_checked(resubscribe_source(root))
+
+    def op(fuel: int, audited: bool):
+        def work():
+            if audited:
+                return workloads.metatheory.audit_run(ct, program.main, fuel=fuel)
+            return workloads.interp.run(ct, program.main, fuel=fuel, collect_trace=False)
+
+        def check(res):
+            state = (res.run if audited else res).state
+            got = (res.status, state.steps, res.violation)
+            return state.steps, None if got == ("fuel", fuel, None) else f"{got}, want fuel at {fuel}"
+
+        key = f"{'audited' if audited else 'plain'} fuel={fuel}"
+        return workloads.Op("resubscribe", key, work, check, size=fuel)
+
+    return [op(f, False) for f in fuels] + [op(f, True) for f in audit_fuels]
+
+
 def campaign_builds() -> int:
     """How many class tables campaign seed 0 builds, through the names
     `gen` and `metatheory` call."""
@@ -190,8 +238,8 @@ def campaign_builds() -> int:
 
 def operations(root: Path):
     """The `machine` workload's operations, the long loop, the audited runs,
-    the traced runs, the campaign operations, the front end's, then the
-    mutated campaigns."""
+    the traced runs, the campaign operations, the front end's, the mutated
+    campaigns, then the resubscribe runs."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(1, str(root / "perfbench"))
     import workloads
@@ -230,7 +278,7 @@ def operations(root: Path):
         check = checker(fuel)
 
         def work():
-            res = workloads.interp.run(ct, program.main, fuel=fuel)
+            res = workloads.interp.run(ct, program.main, fuel=fuel, collect_trace=True)
             return res, [e.to_line() for e in res.trace]
 
         return workloads.Op("traced", f"fuel={fuel}", work, lambda out: check(out[0]), size=fuel)
@@ -243,7 +291,8 @@ def operations(root: Path):
     machine = workloads.WORKLOADS["machine"](root, 0).ops
     campaign = workloads.campaign(root, 0).ops
     front, mutants = frontend(workloads, root), mutated(workloads, root)
-    return machine + [long_loop] + audited + traced + campaign + front + mutants
+    resub = resubscribe(workloads, root)
+    return machine + [long_loop] + audited + traced + campaign + front + mutants + resub
 
 
 def worker(root: Path) -> int:
@@ -264,6 +313,28 @@ def worker(root: Path) -> int:
     return 0
 
 
+def point(root: Path, key: str) -> int:
+    """Run the `resubscribe` operation named key alone, and print its
+    context depth and this process's peak RSS as one JSON line."""
+    import resource
+
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(1, str(root / "perfbench"))
+    import workloads
+
+    op = next(op for op in resubscribe(workloads, root) if op.key == key)
+    res = op.run()
+    _, err = op.check(res)
+    if err is not None:
+        raise SystemExit(f"resubscribe {key}: {err}")
+    depth, k = 0, (res.run if key.startswith("audited") else res).state.stack
+    while k is not None:
+        depth, k = depth + 1, k[2]
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"depth": depth, "peak_rss_mb": round(rss_mb, 1)}))
+    return 0
+
+
 class Side:
     """One checkout, measured in a worker process of its own."""
 
@@ -278,8 +349,10 @@ class Side:
         )
         announce = json.loads(self.proc.stdout.readline())
         self.ops, self.campaign_builds = announce["ops"], announce["campaign_builds"]
+        self.root = root
         self.best = [math.inf] * len(self.ops)
         self.steps = [0] * len(self.ops)
+        self.points: dict[str, dict] = {}
 
     def time(self, i: int) -> None:
         self.proc.stdin.write(f"{i}\n")
@@ -293,6 +366,17 @@ class Side:
     def close(self) -> None:
         self.proc.stdin.close()
         self.proc.wait()
+
+    def measure_points(self) -> None:
+        """Depth and peak RSS of each `resubscribe` operation, one fresh
+        process per operation."""
+        for family, key, _ in self.ops:
+            if family == "resubscribe":
+                out = subprocess.run(
+                    [sys.executable, __file__, "--point", key, "--root", str(self.root)],
+                    stdout=subprocess.PIPE, text=True, cwd=self.root, check=True,
+                )
+                self.points[key] = json.loads(out.stdout)
 
     def record(self) -> dict:
         timed = list(zip(self.ops, self.steps, self.best))
@@ -314,6 +398,16 @@ class Side:
         for fam in ("deep_handler", "peano_push", "audited", "traced"):
             pts = [(r["size"], r["seconds"]) for r in rows if r["family"] == fam and r["size"]]
             families[fam] = {"size_slope": round(slope(pts), 3)}
+        for r in rows:
+            if r["family"] == "resubscribe":
+                r.update(self.points[r["key"]])
+        families["resubscribe"] = {
+            f"{what}_slope": round(slope([
+                (r["size"], r["seconds"]) for r in rows
+                if r["family"] == "resubscribe" and r["key"].startswith(what)
+            ]), 3)
+            for what in ("plain", "audited")
+        }
         families["frontend"] = {
             f"{what}_slope": round(slope([
                 (r["size"], r["seconds"]) for r in rows
@@ -347,7 +441,11 @@ def measure(sides: list[Side]) -> None:
     ops = sides[0].ops
     if any(side.ops != ops for side in sides):
         raise SystemExit("the checkouts define different operations")
-    repeats = [AUDIT_REPEAT if family in SLOW_FAMILIES else REPEAT for family, _, _ in ops]
+    repeats = [
+        RESUBSCRIBE_REPEAT if family == "resubscribe"
+        else AUDIT_REPEAT if family in SLOW_FAMILIES else REPEAT
+        for family, _, _ in ops
+    ]
     for r in range(REPEAT):
         order = sides if r % 2 == 0 else sides[::-1]
         for i in range(len(ops)):
@@ -363,9 +461,12 @@ def main() -> int:
     ap.add_argument("--label", default="change", help="name of the change's record in the output file")
     ap.add_argument("--out", type=Path, help="JSON file the records are added to")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--point", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         return worker(args.root.resolve())
+    if args.point:
+        return point(args.root.resolve(), args.point)
     if args.out is None:
         ap.error("--out is required")
     sides = [Side(args.label, args.root.resolve())]
@@ -376,6 +477,8 @@ def main() -> int:
     finally:
         for side in sides:
             side.close()
+    for side in sides:
+        side.measure_points()
     records = json.loads(args.out.read_text()) if args.out.exists() else {}
     for side in sides:
         record = records[side.label] = side.record()
@@ -386,6 +489,10 @@ def main() -> int:
         corpus = next(t for key, t in front.items() if key.startswith("parse corpus"))
         builds = ", ".join(f"{front[f'build n={n}']:.3f}" for n in CHAIN_SIZES)
         mutants = ", ".join(f"{r['seconds']:.3f}" for r in record["operations"] if r["family"] == "mutated")
+        resub = "; ".join(
+            f"{r['key']} {r['seconds']:.3f} s, depth {r['depth']}, {r['peak_rss_mb']} MB"
+            for r in record["operations"] if r["family"] == "resubscribe"
+        )
         print(
             f"{side.label}: machine wall_s {record['machine_wall_s']:.4f} s,"
             f" {record['machine_steps_per_s']:.0f} steps/s;"
@@ -400,7 +507,8 @@ def main() -> int:
             f" parse corpus {corpus * 1e3:.2f} ms;"
             f" chain builds {builds} s,"
             f" slope {record['families']['frontend']['build_slope']:.2f};"
-            f" mutated campaigns {mutants} s"
+            f" mutated campaigns {mutants} s;"
+            f" resubscribe {resub}"
         )
     args.out.write_text(json.dumps(records, indent=2) + "\n")
     print(f"-> {args.out}")

@@ -42,7 +42,7 @@ from fsj import (  # noqa: E402
     parse_program,
     run,
 )
-from fsj.interp import MUTANTS  # noqa: E402
+from fsj.interp import MUTANTS, TraceObserver  # noqa: E402
 from fsj.metatheory import CAMPAIGN_FUEL  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -58,9 +58,11 @@ SEEDS = range(200)
 
 def feed_trace(h, ct, main, fuel: int, mutations: frozenset[str] = frozenset()) -> None:
     """Hash each trace event's JSON line, then the final status and step count."""
-    res = run(ct, main, fuel, mutations)
-    for event in res.trace:
+
+    def feed(event):
         h.update(f"{event.to_json()}\n".encode())
+
+    res = run(ct, main, fuel, mutations, observers=[TraceObserver(ct, feed)])
     h.update(f"status={res.status} steps={res.state.steps}\n".encode())
 
 

@@ -3,7 +3,7 @@
     fsj check FILE...            parse and type check
     fsj run FILE [--fuel N]      evaluate and summarize the final state
     fsj trace FILE [--fuel N] [--format text|structured]
-                                 print every reduction and store event
+                                 stream every reduction and store event
     fsj meta [--seed S] [--n COUNT] [--fuel N] [--mutate NAME]
                                  run the generative soundness campaign and
                                  count the reduction rules it exercised
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .classtable import ClassTable, ClassTableError, build_class_table
-from .interp import DEFAULT_FUEL, MUTANTS, chain_depth, run
+from .interp import DEFAULT_FUEL, MUTANTS, TraceEvent, TraceObserver, chain_depth, run
 from .metatheory import CAMPAIGN_FUEL, campaign, shrink_campaign_failure
 from .syntax import Loc, ParseError, Program, parse_program, render_expr, render_program
 from .typecheck import check_program
@@ -99,7 +99,7 @@ def cmd_run(args) -> int:
     if loaded is None:
         return code
     ct, program, _ = loaded
-    result = run(ct, program.main, fuel=args.fuel, collect_trace=False)
+    result = run(ct, program.main, fuel=args.fuel)
     if result.status == "stuck":
         print(f"status=stuck steps={result.state.steps}")
         print(f"expr={render_expr(result.state.expr)}")
@@ -133,9 +133,9 @@ def cmd_trace(args) -> int:
     ct, program, _ = loaded
     structured = args.format == "structured"
     print(TRACE_JSON_HEADER if structured else TRACE_TEXT_HEADER)
-    result = run(ct, program.main, fuel=args.fuel)
-    for event in result.trace:
-        print(event.to_json() if structured else event.to_line())
+    render = TraceEvent.to_json if structured else TraceEvent.to_line
+    printer = TraceObserver(ct, lambda event: print(render(event)))
+    result = run(ct, program.main, fuel=args.fuel, observers=[printer])
     final = render_expr(result.final)
     if structured:
         print(

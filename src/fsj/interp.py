@@ -64,10 +64,10 @@ Which initialized fields a write reaches is read off the class's record
 initializer only reads through `this`.
 
 `run` is the only loop that calls `step`.  The trace and the soundness
-oracles ride along as per-step observers instead of stepping the machine
-themselves: a `TraceObserver` reads a step's allocation, write or
-subscription off the redex and the stores as the step found them, so
-`step` records nothing for it and an untraced run builds no events.  It
+oracles are per-step observers its caller passes, so a bare `run` neither
+journals nor renders (`collect_trace` is kept only for `perfbench/`): a
+`TraceObserver` reads a step's allocation, write or subscription off the
+redex and the stores as the step found them and hands each event on.  It
 renders a step's expression from the machine's own decomposition: it
 keeps each live frame's text left and right of its hole, split once when
 the frame is pushed (`syntax.split_frame`), so a step renders its focus
@@ -592,8 +592,8 @@ def written_keys(old, store) -> dict:
 
 
 class TraceObserver:
-    """`run`'s trace observer: appends the events of each step to `events`,
-    the step, then what it allocated, wrote or subscribed.
+    """A trace observer its caller passes to `run`: hands `emit` each step's
+    events, the step, then what it allocated, wrote or subscribed.
 
     The redex is `before.focus`, and `before`'s stores are the journals'
     `Version`s, so a signal write's old location is the one the step
@@ -610,10 +610,10 @@ class TraceObserver:
     for the live context only.
     """
 
-    __slots__ = ("ct", "events", "live", "before", "after", "stack")
+    __slots__ = ("ct", "emit", "live", "before", "after", "stack")
 
-    def __init__(self, ct: ClassTable, events: list[TraceEvent]):
-        self.ct, self.events = ct, events
+    def __init__(self, ct: ClassTable, emit: Callable[[TraceEvent], object]):
+        self.ct, self.emit = ct, emit
         self.live: dict[int, tuple[int, int]] = {}  # id(cell) -> (index + 1, hole level)
         self.before: list[str] = []
         self.after: list[str] = []
@@ -634,21 +634,21 @@ class TraceObserver:
         return "".join(before) + render_expr(st.focus, level) + "".join(reversed(after))
 
     def __call__(self, before: MachineState, out: StepOutcome, after: MachineState) -> None:
-        e, n, rule, append = before.focus, before.steps, out.rule, self.events.append
-        append(TraceEvent(n, "step", rule, self.render(after)))
+        e, n, rule, emit = before.focus, before.steps, out.rule, self.emit
+        emit(TraceEvent(n, "step", rule, self.render(after)))
         if rule == "R-NEW":
-            append(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
+            emit(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
         elif rule == "R-ASSIGN":
-            append(TraceEvent(n, "plain-write", loc=e.recv.loc, fname=e.fname))
+            emit(TraceEvent(n, "plain-write", loc=e.recv.loc, fname=e.fname))
         elif rule == "R-SUBSCRIBE":
-            append(TraceEvent(n, "subscribe", loc=e.recv.loc, fname=e.fname))
+            emit(TraceEvent(n, "subscribe", loc=e.recv.loc, fname=e.fname))
         elif rule == "R-ASSIGNS":
             l, f = e.recv.loc, e.fname
             obj = before.store[l]
             old = obj.fields[self.ct[obj.cls].fields[f][0]]
             count = _registrations(after.handlers.get((l, f), EMPTY))
-            append(TraceEvent(n, "signal-write", loc=l, fname=f, old=old, new=e.value.loc))
-            append(TraceEvent(n, "handler-enqueue", loc=l, fname=f, count=count))
+            emit(TraceEvent(n, "signal-write", loc=l, fname=f, old=old, new=e.value.loc))
+            emit(TraceEvent(n, "handler-enqueue", loc=l, fname=f, count=count))
 
 
 @dataclass
@@ -670,7 +670,7 @@ def run(
     main: Expr,
     fuel: int = DEFAULT_FUEL,
     mutations: frozenset[str] = frozenset(),
-    collect_trace: bool = True,
+    collect_trace: bool = False,
     observers: Sequence[Callable[[MachineState, StepOutcome, MachineState], object]] = (),
 ) -> RunResult:
     """Step main until it is terminal, stuck, or out of fuel.
@@ -689,10 +689,9 @@ def run(
     `step` as this module's globals hold it when `run` is called; with
     none, `run` steps that `step` itself.
 
-    With `collect_trace` the trace is the first observer, a `TraceObserver`
-    appending to `RunResult.trace`, so a traced run journals its stores
-    and returns `Journal`s.  Like every observer it falls silent at the
-    first violation; no caller combines the trace with the oracles.
+    A caller that wants the trace passes a `TraceObserver`.  `collect_trace`
+    and `RunResult.trace` are kept only for `perfbench/`: the flag makes
+    `TraceObserver(ct, trace.append)` the first observer.
     """
     st = MachineState(main, {}, {})
     stepper = step
@@ -700,7 +699,7 @@ def run(
         stepper = _rewritten(stepper, MUTANTS[name])
     trace: list[TraceEvent] = []
     if collect_trace:
-        observers = [TraceObserver(ct, trace), *observers]
+        observers = [TraceObserver(ct, trace.append), *observers]
     violation = None
     while st.steps < fuel:
         watching = observers and violation is None

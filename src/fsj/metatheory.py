@@ -332,7 +332,7 @@ def audit_run(
     properties = (PullPreservesStores, SourceOnlyWrites, PlainWriteSilent, HandlerDelivery)
     observers = [count_rule, SubjectReduction(ct, subject, type_expr(ct, {}, {}, main))]
     observers += [kind(ct, subject) for kind in properties]
-    res = run(ct, main, fuel, mutations, collect_trace=False, observers=observers)
+    res = run(ct, main, fuel, mutations, observers=observers)
     return AuditResult(subject, res, rules)
 
 
@@ -345,7 +345,7 @@ def check_progress(
     mutations: frozenset[str] = frozenset(),
 ) -> PropertyReport:
     """A well-typed program only stops at a location or unit."""
-    res = run(ct, main, fuel=fuel, mutations=mutations, collect_trace=False)
+    res = run(ct, main, fuel=fuel, mutations=mutations)
     return _verdict(P_PROGRESS, subject, res)
 
 
@@ -674,6 +674,6 @@ def scenario_suite(corpus_dir: Path) -> list[PropertyReport]:
         raise ValueError(f"scenario programs missing from {corpus_dir}: {sorted(missing)}")
     for name, program, ct in corpus:
         scenarios = [kind(ct, name) for kind in (SourceOnlyWrites, *SCENARIOS.get(name, ()))]
-        res = run(ct, program.main, CAMPAIGN_FUEL, collect_trace=False, observers=scenarios)
+        res = run(ct, program.main, CAMPAIGN_FUEL, observers=scenarios)
         reports += [sc.report(res) for sc in scenarios]
     return reports

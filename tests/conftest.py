@@ -9,9 +9,10 @@ from fsj import (
     check_program,
     load_corpus,
     parse_program,
+    run,
     scenario_suite,
 )
-from fsj.interp import MUTANTS
+from fsj.interp import MUTANTS, TraceObserver
 from fsj.metatheory import audit_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +72,14 @@ def mutated_campaigns():
 def scenario_reports():
     """The curated scenario suite over the corpus, stepped once per program."""
     return scenario_suite(CORPUS)
+
+
+def traced_run(ct, main, *args, observers=(), **kwargs):
+    """`run` with a `TraceObserver` collecting the trace as its first
+    observer: (result, events)."""
+    events = []
+    res = run(ct, main, *args, observers=[TraceObserver(ct, events.append), *observers], **kwargs)
+    return res, events
 
 
 def run_cli(argv, capsys):

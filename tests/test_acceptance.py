@@ -27,7 +27,7 @@ from fsj.interp import (
 from fsj.syntax import Assign, Loc
 from fsj.typecheck import ErrKind
 
-from conftest import CORPUS, GOLDEN, load_corpus_file
+from conftest import CORPUS, GOLDEN, load_corpus_file, traced_run
 from test_typing_rules import CASES, run_case
 
 
@@ -74,9 +74,9 @@ def test_criterion_02_push_golden_trace(capsys):
 
     # one notification per write, and no replay for late subscribers
     ct, program = load_corpus_file("late_subscription.fsj")
-    res = run(ct, program.main)
-    kinds = [ev.kind for ev in res.trace if ev.kind != "step"]
-    writes = [ev for ev in res.trace if ev.kind == "signal-write"]
+    res, trace = traced_run(ct, program.main)
+    kinds = [ev.kind for ev in trace if ev.kind != "step"]
+    writes = [ev for ev in trace if ev.kind == "signal-write"]
     late_ok = (
         kinds.count("signal-write") == 2
         and kinds.count("handler-enqueue") == 2
@@ -248,10 +248,10 @@ def test_criterion_10_mutation_sensitivity(big_campaign, mutated_campaigns, caps
     pull_broken = res.status != "terminal" or chain_depth(res.state.store, res.final.loc) != 9
 
     ct, program = load_corpus_file("subscribe_push.fsj")
-    clean = [ev.kind for ev in run(ct, program.main).trace]
+    clean = [ev.kind for ev in traced_run(ct, program.main)[1]]
     swapped = [
         ev.kind
-        for ev in run(ct, program.main, mutations=frozenset({MUT_SWAP_ASSIGN})).trace
+        for ev in traced_run(ct, program.main, mutations=frozenset({MUT_SWAP_ASSIGN}))[1]
     ]
     push_broken = swapped != clean
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import re
@@ -11,19 +12,21 @@ import sys
 
 import pytest
 
-from fsj import campaign
+from fsj import campaign, interp, run
 from fsj.cli import (
     EXIT_FUEL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
+    EXIT_STUCK,
     TRACE_JSON_HEADER,
     TRACE_TEXT_HEADER,
     main,
 )
-from fsj.interp import MUTANTS
+from fsj.interp import MUTANTS, StuckError
+from fsj.syntax import render_expr
 
-from conftest import CORPUS, GOLDEN, ROOT
+from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
 
 
 def run_cli(argv, capsys):
@@ -68,6 +71,36 @@ def test_check_parse_error_names_position(tmp_path, capsys):
     code, out, err = run_cli(["check", str(bad)], capsys)
     assert code == EXIT_PARSE
     assert f"{bad}:2:3" in err
+
+
+CLASS_A = "class A extends Object { A() { super(); } }\n"
+
+# programs the parser rejects, each with the position and message it names
+PARSE_ERRORS = {
+    "duplicate-constructor": (
+        "class A extends Object {\n  A() { super(); }\n  A() { super(); }\n}\nunit\n",
+        "3:3: duplicate constructor in class A",
+    ),
+    "missing-constructor": (
+        "class A extends Object {\n  A self() { this }\n}\nunit\n",
+        "3:1: class A has no constructor",
+    ),
+    "assign-to-non-field": (
+        CLASS_A + "let a = new A() in a = a\n",
+        "2:22: assignment target must be a field access",
+    ),
+    "subscribe-on-non-field": (
+        CLASS_A + "let a = new A() in a.subscribe(unit)\n",
+        "2:21: subscribe must follow a field access",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_check_names_each_parse_error_at_its_position(tmp_path, capsys, text, message):
+    src = tmp_path / "bad.fsj"
+    src.write_text(text)
+    assert run_cli(["check", str(src)], capsys) == (EXIT_PARSE, "", f"{src}:{message}\n")
 
 
 @pytest.mark.parametrize("command", ["check", "run", "trace"])
@@ -237,6 +270,28 @@ def test_run_deep_handler_nesting_reaches_fuel(capsys):
     assert "status=fuel steps=5000 pending=@1.n" in out
 
 
+def test_run_reports_a_stuck_machine(monkeypatch, capsys):
+    """A machine that wedges on a well-typed program prints the stuck
+    expression, blames itself on stderr, and exits 4."""
+    real = interp.step
+
+    def wedged_at_3(ct, st):
+        if st.steps == 3:
+            raise StuckError(st)
+        return real(ct, st)
+
+    ct, program = load_corpus_file("peano_pull.fsj")
+    expr = render_expr(run(ct, program.main, fuel=3).state.expr)
+    monkeypatch.setattr(interp, "step", wedged_at_3)
+    code, out, err = run_cli(["run", path("peano_pull.fsj")], capsys)
+    assert code == EXIT_STUCK
+    assert out == f"status=stuck steps=3\nexpr={expr}\n"
+    assert err == (
+        "stuck on a well-typed program: this is a soundness bug in the machine,"
+        " not in the program\n"
+    )
+
+
 def test_run_rejects_illtyped(capsys):
     code, out, err = run_cli(["run", path("illtyped/subscribe_plain.fsj")], capsys)
     assert code == EXIT_SEMANTIC
@@ -297,6 +352,34 @@ def test_deep_trace_output_is_pinned(tmp_path, fmt, digest):
     assert code == EXIT_FUEL
     with out.open("rb") as fh:
         assert hashlib.file_digest(fh, "sha256").hexdigest() == digest
+
+
+def test_trace_streams_each_event_as_the_machine_takes_it(monkeypatch):
+    """`fsj trace` prints a step's events before it takes the next step, so
+    a reader that stops at the first event line stops the machine too."""
+
+    class FirstEvent(Exception):
+        pass
+
+    class StopAtFirstEvent(io.StringIO):
+        def write(self, text):
+            if text.startswith("step="):
+                raise FirstEvent(text)
+            return super().write(text)
+
+    taken = []
+    real = interp.step
+
+    def counting(ct, st):
+        taken.append(st.steps)
+        return real(ct, st)
+
+    monkeypatch.setattr(interp, "step", counting)
+    monkeypatch.setattr(sys, "stdout", StopAtFirstEvent())
+    with pytest.raises(FirstEvent, match="^step=0 rule=R-NEW"):
+        main(["trace", path("loop_handler.fsj"), "--fuel", "3000"])
+    assert len(taken) <= 3
+    assert sys.stdout.getvalue() == TRACE_TEXT_HEADER + "\n"
 
 
 def test_format_env_fallback(monkeypatch, capsys):
@@ -575,3 +658,15 @@ def test_bench_machine_mutated_operations_pass_their_checks(monkeypatch):
     for op in ops:
         steps, err = op.check(op.run())
         assert steps > 0 and err is None, (op.key, err)
+
+
+def test_bench_machine_resubscribe_operations_pass_their_checks(monkeypatch):
+    """A handler that subscribes again before it writes nests every write
+    inside the last one's brace; at fuel 2000 the program still runs to
+    fuel, plain and audited, with no violation."""
+    bench = load_file(monkeypatch, "_fsj_bench_machine", ROOT / "scripts" / "bench_machine.py")
+    workloads = load_file(monkeypatch, "_fsj_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    ops = bench.resubscribe(workloads, ROOT, fuels=(2000,), audit_fuels=(2000,))
+    assert [op.key for op in ops] == ["plain fuel=2000", "audited fuel=2000"]
+    for op in ops:
+        assert op.check(op.run()) == (2000, None), op.key

@@ -52,7 +52,7 @@ from fsj.syntax import (
     render_expr,
 )
 
-from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
+from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file, traced_run
 
 CLASSES = """
 class Nat extends Object {
@@ -88,10 +88,10 @@ def cell_state(expr, handlers=None):
 
 def traced_steps(ct, source):
     """A traced run of source to the end, as (rule, events) per step."""
-    res = run(ct, parse_expr(source))
+    res, trace = traced_run(ct, parse_expr(source))
     assert res.status == "terminal"
     steps = []
-    for ev in res.trace:
+    for ev in trace:
         if ev.kind == "step":
             steps.append((ev.rule, []))
         else:
@@ -550,6 +550,12 @@ def test_effect_separates_objects(ct):
     assert effect(ct, store, (0, "plain")) == []
 
 
+def test_effect_of_an_unallocated_location_is_empty(ct):
+    store = {0: StoredObject("Cell", (1, 2)), 1: StoredObject("Nat", ()), 2: StoredObject("Nat", ())}
+    assert effect(ct, store, (5, "src")) == []
+    assert handlers_of(ct, {(5, "echo"): EMPTY}, store, (5, "src")) == EMPTY
+
+
 def test_handlers_of_shapes(ct):
     store = {
         0: StoredObject("Cell", (1, 2)),
@@ -613,9 +619,9 @@ def test_push_reaches_sink():
 
 def test_late_subscription_sees_only_later_writes():
     ct, program = load_corpus_file("late_subscription.fsj")
-    res = run(ct, program.main)
+    res, trace = traced_run(ct, program.main)
     assert res.status == "terminal"
-    writes = [e for e in res.trace if e.kind == "signal-write"]
+    writes = [e for e in trace if e.kind == "signal-write"]
     assert len(writes) == 2
     # the handler copied the second written value, not the first
     assert res.final == Loc(writes[1].new)
@@ -624,9 +630,9 @@ def test_late_subscription_sees_only_later_writes():
 
 def test_broadcast_reaches_both():
     ct, program = load_corpus_file("broadcast.fsj")
-    res = run(ct, program.main)
+    res, trace = traced_run(ct, program.main)
     assert res.status == "terminal"
-    write = next(e for e in res.trace if e.kind == "signal-write")
+    write = next(e for e in trace if e.kind == "signal-write")
     # both logs now alias the written value
     stores = res.state.store
     log_locs = [l for l, o in stores.items() if o.cls == "Log"]
@@ -637,9 +643,9 @@ def test_broadcast_reaches_both():
 
 def test_nested_push_cascades():
     ct, program = load_corpus_file("nested_push.fsj")
-    res = run(ct, program.main)
+    res, trace = traced_run(ct, program.main)
     assert res.status == "terminal"
-    kinds = [e.kind for e in res.trace if e.kind != "step"]
+    kinds = [e.kind for e in trace if e.kind != "step"]
     assert kinds.count("signal-write") == 2  # a.x then b.y
     assert kinds.count("plain-write") == 1  # l.got at the end
 
@@ -771,11 +777,20 @@ def test_fuel_on_terminating_program():
     assert res.state.steps == 5
 
 
+def test_run_that_terminates_exactly_at_fuel_is_terminal():
+    """The last step fuel allows can be the one that finishes the program."""
+    ct, program = load_corpus_file("peano_pull.fsj")
+    steps = run(ct, program.main).state.steps
+    res = run(ct, program.main, fuel=steps)
+    assert (res.status, res.state.steps, res.pending) == ("terminal", steps, None)
+    assert isinstance(res.final, Loc)
+
+
 def test_determinism():
     ct, program = load_corpus_file("nested_push.fsj")
-    a = run(ct, program.main)
-    b = run(ct, program.main)
-    assert [e.to_line() for e in a.trace] == [e.to_line() for e in b.trace]
+    _, a = traced_run(ct, program.main)
+    _, b = traced_run(ct, program.main)
+    assert a and [e.to_line() for e in a] == [e.to_line() for e in b]
 
 
 def test_pending_key_names_innermost_brace(ct):
@@ -896,11 +911,11 @@ def rendered_against_reference(ct, main, fuel, mutations=frozenset()) -> int:
     of the whole expression after that step, as a second observer sees it.
     Returns the number of steps compared."""
     reference = []
-    res = run(
+    _, trace = traced_run(
         ct, main, fuel, mutations,
         observers=[lambda before, out, after: reference.append(render_expr(after.expr))],
     )
-    assert [e.expr for e in res.trace if e.kind == "step"] == reference
+    assert [e.expr for e in trace if e.kind == "step"] == reference
     return len(reference)
 
 

@@ -27,17 +27,29 @@ from fsj import (
 )
 from fsj import gen, interp, is_subtype, metatheory
 from fsj.gen import GenConfig, _size, generate_program, shrink
-from fsj.interp import MUT_NO_THIS_SUBST, MUT_SWAP_ASSIGN, MachineState, StoredObject, subst
+from fsj.interp import (
+    MUT_NO_THIS_SUBST,
+    MUT_SWAP_ASSIGN,
+    MachineState,
+    StepOutcome,
+    StoredObject,
+    StuckError,
+    subst,
+)
 from fsj.metatheory import (
     CAMPAIGN_FUEL,
     P_NO_CRASH,
+    P_PROGRESS,
     PlainWriteSilent,
+    PropertyReport,
+    SourceOnlyWrites,
     SubjectReduction,
     audit_run,
     shrink_campaign_failure,
 )
 from fsj.syntax import (
     EMPTY,
+    Assign,
     EffectBrace,
     Invoke,
     Loc,
@@ -50,7 +62,7 @@ from fsj.syntax import (
 )
 from fsj.typecheck import TypingError
 
-from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
+from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file, traced_run
 
 # ------------------------------------------------------------ store typing
 
@@ -108,6 +120,13 @@ def test_store_typing_bad_handler():
     assert msg is not None and "unknown location" in msg
 
 
+def test_store_typing_names_an_ill_typed_handler():
+    ct, state = settled()
+    handlers = {(0, "v"): Seq(EMPTY, Var("ghost"))}
+    msg = check_store_typing(ct, state.store, handlers, typing_of(state))
+    assert msg == "handlers on @0.v ill-typed: unbound variable ghost"
+
+
 def test_store_typing_types_only_the_handler_a_subscription_appends():
     """A chain extended by one handler past the one already checked types
     that handler alone, however long the chain is."""
@@ -146,6 +165,42 @@ def test_scenario_suite_passes(scenario_reports):
     assert len(scenario_reports) >= 5
     for r in scenario_reports:
         assert r.ok, r.line()
+
+
+def test_a_scenario_that_judged_nothing_fails():
+    """A curated scenario on a program that never makes the step it judges
+    is a violation, not a pass."""
+    ct, program = load_corpus_file("unit_main.fsj")
+    scenario = PlainWriteSilent(ct, "unit_main.fsj")
+    report = scenario.report(run(ct, program.main, observers=[scenario]))
+    assert report == PropertyReport(
+        "plain_write_silent", "unit_main.fsj", "violation", None, "scenario exercised no plain write"
+    )
+
+
+def test_source_only_writes_names_a_write_to_an_initialized_field(monkeypatch):
+    """The dynamic half of the write restriction: a machine that carries
+    out the write the checker rejects in composite_assign.fsj is caught at
+    that step."""
+    real = interp.step
+
+    def writes_anything(ct, st):
+        e = st.focus
+        if type(e) is Assign and type(e.value) is Loc:
+            after = MachineState(EMPTY, st.store, st.handlers, st.steps + 1, st.stack)
+            return StepOutcome(after, "R-ASSIGN")
+        return real(ct, st)
+
+    monkeypatch.setattr(interp, "step", writes_anything)
+    program = parse_program((CORPUS / "illtyped" / "composite_assign.fsj").read_text())
+    ct = build_class_table(program)
+    scenario = SourceOnlyWrites(ct, "composite_assign.fsj")
+    res = run(ct, program.main, observers=[scenario])
+    assert res.violation is scenario.report(res)
+    assert (res.violation.prop, res.violation.outcome, res.violation.step) == (
+        "source_only_writes", "violation", 5
+    )
+    assert res.violation.detail == "R-ASSIGN wrote initialized field Cell.echo"
 
 
 def corrupting_step(monkeypatch, rule, corrupt):
@@ -188,6 +243,51 @@ def test_audit_store_typing_only_grows(monkeypatch):
     assert res.status == "violated"
     assert res.violation.prop == "subject_reduction"
     assert "dropped or retyped @0" in res.violation.detail
+
+
+def test_audit_catches_a_step_whose_type_grows(monkeypatch):
+    """`new B()` types B; a machine that allocates an A, B's superclass,
+    in its place leaves an expression that types only to the larger A."""
+
+    def allocate_the_parent(st, out):
+        l = len(out.state.store) - 1
+        out.state.store[l] = StoredObject("A", ())
+
+    corrupting_step(monkeypatch, "R-NEW", allocate_the_parent)
+    program = parse_program(
+        """
+        class A extends Object { A() { super(); } }
+        class B extends A { B() { super(); } }
+        new B()
+        """
+    )
+    ct = build_class_table(program)
+    res = audit_run(ct, program.main)
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", 1)
+    assert res.violation.detail == "type grew from B to A on R-NEW"
+
+
+def test_audit_catches_a_location_retyped_in_place(monkeypatch):
+    """Σ keeps the class it first saw at each location, so an object
+    swapped for one of another class is retyped, even where the store
+    still has every location and the expression still types."""
+
+    def retype_first(st, out):
+        if len(out.state.store) == 2:
+            out.state.store[0] = StoredObject("B", ())
+
+    corrupting_step(monkeypatch, "R-NEW", retype_first)
+    program = parse_program(
+        """
+        class A extends Object { A() { super(); } }
+        class B extends Object { B() { super(); } }
+        let a = new A() in let b = new B() in a
+        """
+    )
+    ct = build_class_table(program)
+    res = audit_run(ct, program.main)
+    assert (res.violation.prop, res.violation.step) == ("subject_reduction", 3)
+    assert res.violation.detail == "store typing dropped or retyped @0"
 
 
 def replace_once(monkeypatch, rule, replace_entry):
@@ -497,8 +597,8 @@ def test_plain_write_silent_judges_every_plain_write():
     not only by the vacuity guard for lack of an R-ASSIGN step."""
     ct, program = load_corpus_file("plain_assign.fsj")
     mutations = frozenset({MUT_SWAP_ASSIGN})
-    traced = run(ct, program.main, CAMPAIGN_FUEL, mutations)
-    write = next(ev.step for ev in traced.trace if ev.rule == "R-ASSIGNS")
+    _, trace = traced_run(ct, program.main, CAMPAIGN_FUEL, mutations)
+    write = next(ev.step for ev in trace if ev.rule == "R-ASSIGNS")
     scenario = PlainWriteSilent(ct, "plain_assign.fsj")
     res = run(
         ct, program.main, CAMPAIGN_FUEL, mutations, collect_trace=False, observers=[scenario]
@@ -577,26 +677,31 @@ def test_audit_catches_one_of_two_equal_handlers_missing_from_a_write(monkeypatc
 
 
 def test_untraced_runs_build_no_trace_events(monkeypatch, corpus_audits, scenario_reports):
-    """Plain runs, audits and scenarios construct no TraceEvent; a traced
-    run still builds every event, as the golden trace records them."""
+    """A bare `run` builds no Journal and no TraceEvent, and audits and
+    scenarios no TraceEvent; a run passed a `TraceObserver` still builds
+    every event, as the golden trace records them."""
 
     class Forbidden:
         def __init__(self, *args, **kwargs):
-            raise AssertionError("an untraced run built a trace event")
+            raise AssertionError("an untraced run built a trace event or a journal")
 
+    journal = interp.Journal
     monkeypatch.setattr(interp, "TraceEvent", Forbidden)
-    for name, program, ct in load_corpus(CORPUS):
-        res = run(ct, program.main, fuel=2500, collect_trace=False)
-        assert res.status in ("terminal", "fuel"), name
+    monkeypatch.setattr(interp, "Journal", Forbidden)
+    corpus = load_corpus(CORPUS)
+    for name, program, ct in corpus:
+        assert run(ct, program.main, fuel=2500).status in ("terminal", "fuel"), name
+    monkeypatch.setattr(interp, "Journal", journal)
+    for name, program, ct in corpus:
         assert audit_run(ct, program.main, name, fuel=2500).reports() == corpus_audits[name].reports()
     assert scenario_suite(CORPUS) == scenario_reports
 
     monkeypatch.undo()
     program = parse_program((CORPUS / "subscribe_push.fsj").read_text())
-    res = run(build_class_table(program), program.main)
+    _, trace = traced_run(build_class_table(program), program.main)
     for suffix, render in (("txt", interp.TraceEvent.to_line), ("jsonl", interp.TraceEvent.to_json)):
         golden = (GOLDEN / f"subscribe_push.trace.{suffix}").read_text().splitlines()
-        assert [render(ev) for ev in res.trace] == golden[1:-1]
+        assert [render(ev) for ev in trace] == golden[1:-1]
 
 
 def test_audit_statuses():
@@ -871,6 +976,41 @@ def test_campaign_crash_keeps_going_and_shrinks(monkeypatch):
     assert check_program(ct, shrunk).ok
 
 
+def test_campaign_reports_an_ill_typed_generated_program(monkeypatch):
+    """A generator that emits an ill-typed program is a violation of its
+    own, which names the checker's first errors with their positions."""
+    program = parse_program((CORPUS / "illtyped" / "composite_assign.fsj").read_text())
+    ct = build_class_table(program)
+    errors = check_program(ct, program).errors
+    monkeypatch.setattr(metatheory, "generate_program", lambda cfg: (program, ct))
+    res = campaign(1, base_seed=7)
+    detail = "; ".join(f"{e.span}: {e.message} [{e.kind.value}]" for e in errors[:3])
+    assert errors[0].span is not None
+    assert res.reports == [
+        (7, PropertyReport("well_typed_generation", "seed=7", "violation", None, detail))
+    ]
+
+
+def test_shrink_campaign_failure_minimizes_a_stuck_machine(monkeypatch):
+    """A machine that wedges on every allocation fails progress on seed 0,
+    and the shrunk witness still checks and still gets it stuck."""
+    real = interp.step
+
+    def stuck_on_new(ct, st):
+        if type(st.focus) is New:
+            raise StuckError(st)
+        return real(ct, st)
+
+    monkeypatch.setattr(interp, "step", stuck_on_new)
+    assert ("progress", "violation") in [(r.prop, r.outcome) for _, r in campaign(1).reports]
+    shrunk = shrink_campaign_failure(0, P_PROGRESS)
+    program, _ = generate_program(GenConfig(seed=0))
+    assert _size(shrunk) < _size(program)
+    ct = build_class_table(shrunk)
+    assert check_program(ct, shrunk).ok
+    assert audit_run(ct, shrunk.main).status == "stuck"
+
+
 def test_report_line_format():
     res = campaign(1, base_seed=0)
     seed, report = res.reports[0]
@@ -896,6 +1036,17 @@ def test_shrink_keeps_predicate_and_never_grows():
     assert _size(small) <= _size(program)
     # the shrunk program still goes through the table builder
     build_class_table(small)
+
+
+def test_shrink_moves_on_a_subscribe_and_an_invoke():
+    """A subscription first loses its handler, then is dropped for unit; a
+    call is replaced by its receiver."""
+    handler = parse_expr("p.n = new Nat()")
+    sub = Subscribe(Var("p"), "n", handler)
+    assert list(gen._expr_shrinks(sub)) == [Subscribe(Var("p"), "n", EMPTY), EMPTY]
+    assert list(gen._expr_shrinks(Subscribe(Var("p"), "n", EMPTY))) == [EMPTY]
+    call = parse_expr("p.m(new Nat())")
+    assert list(gen._expr_shrinks(call)) == [Var("p")]
 
 
 def test_shrink_campaign_failure_reproduces():
