@@ -6,7 +6,9 @@ campaign over every report's (seed, prop, outcome, step, detail), plus
 the campaign's violation count for a reader.  It covers the default
 campaign of seeds 0-999 and both deliberately broken machines at 120
 seeds, so the tallies and the mutation detail strings are checked by a
-test rather than by hand.
+test rather than by hand.  A campaign with a violation also pins the
+witness `fsj meta` writes for it: the first violation's seed and
+property, and the shrunk program's size and the sha256 of its text.
 
 Run from the repository root only after a deliberate change to an
 oracle, the generator or the machine, then review the diff by hand.
@@ -21,7 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fsj import campaign  # noqa: E402
+from fsj import campaign, render_program, shrink_campaign_failure  # noqa: E402
+from fsj.gen import _size  # noqa: E402
 from fsj.interp import MUTANTS  # noqa: E402
 
 DEST = ROOT / "tests" / "golden" / "campaign_reports.json"
@@ -43,12 +46,22 @@ def record(name: str, res) -> dict:
     h = hashlib.sha256()
     for seed, r in res.reports:
         h.update(json.dumps([seed, r.prop, r.outcome, r.step, r.detail]).encode() + b"\n")
-    return {
+    out = {
         "seeds": [0, count - 1],
         "mutations": sorted(mutations),
         "violations": len(res.violations),
         "sha256": h.hexdigest(),
     }
+    if res.violations:
+        seed, report = res.violations[0]
+        witness = shrink_campaign_failure(seed, report.prop, mutations=mutations)
+        out |= {
+            "witness_seed": seed,
+            "witness_prop": report.prop,
+            "witness_size": _size(witness),
+            "witness_sha256": hashlib.sha256(render_program(witness).encode()).hexdigest(),
+        }
+    return out
 
 
 def digests(run=run_campaign) -> dict:

@@ -41,7 +41,7 @@ def feed(h, ct, main, fuel: int) -> None:
     def record(before, out, after):
         h.update(f"{out.rule}\n".encode())
 
-    res = run(ct, main, fuel, collect_trace=False, observers=[record])
+    res = run(ct, main, fuel, observers=[record])
     h.update(f"status={res.status} steps={res.state.steps}\n".encode())
 
 

@@ -24,11 +24,21 @@ and hands it back with the program.  `classtable.refresh` resolves its
 records again after pass 2 adds methods and after pass 3 adds
 initialized fields, so the table equals a fresh `build_class_table` of
 the program, and a caller needs no second build.
+
+`shrink` minimizes a failing program greedily.  Its moves, in the order
+they are tried: delete a class; delete one initialized field, method or
+uninitialized field, class by class; replace one node of the main
+expression, in pre-order, by one of its `_expr_shrinks`.  The first
+candidate that is smaller and still fails becomes the program, and the
+moves start over; at most MAX_SHRINK_CHECKS candidates are tried in all.
+A candidate shares every declaration, member list and node it keeps: a
+deletion is a list slice, only the class that lost a member is a new
+record (every class, when a constructor may change), and a main shrink
+rebuilds only the spine above the node it replaced.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 
@@ -164,7 +174,7 @@ def generate_program(cfg: GenConfig) -> tuple[Program, ClassTable]:
             mod = Modifier.SIGNAL if rng.random() < SIGNAL_PROBABILITY else Modifier.PLAIN
             sources.append(SourceField(mod, rng.choice([OBJECT] + names[:i]), next(fresh_field)))
         decls.append(ClassDecl(name, parent, [], sources, None, []))  # type: ignore[arg-type]
-    _rebuild_ctors(decls)
+    decls = _rebuild_ctors(decls)
 
     ct = build_class_table(Program(decls, EMPTY))
     universe = [OBJECT] + names
@@ -317,30 +327,21 @@ def _gen_main(
 # shrinking
 
 
-def _rebuild_ctors(classes: list[ClassDecl]) -> None:
-    """Give each class the canonical constructor for its fields."""
+def _rebuild_ctors(classes: list[ClassDecl]) -> list[ClassDecl]:
+    """The classes as new records, each with the canonical constructor for
+    its fields; the records passed in are left as they were."""
     by_name = {d.name: d for d in classes}
+    out = []
     for d in classes:
         inherited = _chain_sources(by_name, d.parent)
-        d.ctor = CtorDecl(
+        ctor = CtorDecl(
             d.name,
             [Param(sf.ftype, sf.name) for sf in inherited + list(d.sources)],
             [sf.name for sf in inherited],
             [(sf.name, sf.name) for sf in d.sources],
         )
-
-
-def _replace_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
-    if not path:
-        return new
-    child = children(e)[path[0]]
-    return with_child(e, path[0], _replace_at(child, path[1:], new))
-
-
-def _paths(e: Expr, prefix: tuple[int, ...] = ()):
-    yield prefix, e
-    for i, c in enumerate(children(e)):
-        yield from _paths(c, prefix + (i,))
+        out.append(ClassDecl(d.name, d.parent, d.composites, d.sources, ctor, d.methods, d.span))
+    return out
 
 
 def _expr_shrinks(e: Expr):
@@ -365,6 +366,15 @@ def _expr_shrinks(e: Expr):
             yield r
 
 
+def _main_shrinks(e: Expr):
+    """e with one node replaced by one of its `_expr_shrinks`, nodes taken
+    in pre-order; each result shares every subterm off the rebuilt spine."""
+    yield from _expr_shrinks(e)
+    for i, c in enumerate(children(e)):
+        for smaller in _main_shrinks(c):
+            yield with_child(e, i, smaller)
+
+
 def _size(p: Program) -> int:
     n = sum(1 for _ in iter_subexprs(p.main)) + 8 * len(p.classes)
     for d in p.classes:
@@ -377,30 +387,25 @@ def _size(p: Program) -> int:
 
 
 def _candidates(p: Program):
-    for i in range(len(p.classes)):
-        q = copy.deepcopy(p)
-        del q.classes[i]
-        _rebuild_ctors(q.classes)
-        yield q
-    for i, d in enumerate(p.classes):
+    classes, main = p.classes, p.main
+    for i in range(len(classes)):
+        yield Program(_rebuild_ctors(classes[:i] + classes[i + 1:]), main)
+    for i, d in enumerate(classes):
+        head, tail = classes[:i], classes[i + 1:]
         for j in range(len(d.composites)):
-            q = copy.deepcopy(p)
-            del q.classes[i].composites[j]
-            yield q
+            cut = d.composites[:j] + d.composites[j + 1:]
+            nd = ClassDecl(d.name, d.parent, cut, d.sources, d.ctor, d.methods, d.span)
+            yield Program(head + [nd] + tail, main)
         for j in range(len(d.methods)):
-            q = copy.deepcopy(p)
-            del q.classes[i].methods[j]
-            yield q
+            cut = d.methods[:j] + d.methods[j + 1:]
+            nd = ClassDecl(d.name, d.parent, d.composites, d.sources, d.ctor, cut, d.span)
+            yield Program(head + [nd] + tail, main)
         for j in range(len(d.sources)):
-            q = copy.deepcopy(p)
-            del q.classes[i].sources[j]
-            _rebuild_ctors(q.classes)
-            yield q
-    for path, node in _paths(p.main):
-        for smaller in _expr_shrinks(node):
-            q = copy.deepcopy(p)
-            q.main = _replace_at(q.main, path, smaller)
-            yield q
+            cut = d.sources[:j] + d.sources[j + 1:]
+            nd = ClassDecl(d.name, d.parent, d.composites, cut, d.ctor, d.methods, d.span)
+            yield Program(_rebuild_ctors(head + [nd] + tail), main)
+    for smaller in _main_shrinks(main):
+        yield Program(classes, smaller)
 
 
 def shrink(program: Program, predicate) -> Program:
@@ -408,9 +413,10 @@ def shrink(program: Program, predicate) -> Program:
 
     predicate(q) must be True when q still exhibits the original
     failure; candidates that break typing simply fail the predicate.
-    At most MAX_SHRINK_CHECKS candidates are tried in all.
+    At most MAX_SHRINK_CHECKS candidates are tried in all.  program is
+    never changed: the result shares what it keeps with it.
     """
-    current = program
+    current, size = program, _size(program)
     checks = 0
     improved = True
     while improved and checks < MAX_SHRINK_CHECKS:
@@ -419,14 +425,15 @@ def shrink(program: Program, predicate) -> Program:
             checks += 1
             if checks > MAX_SHRINK_CHECKS:
                 break
-            if _size(cand) >= _size(current):
+            n = _size(cand)
+            if n >= size:
                 continue
             try:
                 ok = predicate(cand)
             except Exception:
                 ok = False
             if ok:
-                current = cand
+                current, size = cand, n
                 improved = True
                 break
     return current

@@ -318,6 +318,13 @@ def handlers_of(
 # trace events
 
 
+# (attribute, key) of each optional TraceEvent field, in the order it prints
+_EVENT_KEYS = (
+    ("loc", "loc"), ("fname", "field"), ("cls", "cls"), ("old", "old"),
+    ("new", "new"), ("count", "count"), ("expr", "expr"),
+)
+
+
 @dataclass(slots=True)
 class TraceEvent:
     step: int
@@ -332,22 +339,7 @@ class TraceEvent:
     count: int | None = None
 
     def _fields(self) -> list[tuple[str, object]]:
-        pairs: list[tuple[str, object]] = []
-        if self.loc is not None:
-            pairs.append(("loc", self.loc))
-        if self.fname is not None:
-            pairs.append(("field", self.fname))
-        if self.cls is not None:
-            pairs.append(("cls", self.cls))
-        if self.old is not None:
-            pairs.append(("old", self.old))
-        if self.new is not None:
-            pairs.append(("new", self.new))
-        if self.count is not None:
-            pairs.append(("count", self.count))
-        if self.expr is not None:
-            pairs.append(("expr", self.expr))
-        return pairs
+        return [(key, v) for attr, key in _EVENT_KEYS if (v := getattr(self, attr)) is not None]
 
     def to_line(self) -> str:
         head = f"rule={self.rule}" if self.kind == "step" else f"event={self.kind}"

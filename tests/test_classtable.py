@@ -215,7 +215,7 @@ def random_hierarchy(rng: random.Random, n: int, shape: str) -> Program:
         sources = [SourceField(Modifier.PLAIN, OBJECT, f"f{i}")] if rng.random() < 0.3 else []
         methods = [MethodDecl(OBJECT, m, [], Var("this")) for m in "mk" if rng.random() < 0.2]
         decls.append(ClassDecl(f"C{i}", parent, [], sources, None, methods))
-    _rebuild_ctors(decls)
+    decls = _rebuild_ctors(decls)
     rng.shuffle(decls)
     return Program(decls, EMPTY)
 

@@ -477,7 +477,7 @@ def test_effect_matches_oracle_on_corpus_runs(name):
 @given(seed=st.integers(min_value=0, max_value=5_000))
 def test_effect_matches_oracle_on_generated(seed):
     program, ct = generate_program(GenConfig(seed=seed))
-    res = run(ct, program.main, fuel=400, collect_trace=False)
+    res = run(ct, program.main, fuel=400)
     store = res.state.store
     for l, obj in store.items():
         for sf in ct[obj.cls].source:
@@ -617,6 +617,17 @@ def test_push_reaches_sink():
     assert final_depth("subscribe_push.fsj") == 2
 
 
+def test_collect_trace_keeps_what_a_trace_observer_sees():
+    """`collect_trace=True` fills `RunResult.trace` with the events a
+    `TraceObserver` hands out, every step's and every effect's."""
+    ct, program = load_corpus_file("subscribe_push.fsj")
+    res = run(ct, program.main, collect_trace=True)
+    _, events = traced_run(ct, program.main)
+    assert res.status == "terminal"
+    assert {e.kind for e in events} >= {"step", "alloc", "subscribe", "signal-write"}
+    assert res.trace == events
+
+
 def test_late_subscription_sees_only_later_writes():
     ct, program = load_corpus_file("late_subscription.fsj")
     res, trace = traced_run(ct, program.main)
@@ -688,7 +699,7 @@ def test_run_shows_observers_the_stores_from_before_each_step():
     ct, program = load_corpus_file("loop_handler.fsj")
     seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
     observe = stores_differ_on_each_write(seen)
-    res = run(ct, program.main, fuel=2000, collect_trace=False, observers=[observe])
+    res = run(ct, program.main, fuel=2000, observers=[observe])
     assert res.status == "fuel"
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
@@ -710,7 +721,7 @@ def test_observers_see_the_state_the_machine_stepped(monkeypatch):
     ct, program = load_corpus_file("loop_handler.fsj")
     seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
     observers = [same_state, stores_differ_on_each_write(seen)]
-    res = run(ct, program.main, fuel=2000, collect_trace=False, observers=observers)
+    res = run(ct, program.main, fuel=2000, observers=observers)
     assert res.status == "fuel" and len(stepped) == 2000
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
@@ -762,8 +773,7 @@ def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):
     monkeypatch.setattr(interp, "subst", counting)
     rules = Counter()
     res = run(
-        ct, program.main, collect_trace=False,
-        observers=[lambda before, out, after: rules.update([out.rule])],
+        ct, program.main, observers=[lambda before, out, after: rules.update([out.rule])]
     )
     assert res.status == "terminal"
     assert rules["R-INVK"] and rules["R-FIELDS"] and rules["R-LET"]
@@ -823,7 +833,7 @@ def test_peano_push_512_terminates():
     program = parse_program(text.replace("{DOUBLES}", ".double()" * 9))
     ct = build_class_table(program)
     assert check_program(ct, program).ok
-    res = run(ct, program.main, collect_trace=False)
+    res = run(ct, program.main)
     assert res.status == "terminal"
     assert chain_depth(res.state.store, res.final.loc) == 512
     assert len(res.state.store) == 4 * 512 + 5
@@ -834,7 +844,7 @@ def test_cascading_handlers_run_without_crashing(seed):
     """Handlers that write signals nest the context over 1300 frames deep here."""
     program, ct = generate_program(GenConfig(handlers_write_signals=True, seed=seed))
     assert check_program(ct, program).ok
-    res = run(ct, program.main, fuel=2000, collect_trace=False)
+    res = run(ct, program.main, fuel=2000)
     assert res.status in ("terminal", "fuel")
 
 
@@ -879,7 +889,7 @@ def test_a_mutant_rewrites_only_the_outcome():
 
     def rules(ct, main, mutations=frozenset()):
         seen = []
-        run(ct, main, 300, mutations, collect_trace=False,
+        run(ct, main, 300, mutations,
             observers=[lambda before, out, after: seen.append(out.rule)])
         return seen
 

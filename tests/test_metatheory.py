@@ -69,7 +69,7 @@ from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file, traced_run
 
 def settled(name="plain_assign.fsj"):
     ct, program = load_corpus_file(name)
-    res = run(ct, program.main, collect_trace=False)
+    res = run(ct, program.main)
     assert res.status == "terminal"
     return ct, res.state
 
@@ -557,7 +557,7 @@ def differential_audit(ct, main, fuel, mutations=frozenset()):
         compared.append(got is None)
         return got
 
-    run(ct, main, fuel, mutations, collect_trace=False, observers=[observe])
+    run(ct, main, fuel, mutations, observers=[observe])
     return compared
 
 
@@ -600,9 +600,7 @@ def test_plain_write_silent_judges_every_plain_write():
     _, trace = traced_run(ct, program.main, CAMPAIGN_FUEL, mutations)
     write = next(ev.step for ev in trace if ev.rule == "R-ASSIGNS")
     scenario = PlainWriteSilent(ct, "plain_assign.fsj")
-    res = run(
-        ct, program.main, CAMPAIGN_FUEL, mutations, collect_trace=False, observers=[scenario]
-    )
+    res = run(ct, program.main, CAMPAIGN_FUEL, mutations, observers=[scenario])
     report = scenario.report(res)
     assert (report.outcome, report.step) == ("violation", write + 1)
     assert report.detail == "write to unmodified field Counter.v scheduled notification work"
@@ -1058,3 +1056,53 @@ def test_shrink_campaign_failure_reproduces():
     res = audit_run(ct, shrunk.main, mutations=frozenset({MUT_NO_THIS_SUBST}))
     assert res.status == "violated"
     assert res.violation.prop == "subject_reduction"
+
+
+@pytest.mark.parametrize("mutation", sorted(interp.MUTANTS))
+def test_mutant_witness_is_one_minimal(mutation, mutated_campaigns, monkeypatch):
+    """No single shrinking move leaves a smaller program that still fails
+    with the first violation's property, and the shrinker got there well
+    inside its budget."""
+    seed, report = mutated_campaigns[mutation].violations[0]
+    predicates, calls = [], []
+
+    def recording_shrink(program, predicate):
+        predicates.append(predicate)
+        return shrink(program, lambda p: calls.append(p) or predicate(p))
+
+    def still_fails(p):  # a raising predicate rejects, as in `shrink`
+        try:
+            return predicates[0](p)
+        except Exception:
+            return False
+
+    monkeypatch.setattr(metatheory, "shrink", recording_shrink)
+    witness = shrink_campaign_failure(seed, report.prop, mutations=frozenset({mutation}))
+    assert still_fails(witness)
+    assert len(calls) < gen.MAX_SHRINK_CHECKS
+    smaller = [q for q in gen._candidates(witness) if _size(q) < _size(witness)]
+    assert smaller
+    assert not any(still_fails(q) for q in smaller)
+
+
+def test_shrink_leaves_its_input_unchanged():
+    """Deleting a parent class and a source field rebuilds constructors on
+    the candidate's own records, never on the program it came from."""
+    program = parse_program(
+        """
+        class A extends Object { Object a; A(Object a) { super(); this.a = a; } }
+        class B extends A {
+          Object b;
+          B(Object a, Object b) { super(a); this.b = b; }
+        }
+        new B(new Object(), new Object())
+        """
+    )
+    text = render_program(program)
+    decls = list(program.classes)
+    ctors = [d.ctor for d in decls]
+    small = shrink(program, lambda q: any(d.name == "B" for d in q.classes))
+    assert [(d.name, d.sources, d.ctor.params) for d in small.classes] == [("B", [], [])]
+    assert render_program(program) == text
+    assert all(d is e for d, e in zip(program.classes, decls, strict=True))
+    assert all(d.ctor is c for d, c in zip(program.classes, ctors))

@@ -312,7 +312,7 @@ def test_render_deeper_than_the_recursion_limit():
     """loop_handler nests one brace per loop; at fuel 5000 the context is
     deeper than the default recursion limit, and the whole term renders."""
     program = parse_program((CORPUS / "loop_handler.fsj").read_text())
-    res = run(build_class_table(program), program.main, fuel=5000, collect_trace=False)
+    res = run(build_class_table(program), program.main, fuel=5000)
     braces, k = 0, res.state.stack
     while k is not None:
         node, _, k = k
