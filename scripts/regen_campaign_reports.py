@@ -8,7 +8,8 @@ campaign of seeds 0-999 and both deliberately broken machines at 120
 seeds, so the tallies and the mutation detail strings are checked by a
 test rather than by hand.  A campaign with a violation also pins the
 witness `fsj meta` writes for it: the first violation's seed and
-property, and the shrunk program's size and the sha256 of its text.
+property, the shrunk program's size and the sha256 of its text, and the
+number of predicate calls the shrink made.
 
 Run from the repository root only after a deliberate change to an
 oracle, the generator or the machine, then review the diff by hand.
@@ -23,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fsj import campaign, render_program, shrink_campaign_failure  # noqa: E402
+from fsj import campaign, metatheory, render_program, shrink_campaign_failure  # noqa: E402
 from fsj.gen import _size  # noqa: E402
 from fsj.interp import MUTANTS  # noqa: E402
 
@@ -40,6 +41,22 @@ def run_campaign(name: str):
     return campaign(count, base_seed=0, mutations=mutations)
 
 
+def counted_shrink(seed: int, prop: str, mutations: frozenset[str]):
+    """shrink_campaign_failure's witness, and how many candidates its
+    shrink handed the predicate."""
+    shrink, calls = metatheory.shrink, []
+
+    def counting(program, predicate):
+        return shrink(program, lambda p: calls.append(p) or predicate(p))
+
+    metatheory.shrink = counting
+    try:
+        witness = shrink_campaign_failure(seed, prop, mutations=mutations)
+    finally:
+        metatheory.shrink = shrink
+    return witness, len(calls)
+
+
 def record(name: str, res) -> dict:
     """The digest of one campaign's reports, with what it covered."""
     count, mutations = CAMPAIGNS[name]
@@ -54,12 +71,13 @@ def record(name: str, res) -> dict:
     }
     if res.violations:
         seed, report = res.violations[0]
-        witness = shrink_campaign_failure(seed, report.prop, mutations=mutations)
+        witness, checks = counted_shrink(seed, report.prop, mutations)
         out |= {
             "witness_seed": seed,
             "witness_prop": report.prop,
             "witness_size": _size(witness),
             "witness_sha256": hashlib.sha256(render_program(witness).encode()).hexdigest(),
+            "witness_checks": checks,
         }
     return out
 

@@ -26,21 +26,25 @@ initialized fields, so the table equals a fresh `build_class_table` of
 the program, and a caller needs no second build.
 
 `shrink` minimizes a failing program greedily.  Its moves, in the order
-they are tried: delete a class; delete one initialized field, method or
-uninitialized field, class by class; replace one node of the main
-expression, in pre-order, by one of its `_expr_shrinks`.  The first
-candidate that is smaller and still fails becomes the program, and the
-moves start over; at most MAX_SHRINK_CHECKS candidates are tried in all.
-A candidate shares every declaration, member list and node it keeps: a
+they are tried: delete a class that no class extends; delete one
+initialized field, method or uninitialized field, class by class;
+replace one node of the main expression, in pre-order, by one of its
+subterms, left to right, or by unit.  Each move drops a class, a member
+or a node, so every candidate is strictly smaller by `_size` and the
+search ends without comparing sizes.  No parent class is deleted, since
+its child would then extend a missing class and no table would build.
+The first candidate that still fails becomes the program, and the moves
+start over; at most MAX_SHRINK_CHECKS candidates are tried in all.  A
+candidate shares every declaration, member list and node it keeps: a
 deletion is a list slice, only the class that lost a member is a new
-record (every class, when a constructor may change), and a main shrink
-rebuilds only the spine above the node it replaced.
+record (every class, when an uninitialized field goes), and a main
+shrink rebuilds only the spine above the node it replaced.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classtable import ClassTable, build_class_table, refresh
 from .syntax import (
@@ -51,7 +55,6 @@ from .syntax import (
     ClassDecl,
     CompositeField,
     CtorDecl,
-    Empty,
     Expr,
     FieldAccess,
     Invoke,
@@ -345,25 +348,12 @@ def _rebuild_ctors(classes: list[ClassDecl]) -> list[ClassDecl]:
 
 
 def _expr_shrinks(e: Expr):
-    """Smaller replacements for a node, soundness left to the predicate."""
-    match e:
-        case Seq(first=a, second=b):
-            yield a
-            yield b
-        case Let(var=x, bound=b, body=body):
-            if not any(isinstance(s, Var) and s.name == x for s in iter_subexprs(body)):
-                yield body
-            yield b
-        case Subscribe(handler=h):
-            if not isinstance(h, Empty):
-                yield Subscribe(e.recv, e.fname, EMPTY)
-            yield EMPTY
-        case Assign():
-            yield EMPTY
-        case Invoke(recv=r):
-            yield r
-        case FieldAccess(recv=r):
-            yield r
+    """e's subterms, left to right, then unit; nothing for a leaf.  Each
+    is strictly smaller than e, and typing is left to the predicate."""
+    kids = children(e)
+    if kids:
+        yield from kids
+        yield EMPTY
 
 
 def _main_shrinks(e: Expr):
@@ -388,22 +378,17 @@ def _size(p: Program) -> int:
 
 def _candidates(p: Program):
     classes, main = p.classes, p.main
-    for i in range(len(classes)):
-        yield Program(_rebuild_ctors(classes[:i] + classes[i + 1:]), main)
+    parents = {d.parent for d in classes}
+    for i, d in enumerate(classes):
+        if d.name not in parents:
+            yield Program(classes[:i] + classes[i + 1:], main)
     for i, d in enumerate(classes):
         head, tail = classes[:i], classes[i + 1:]
-        for j in range(len(d.composites)):
-            cut = d.composites[:j] + d.composites[j + 1:]
-            nd = ClassDecl(d.name, d.parent, cut, d.sources, d.ctor, d.methods, d.span)
-            yield Program(head + [nd] + tail, main)
-        for j in range(len(d.methods)):
-            cut = d.methods[:j] + d.methods[j + 1:]
-            nd = ClassDecl(d.name, d.parent, d.composites, d.sources, d.ctor, cut, d.span)
-            yield Program(head + [nd] + tail, main)
-        for j in range(len(d.sources)):
-            cut = d.sources[:j] + d.sources[j + 1:]
-            nd = ClassDecl(d.name, d.parent, d.composites, cut, d.ctor, d.methods, d.span)
-            yield Program(_rebuild_ctors(head + [nd] + tail), main)
+        for attr in ("composites", "methods", "sources"):
+            members = getattr(d, attr)
+            for j in range(len(members)):
+                cut = head + [replace(d, **{attr: members[:j] + members[j + 1:]})] + tail
+                yield Program(_rebuild_ctors(cut) if attr == "sources" else cut, main)
     for smaller in _main_shrinks(main):
         yield Program(classes, smaller)
 
@@ -412,11 +397,13 @@ def shrink(program: Program, predicate) -> Program:
     """Greedy structural minimization of a failing program.
 
     predicate(q) must be True when q still exhibits the original
-    failure; candidates that break typing simply fail the predicate.
-    At most MAX_SHRINK_CHECKS candidates are tried in all.  program is
-    never changed: the result shares what it keeps with it.
+    failure; candidates that break typing simply fail the predicate,
+    and one that raises counts as not failing.  Every candidate is
+    strictly smaller than the program it came from (see the module
+    docstring), and at most MAX_SHRINK_CHECKS are tried in all.  program
+    is never changed: the result shares what it keeps with it.
     """
-    current, size = program, _size(program)
+    current = program
     checks = 0
     improved = True
     while improved and checks < MAX_SHRINK_CHECKS:
@@ -425,15 +412,12 @@ def shrink(program: Program, predicate) -> Program:
             checks += 1
             if checks > MAX_SHRINK_CHECKS:
                 break
-            n = _size(cand)
-            if n >= size:
-                continue
             try:
                 ok = predicate(cand)
             except Exception:
                 ok = False
             if ok:
-                current, size = cand, n
+                current = cand
                 improved = True
                 break
     return current

@@ -604,9 +604,11 @@ def shrink_campaign_failure(seed: int, prop: str, fuel: int = CAMPAIGN_FUEL,
     """Re-derive and minimize the failing program for one campaign seed.
 
     A `no_crash` failure still fails when checking or auditing a
-    candidate raises.  Any other exception (a table that does not build,
-    say) rejects the candidate, as `shrink` reads a raising predicate as
-    false.
+    candidate raises.  Any other exception rejects the candidate, as
+    `shrink` reads a raising predicate as false.  `shrink` deletes no
+    class that another class extends, so the candidates of a generated
+    program all build a class table; the guard on that build stays for
+    a program that `shrink` is handed from elsewhere.
     """
     cfg = replace(config or GenConfig(), seed=seed)
     program, _ = generate_program(cfg)

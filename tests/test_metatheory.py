@@ -1036,15 +1036,38 @@ def test_shrink_keeps_predicate_and_never_grows():
     build_class_table(small)
 
 
-def test_shrink_moves_on_a_subscribe_and_an_invoke():
-    """A subscription first loses its handler, then is dropped for unit; a
-    call is replaced by its receiver."""
-    handler = parse_expr("p.n = new Nat()")
-    sub = Subscribe(Var("p"), "n", handler)
-    assert list(gen._expr_shrinks(sub)) == [Subscribe(Var("p"), "n", EMPTY), EMPTY]
-    assert list(gen._expr_shrinks(Subscribe(Var("p"), "n", EMPTY))) == [EMPTY]
-    call = parse_expr("p.m(new Nat())")
-    assert list(gen._expr_shrinks(call)) == [Var("p")]
+# one node of each source form, and its subterms in order
+NODE_SUBTERMS = [
+    ("x.f", ["x"]),
+    ("x.m(y, z)", ["x", "y", "z"]),
+    ("new A(x, y)", ["x", "y"]),
+    ("x.f = y", ["x", "y"]),
+    ("x; y", ["x", "y"]),
+    ("x.f.subscribe(y)", ["x", "y"]),
+    ("let v = x in y", ["x", "y"]),
+    ("x", []),
+    ("unit", []),
+    ("new A()", []),
+]
+
+
+@pytest.mark.parametrize("source, subterms", NODE_SUBTERMS, ids=[s for s, _ in NODE_SUBTERMS])
+def test_a_node_shrinks_to_each_subterm_then_to_unit(source, subterms):
+    """One rule for every node: each subterm, left to right, and then
+    unit; a leaf has no shrinks."""
+    shrinks = list(gen._expr_shrinks(parse_expr(source)))
+    assert shrinks == ([*map(parse_expr, subterms), EMPTY] if subterms else [])
+
+
+def test_every_candidate_is_smaller_and_builds():
+    """Every move deletes something, so the shrinker terminates without
+    comparing sizes, and none deletes a class another class extends."""
+    for seed in range(100):
+        program, _ = generate_program(GenConfig(seed=seed))
+        size = _size(program)
+        for q in gen._candidates(program):
+            assert _size(q) < size
+            build_class_table(q)
 
 
 def test_shrink_campaign_failure_reproduces():
@@ -1060,9 +1083,10 @@ def test_shrink_campaign_failure_reproduces():
 
 @pytest.mark.parametrize("mutation", sorted(interp.MUTANTS))
 def test_mutant_witness_is_one_minimal(mutation, mutated_campaigns, monkeypatch):
-    """No single shrinking move leaves a smaller program that still fails
-    with the first violation's property, and the shrinker got there well
-    inside its budget."""
+    """No single shrinking move leaves a program that still fails with
+    the first violation's property, every move leaves a smaller one, and
+    the shrinker got there in its pinned number of checks, well inside
+    its budget."""
     seed, report = mutated_campaigns[mutation].violations[0]
     predicates, calls = [], []
 
@@ -1079,15 +1103,18 @@ def test_mutant_witness_is_one_minimal(mutation, mutated_campaigns, monkeypatch)
     monkeypatch.setattr(metatheory, "shrink", recording_shrink)
     witness = shrink_campaign_failure(seed, report.prop, mutations=frozenset({mutation}))
     assert still_fails(witness)
-    assert len(calls) < gen.MAX_SHRINK_CHECKS
-    smaller = [q for q in gen._candidates(witness) if _size(q) < _size(witness)]
-    assert smaller
-    assert not any(still_fails(q) for q in smaller)
+    pins = json.loads((GOLDEN / "campaign_reports.json").read_text())[mutation]
+    assert len(calls) == pins["witness_checks"] < gen.MAX_SHRINK_CHECKS
+    candidates = list(gen._candidates(witness))
+    assert candidates
+    assert all(_size(q) < _size(witness) for q in candidates)
+    assert not any(still_fails(q) for q in candidates)
 
 
 def test_shrink_leaves_its_input_unchanged():
-    """Deleting a parent class and a source field rebuilds constructors on
-    the candidate's own records, never on the program it came from."""
+    """Deleting a parent class's source field rebuilds every constructor
+    on the candidate's own records, never on the program it came from.
+    A is kept: no move deletes a class that another class extends."""
     program = parse_program(
         """
         class A extends Object { Object a; A(Object a) { super(); this.a = a; } }
@@ -1102,7 +1129,10 @@ def test_shrink_leaves_its_input_unchanged():
     decls = list(program.classes)
     ctors = [d.ctor for d in decls]
     small = shrink(program, lambda q: any(d.name == "B" for d in q.classes))
-    assert [(d.name, d.sources, d.ctor.params) for d in small.classes] == [("B", [], [])]
+    assert [(d.name, d.sources, d.ctor.params) for d in small.classes] == [
+        ("A", [], []),
+        ("B", [], []),
+    ]
     assert render_program(program) == text
     assert all(d is e for d, e in zip(program.classes, decls, strict=True))
     assert all(d.ctor is c for d, c in zip(program.classes, ctors))
