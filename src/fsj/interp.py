@@ -8,10 +8,10 @@ from 0, to (class, field locations) records indexed like the class's
 uninitialized fields, so the next fresh location is the store's size.
 The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
-A step writes both stores in place: the state it returns shares both
-dicts with the state it came from, which is spent once stepped.  While
-observers listen, `run` journals both stores and shows them the spent
-state as `before`, its stores repointed at the journals' `Version`s.
+A step advances the state it is handed, stores included, so a plain
+run builds one state in all.  While observers listen, `run` journals
+both stores and shows them a copy taken before the step as `before`,
+its stores pointed at the journals' `Version`s.
 
 Reduction is deterministic: subexpressions evaluate left to right
 (receiver, then arguments; assignment receiver, then assigned value) and
@@ -82,7 +82,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .classtable import ClassTable
 from .syntax import (
@@ -118,8 +118,7 @@ MUT_SWAP_ASSIGN = "swap-assign-dispatch"
 Stack = Optional[Tuple[Expr, int, "Stack"]]
 
 
-@dataclass(frozen=True)
-class StoredObject:
+class StoredObject(NamedTuple):
     cls: str
     fields: tuple[int, ...]  # locations, ordered like source(cls)
 
@@ -196,12 +195,12 @@ class MachineState:
     terminal with an empty stack, so the state is terminal exactly when
     its focus is.  Nothing that the rest determines is kept: the next
     free location is `len(store)`, and `expr` plugs the focus into its
-    context on every read.  Stepping the state writes `store` and
-    `handlers` in place and spends it: the next state holds the same
-    dicts, and an observed `run` repoints this one's at their `Version`s.
+    context on every read.  `rule` is the last step's (None before the
+    first).  `step` advances the state in place, stores included, so
+    whoever needs the state as it was takes a `copy` first.
     """
 
-    __slots__ = ("focus", "stack", "store", "handlers", "steps")
+    __slots__ = ("focus", "stack", "store", "handlers", "steps", "rule")
 
     def __init__(
         self,
@@ -210,9 +209,22 @@ class MachineState:
         handlers: dict[Key, Expr],
         steps: int = 0,
         stack: Stack = None,
+        rule: str | None = None,
     ):
-        self.store, self.handlers, self.steps = store, handlers, steps
+        self.store, self.handlers, self.steps, self.rule = store, handlers, steps, rule
         self.focus, self.stack = _refocus(expr, stack)
+
+    def copy(self) -> MachineState:
+        """A new state sharing this one's focus, stack, stores, steps and rule."""
+        new = object.__new__(MachineState)
+        new.focus, new.stack, new.steps, new.rule = self.focus, self.stack, self.steps, self.rule
+        new.store, new.handlers = self.store, self.handlers
+        return new
+
+    @property
+    def state(self) -> MachineState:
+        """The state itself, so a step's result reads as an outcome (kept for `perfbench/`)."""
+        return self
 
     @property
     def expr(self) -> Expr:
@@ -358,32 +370,25 @@ class TraceEvent:
 # one reduction step
 
 
-@dataclass
-class StepOutcome:
-    """What one step did: the state it reached and the rule it applied.
-    What the step allocated, wrote or subscribed is read off the redex and
-    the stores by whoever wants it (`TraceObserver`, the oracles)."""
-
-    state: MachineState
-    rule: str
-
-
-def step(ct: ClassTable, st: MachineState) -> StepOutcome | None:
-    """Apply the rule for st's focus and refocus in the same context.
+def step(ct: ClassTable, st: MachineState) -> MachineState | None:
+    """Apply the rule for st's focus, refocus in the same context, and
+    return st, advanced: its focus, stack, stores, steps and rule.
 
     Dispatch is on the exact type of the focus, most frequent rule
     first.  A terminal focus (a location or unit, whose stack is then
     empty) gives None.  A node whose subterms do not fit its rule is
     stuck (a free variable, or a finished form where the node needs
     something else) and raises StuckError where the rule finds it,
-    always before the step writes either store; a mutant rewrites the outcome.
+    before the step changes st or either store.  What the step did is
+    read off the redex and the stores of a copy of st taken before it
+    (`TraceObserver`, the oracles); a mutant rewrites the outcome.
     """
     e = st.focus
     t = type(e)
     store, handlers = st.store, st.handlers
     if t is New:
         c, args = e.cls, e.args
-        if _first_open(args) is not None or c not in ct or len(ct[c].source) != len(args):
+        if c not in ct or len(ct[c].source) != len(args) or _first_open(args) is not None:
             raise StuckError(st)
         # Fresh: locations are allocated densely from 0, a Journal refuses
         # deletion, and nothing in fsj deletes from a plain store dict.
@@ -467,38 +472,42 @@ def step(ct: ClassTable, st: MachineState) -> StepOutcome | None:
         return None
     else:  # a free variable
         raise StuckError(st)
-    return StepOutcome(MachineState(out, store, handlers, st.steps + 1, st.stack), rule)
+    st.focus, st.stack = _refocus(out, st.stack)
+    st.steps, st.rule = st.steps + 1, rule
+    return st
 
 
-def _fields_no_this_subst(ct: ClassTable, st: MachineState, out: StepOutcome) -> StepOutcome:
+def _fields_no_this_subst(ct: ClassTable, before: MachineState, out: MachineState) -> MachineState:
     """R-FIELDS focuses the initializer with `this` left unbound."""
     if out.rule != "R-FIELDS":
         return out
-    e, after = st.focus, out.state
-    init = ct[after.store[e.recv.loc].cls].fields[e.fname][1].init
-    return StepOutcome(MachineState(init, after.store, after.handlers, after.steps, st.stack), out.rule)
+    e = before.focus
+    init = ct[out.store[e.recv.loc].cls].fields[e.fname][1].init
+    return MachineState(init, out.store, out.handlers, out.steps, before.stack, out.rule)
 
 
-def _swap_assign_dispatch(ct: ClassTable, st: MachineState, out: StepOutcome) -> StepOutcome:
+def _swap_assign_dispatch(ct: ClassTable, before: MachineState, out: MachineState) -> MachineState:
     """A plain field's write pushes like a signal's, and a signal's like a plain one's."""
     if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
         return out
-    after, key = out.state, (st.focus.recv.loc, st.focus.fname)
+    key = (before.focus.recv.loc, before.focus.fname)
     if out.rule == "R-ASSIGN":
-        e, rule = EffectBrace(after.handlers.get(key, EMPTY), key), "R-ASSIGNS"
+        e, rule = EffectBrace(out.handlers.get(key, EMPTY), key), "R-ASSIGNS"
     else:
         e, rule = EMPTY, "R-ASSIGN"
-    return StepOutcome(MachineState(e, after.store, after.handlers, after.steps, st.stack), rule)
+    return MachineState(e, out.store, out.handlers, out.steps, before.stack, rule)
 
 
 MUTANTS = {MUT_NO_THIS_SUBST: _fields_no_this_subst, MUT_SWAP_ASSIGN: _swap_assign_dispatch}
 
 
 def _rewritten(inner: Callable, rewrite: Callable) -> Callable:
-    """inner, with each outcome it returns passed through rewrite."""
-    def stepped(ct: ClassTable, st: MachineState) -> StepOutcome | None:
+    """inner, with each outcome it returns passed through rewrite, along
+    with a copy of the state as inner found it."""
+    def stepped(ct: ClassTable, st: MachineState) -> MachineState | None:
+        before = st.copy()
         out = inner(ct, st)
-        return None if out is None else rewrite(ct, st, out)
+        return None if out is None else rewrite(ct, before, out)
     return stepped
 
 
@@ -625,7 +634,7 @@ class TraceObserver:
             live[id(cell)] = (len(before), level)
         return "".join(before) + render_expr(st.focus, level) + "".join(reversed(after))
 
-    def __call__(self, before: MachineState, out: StepOutcome, after: MachineState) -> None:
+    def __call__(self, before: MachineState, out: MachineState, after: MachineState) -> None:
         e, n, rule, emit = before.focus, before.steps, out.rule, self.emit
         emit(TraceEvent(n, "step", rule, self.render(after)))
         if rule == "R-NEW":
@@ -663,19 +672,21 @@ def run(
     fuel: int = DEFAULT_FUEL,
     mutations: frozenset[str] = frozenset(),
     collect_trace: bool = False,
-    observers: Sequence[Callable[[MachineState, StepOutcome, MachineState], object]] = (),
+    observers: Sequence[Callable[[MachineState, MachineState, MachineState], object]] = (),
 ) -> RunResult:
     """Step main until it is terminal, stuck, or out of fuel.
 
     After every step each `observer(before, outcome, after)` is called in
     order, until one returns a violation (anything but None).  From then
     on the machine runs on unobserved, so the final status never depends
-    on the observers.  A step writes both stores in place, so while they
-    listen both stores are `Journal`s, and `before` is the spent state
-    `step` was handed, its stores pointed at the journals' `before`
-    versions: the stores as the step found them, which every oracle
-    compares `after` against.  A store replaced outright is journaled
-    afresh, and journaling stops with the observers.
+    on the observers.  A step advances its state in place, so an
+    unobserved run builds one state in all.  While observers listen, both
+    stores are `Journal`s, `before` is a copy of the state taken before
+    the step, its stores pointed at the journals' `before` versions (the
+    stores as the step found them, which every oracle compares `after`
+    against), and the outcome is `after`, the state the step returned.
+    A store replaced outright is journaled afresh, and journaling stops
+    with the observers.
 
     `mutations` names `MUTANTS` entries, composed in sorted order around
     `step` as this module's globals hold it when `run` is called; with
@@ -700,21 +711,21 @@ def run(
                 st.store, st.handlers = Journal(st.store), Journal(st.handlers)
             st.store.undo.clear()
             st.handlers.undo.clear()
+            before = st.copy()
         try:
             out = stepper(ct, st)
         except StuckError as err:
             return RunResult("stuck", st, trace, stuck_message=str(err), violation=violation)
         if out is None:
             return RunResult("terminal", st, trace, violation=violation)
-        if watching:  # st is spent: it becomes before
-            st.store, st.handlers = st.store.before, st.handlers.before
+        if watching:
+            before.store, before.handlers = before.store.before, before.handlers.before
             for observe in observers:
-                violation = observe(st, out, out.state)
+                violation = observe(before, out, out)
                 if violation is not None:  # journaling stops with the observers
-                    after = out.state
-                    after.store, after.handlers = dict(after.store), dict(after.handlers)
+                    out.store, out.handlers = dict(out.store), dict(out.handlers)
                     break
-        st = out.state
+        st = out
     if type(st.focus) in (Loc, Empty):
         return RunResult("terminal", st, trace, violation=violation)
     return RunResult("fuel", st, trace, pending=st.pending_key, violation=violation)

@@ -33,7 +33,7 @@ reads the trace, which is `run`'s observer too (`interp.TraceObserver`).
 Subject reduction re-types only what a step changed, which it finds
 itself: the frames the step pushed, and the store entries that `run`'s
 journals recorded, compared with `before`'s stores, the journals'
-`interp.Version`s, since `before` is the very state the machine stepped
+`interp.Version`s, since `before` is a copy of the state the step found
 (see `SubjectReduction`).  That is sound because terms, frames and
 `StoredObject`s are immutable, typing is syntax-directed, contexts never
 reach under a binder, and the store typing only grows.  The property

@@ -704,25 +704,43 @@ def test_run_shows_observers_the_stores_from_before_each_step():
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
 
-def test_observers_see_the_state_the_machine_stepped(monkeypatch):
-    """`before` is the very state `step` was handed, its stores pointed
-    back at the step's start, so an observed step builds no second state."""
-    stepped = []
+def test_a_step_advances_the_state_it_is_handed(monkeypatch):
+    """A plain run hands `step` one state throughout and gets it back
+    advanced; an observed run shows its observers a new copy of the state
+    as the step found it, its stores the journals' versions, and the state
+    the step returned as both outcome and `after`."""
+    handed, focus, returned = [], [], []
     real = interp.step
 
     def recording(ct, st):
-        stepped.append(st)
-        return real(ct, st)
-
-    def same_state(before, out, after):
-        assert before is stepped[-1] and after is out.state, after.steps
+        handed.append(st)
+        focus.append(st.focus)
+        returned.append(real(ct, st))
+        return returned[-1]
 
     monkeypatch.setattr(interp, "step", recording)
     ct, program = load_corpus_file("loop_handler.fsj")
+    res = run(ct, program.main, fuel=2000)
+    assert res.status == "fuel" and len(handed) == 2000
+    assert all(st is res.state for st in handed + returned)
+
+    befores = []
+
+    def copied(before, out, after):
+        assert after is out and out is returned[-1] is handed[-1], after.steps
+        assert before is not after and before.focus is focus[-1], after.steps
+        assert before.steps + 1 == after.steps
+        for old, store in ((before.store, after.store), (before.handlers, after.handlers)):
+            assert type(old) is interp.Version and old.journal is store, after.steps
+        befores.append(before)
+
+    del handed[:], focus[:], returned[:]
     seen = {"R-NEW": 0, "R-ASSIGNS": 0, "R-SUBSCRIBE": 0}
-    observers = [same_state, stores_differ_on_each_write(seen)]
+    observers = [copied, stores_differ_on_each_write(seen)]
     res = run(ct, program.main, fuel=2000, observers=observers)
-    assert res.status == "fuel" and len(stepped) == 2000
+    assert res.status == "fuel" and len(handed) == 2000
+    assert all(st is res.state for st in handed)
+    assert len({id(before) for before in befores}) == 2000
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
 
 
@@ -749,14 +767,17 @@ def test_journal_records_or_refuses_every_dict_mutator(mutator):
         JOURNAL_MUTATORS[mutator](journal)
     except TypeError:
         assert journal == entries and not journal.undo
-        return
-    assert journal != entries
-    assert version == entries  # compared in full
-    assert version != journal  # compared on the recorded keys
-    for key in (0, 1, 2):
-        assert version.get(key) == entries.get(key)
-        assert (key in version) == (key in entries)
-    assert [version[key] for key in entries] == list(entries.values())
+    else:
+        assert journal != entries
+        assert version == entries  # compared in full
+        assert version != journal  # compared on the recorded keys
+        for key in (0, 1, 2):
+            assert version.get(key) == entries.get(key)
+            assert (key in version) == (key in entries)
+        assert [version[key] for key in entries] == list(entries.values())
+    for key in (2, 3):  # 2 is one a mutator adds, 3 one nothing holds
+        with pytest.raises(KeyError):
+            version[key]
 
 
 def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):
@@ -858,18 +879,21 @@ def test_chain_depth_handles_cycles():
 
 def test_mutation_no_this_subst(ct):
     st = cell_state(FieldAccess(Loc(0), "echo"))
-    out = MUTANTS[MUT_NO_THIS_SUBST](ct, st, step(ct, st))
+    before = st.copy()
+    out = MUTANTS[MUT_NO_THIS_SUBST](ct, before, step(ct, st))
     assert out.rule == "R-FIELDS"
     assert out.state.expr == FieldAccess(Var("this"), "src")
 
 
 def test_mutation_swap_assign(ct):
     st = cell_state(Assign(Loc(0), "plain", Loc(1)))
-    out = MUTANTS[MUT_SWAP_ASSIGN](ct, st, step(ct, st))
+    before = st.copy()
+    out = MUTANTS[MUT_SWAP_ASSIGN](ct, before, step(ct, st))
     assert out.rule == "R-ASSIGNS"
     assert isinstance(out.state.expr, EffectBrace)
     st = cell_state(Assign(Loc(0), "src", Loc(1)))
-    out = MUTANTS[MUT_SWAP_ASSIGN](ct, st, step(ct, st))
+    before = st.copy()
+    out = MUTANTS[MUT_SWAP_ASSIGN](ct, before, step(ct, st))
     assert out.rule == "R-ASSIGN"
     assert isinstance(out.state.expr, Empty)
 
@@ -897,11 +921,14 @@ def test_a_mutant_rewrites_only_the_outcome():
     for path in sorted(CORPUS.glob("*.fsj")):
         ct, program = load_corpus_file(path.name)
         st = MachineState(program.main, {}, {})
-        while st.steps < 300 and (out := step(ct, st)) is not None:
+        while st.steps < 300:
+            before = st.copy()
+            if (out := step(ct, st)) is None:
+                break
             after = out.state
             store, handlers = dict(after.store), dict(after.handlers)
             for name, rewrite in MUTANTS.items():
-                mutated = rewrite(ct, st, out)
+                mutated = rewrite(ct, before, out)
                 got = mutated.state
                 assert got.store is after.store and got.handlers is after.handlers, name
                 assert got.store == store and got.handlers == handlers, name

@@ -31,7 +31,6 @@ from fsj.interp import (
     MUT_NO_THIS_SUBST,
     MUT_SWAP_ASSIGN,
     MachineState,
-    StepOutcome,
     StoredObject,
     StuckError,
     subst,
@@ -187,8 +186,7 @@ def test_source_only_writes_names_a_write_to_an_initialized_field(monkeypatch):
     def writes_anything(ct, st):
         e = st.focus
         if type(e) is Assign and type(e.value) is Loc:
-            after = MachineState(EMPTY, st.store, st.handlers, st.steps + 1, st.stack)
-            return StepOutcome(after, "R-ASSIGN")
+            return MachineState(EMPTY, st.store, st.handlers, st.steps + 1, st.stack, "R-ASSIGN")
         return real(ct, st)
 
     monkeypatch.setattr(interp, "step", writes_anything)
@@ -208,9 +206,10 @@ def corrupting_step(monkeypatch, rule, corrupt):
     real = interp.step
 
     def wrapped(ct, st):
+        before = st.copy()
         out = real(ct, st)
         if out is not None and out.rule == rule:
-            corrupt(st, out)
+            corrupt(before, out)
         return out
 
     monkeypatch.setattr(interp, "step", wrapped)
@@ -478,11 +477,11 @@ def replace_second_step(monkeypatch, contractum):
     real = interp.step
 
     def wrapped(ct, st):
+        before = st.copy()
         out = real(ct, st)
-        if st.steps != 1:
+        if before.steps != 1:
             return out
-        state = interp.MachineState(contractum, st.store, st.handlers, st.steps + 1, st.stack)
-        return interp.StepOutcome(state, out.rule)
+        return MachineState(contractum, out.store, out.handlers, out.steps, before.stack, out.rule)
 
     monkeypatch.setattr(interp, "step", wrapped)
     program = parse_program(PAIR)
@@ -622,19 +621,18 @@ def test_audit_catches_handlers_scheduled_out_of_registration_order(monkeypatch)
     real = interp.step
 
     def reversed_delivery(ct, st):
+        before = st.copy()
         out = real(ct, st)
         if out is not None and out.rule == "R-ASSIGNS":
-            key = (st.focus.recv.loc, st.focus.fname)
-            chain, handlers = out.state.handlers[key], []
+            key = (before.focus.recv.loc, before.focus.fname)
+            chain, handlers = out.handlers[key], []
             while isinstance(chain, Seq):
                 handlers.append(chain.second)
                 chain = chain.first
             for h in handlers:  # latest first, so the first registered ends outermost
                 chain = Seq(chain, h)
-            s = out.state
-            out.state = MachineState(
-                EffectBrace(chain, key), s.store, s.handlers, s.steps, st.stack
-            )
+            brace = EffectBrace(chain, key)
+            return MachineState(brace, out.store, out.handlers, out.steps, before.stack, out.rule)
         return out
 
     monkeypatch.setattr(interp, "step", reversed_delivery)
@@ -650,12 +648,12 @@ def test_audit_catches_one_of_two_equal_handlers_missing_from_a_write(monkeypatc
     real = interp.step
 
     def dropped_delivery(ct, st):
+        before = st.copy()
         out = real(ct, st)
         if out is not None and out.rule == "R-ASSIGNS":
-            s = out.state
-            key = (st.focus.recv.loc, st.focus.fname)
+            key = (before.focus.recv.loc, before.focus.fname)
             brace = EffectBrace(Seq(EMPTY, EMPTY), key)  # one unit of the two
-            out.state = MachineState(brace, s.store, s.handlers, s.steps, st.stack)
+            return MachineState(brace, out.store, out.handlers, out.steps, before.stack, out.rule)
         return out
 
     monkeypatch.setattr(interp, "step", dropped_delivery)
@@ -1068,6 +1066,40 @@ def test_every_candidate_is_smaller_and_builds():
         for q in gen._candidates(program):
             assert _size(q) < size
             build_class_table(q)
+
+
+# 400 classes: each pass's first candidate deletes the first of them
+MANY_CLASSES = parse_program(
+    "".join(f"class C{i} extends Object {{ C{i}() {{ super(); }} }}\n" for i in range(400)) + "unit"
+)
+
+
+@pytest.mark.parametrize("holds", [True, False], ids=["every-candidate", "no-candidate"])
+def test_shrink_stops_at_its_budget(holds):
+    """Whether a predicate takes every candidate or none, the shrinker
+    calls it MAX_SHRINK_CHECKS times and no more."""
+    assert sum(1 for _ in gen._candidates(MANY_CLASSES)) > gen.MAX_SHRINK_CHECKS
+    calls = []
+    small = shrink(MANY_CLASSES, lambda p: calls.append(p) or holds)
+    assert len(calls) == gen.MAX_SHRINK_CHECKS
+    if holds:
+        assert small is calls[-1]
+        assert [d.name for d in small.classes] == [f"C{i}" for i in range(300, 400)]
+    else:
+        assert small is MANY_CLASSES
+
+
+def test_a_raising_predicate_rejects_every_candidate():
+    """A candidate whose predicate raises counts as not failing, so the
+    program comes back as it was."""
+    program, _ = generate_program(GenConfig(seed=77))
+    text = render_program(program)
+
+    def raises(p):
+        raise RuntimeError("predicate crashed")
+
+    assert shrink(program, raises) is program
+    assert render_program(program) == text
 
 
 def test_shrink_campaign_failure_reproduces():
