@@ -38,8 +38,8 @@ SEEDS = range(1000)
 def feed(h, ct, main, fuel: int) -> None:
     """Hash each step's rule, then the final status and step count."""
 
-    def record(before, out, after):
-        h.update(f"{out.rule}\n".encode())
+    def record(before, after):
+        h.update(f"{after.rule}\n".encode())
 
     res = run(ct, main, fuel, observers=[record])
     h.update(f"status={res.status} steps={res.state.steps}\n".encode())

@@ -9,9 +9,10 @@ uninitialized fields, so the next fresh location is the store's size.
 The only values are locations; `unit` is a terminal form but not a
 value, so it can never be stored in a field or passed to a method.
 A step advances the state it is handed, stores included, so a plain
-run builds one state in all.  While observers listen, `run` journals
-both stores and shows them a copy taken before the step as `before`,
-its stores pointed at the journals' `Version`s.
+run builds one state in all.  An observed or mutated step is shown as
+two states: `before`, one copy taken before the step, and `after`, the
+state the step advanced.  While observers listen, `run` journals both
+stores and points `before`'s at the journals' `Version`s.
 
 Reduction is deterministic: subexpressions evaluate left to right
 (receiver, then arguments; assignment receiver, then assigned value) and
@@ -64,17 +65,18 @@ Which initialized fields a write reaches is read off the class's record
 initializer only reads through `this`.
 
 `run` is the only loop that calls `step`.  The trace and the soundness
-oracles are per-step observers its caller passes, so a bare `run` neither
-journals nor renders (`collect_trace` is kept only for `perfbench/`): a
-`TraceObserver` reads a step's allocation, write or subscription off the
-redex and the stores as the step found them and hands each event on.  It
-renders a step's expression from the machine's own decomposition: it
-keeps each live frame's text left and right of its hole, split once when
-the frame is pushed (`syntax.split_frame`), so a step renders its focus
-and the frames it pushed, and joins the rest (`stack_delta` finds which
-frames those are, for the audit's typing too).
-`MUTANTS` holds broken machines for the oracles to catch: each rewrites
-one rule's outcome and no store, and `run` composes the named ones on `step`.
+oracles are per-step observers `(before, after)` its caller passes, so a
+bare `run` neither journals nor renders (`collect_trace` is kept only for
+`perfbench/`): a `TraceObserver` reads a step's allocation, write or
+subscription off the redex and the stores as the step found them and
+hands each event on.  It renders a step's expression from the machine's
+own decomposition: it keeps each live frame's text left and right of its
+hole, split once when the frame is pushed (`syntax.split_frame`), so a
+step renders its focus and the frames it pushed, and joins the rest
+(`stack_delta` finds which frames those are, for the audit's typing too).
+`MUTANTS` holds broken machines for the oracles to catch: each is a
+rewrite `(ct, before, after) -> MachineState` of one rule's outcome that
+writes no store, and `run` applies the named ones to each step's `after`.
 """
 
 from __future__ import annotations
@@ -380,8 +382,8 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
     stuck (a free variable, or a finished form where the node needs
     something else) and raises StuckError where the rule finds it,
     before the step changes st or either store.  What the step did is
-    read off the redex and the stores of a copy of st taken before it
-    (`TraceObserver`, the oracles); a mutant rewrites the outcome.
+    read off the redex and the stores of a copy of st taken before it,
+    which `run` hands observers and mutants as `before`.
     """
     e = st.focus
     t = type(e)
@@ -477,38 +479,28 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
     return st
 
 
-def _fields_no_this_subst(ct: ClassTable, before: MachineState, out: MachineState) -> MachineState:
+def _fields_no_this_subst(ct: ClassTable, before: MachineState, after: MachineState) -> MachineState:
     """R-FIELDS focuses the initializer with `this` left unbound."""
-    if out.rule != "R-FIELDS":
-        return out
+    if after.rule != "R-FIELDS":
+        return after
     e = before.focus
-    init = ct[out.store[e.recv.loc].cls].fields[e.fname][1].init
-    return MachineState(init, out.store, out.handlers, out.steps, before.stack, out.rule)
+    init = ct[after.store[e.recv.loc].cls].fields[e.fname][1].init
+    return MachineState(init, after.store, after.handlers, after.steps, before.stack, after.rule)
 
 
-def _swap_assign_dispatch(ct: ClassTable, before: MachineState, out: MachineState) -> MachineState:
+def _swap_assign_dispatch(ct: ClassTable, before: MachineState, after: MachineState) -> MachineState:
     """A plain field's write pushes like a signal's, and a signal's like a plain one's."""
-    if out.rule not in ("R-ASSIGN", "R-ASSIGNS"):
-        return out
+    if after.rule not in ("R-ASSIGN", "R-ASSIGNS"):
+        return after
     key = (before.focus.recv.loc, before.focus.fname)
-    if out.rule == "R-ASSIGN":
-        e, rule = EffectBrace(out.handlers.get(key, EMPTY), key), "R-ASSIGNS"
+    if after.rule == "R-ASSIGN":
+        e, rule = EffectBrace(after.handlers.get(key, EMPTY), key), "R-ASSIGNS"
     else:
         e, rule = EMPTY, "R-ASSIGN"
-    return MachineState(e, out.store, out.handlers, out.steps, before.stack, rule)
+    return MachineState(e, after.store, after.handlers, after.steps, before.stack, rule)
 
 
 MUTANTS = {MUT_NO_THIS_SUBST: _fields_no_this_subst, MUT_SWAP_ASSIGN: _swap_assign_dispatch}
-
-
-def _rewritten(inner: Callable, rewrite: Callable) -> Callable:
-    """inner, with each outcome it returns passed through rewrite, along
-    with a copy of the state as inner found it."""
-    def stepped(ct: ClassTable, st: MachineState) -> MachineState | None:
-        before = st.copy()
-        out = inner(ct, st)
-        return None if out is None else rewrite(ct, before, out)
-    return stepped
 
 
 # =========================================================================
@@ -634,8 +626,8 @@ class TraceObserver:
             live[id(cell)] = (len(before), level)
         return "".join(before) + render_expr(st.focus, level) + "".join(reversed(after))
 
-    def __call__(self, before: MachineState, out: MachineState, after: MachineState) -> None:
-        e, n, rule, emit = before.focus, before.steps, out.rule, self.emit
+    def __call__(self, before: MachineState, after: MachineState) -> None:
+        e, n, rule, emit = before.focus, before.steps, after.rule, self.emit
         emit(TraceEvent(n, "step", rule, self.render(after)))
         if rule == "R-NEW":
             emit(TraceEvent(n, "alloc", loc=len(after.store) - 1, cls=e.cls))
@@ -672,25 +664,26 @@ def run(
     fuel: int = DEFAULT_FUEL,
     mutations: frozenset[str] = frozenset(),
     collect_trace: bool = False,
-    observers: Sequence[Callable[[MachineState, MachineState, MachineState], object]] = (),
+    observers: Sequence[Callable[[MachineState, MachineState], object]] = (),
 ) -> RunResult:
     """Step main until it is terminal, stuck, or out of fuel.
 
-    After every step each `observer(before, outcome, after)` is called in
-    order, until one returns a violation (anything but None).  From then
-    on the machine runs on unobserved, so the final status never depends
-    on the observers.  A step advances its state in place, so an
-    unobserved run builds one state in all.  While observers listen, both
-    stores are `Journal`s, `before` is a copy of the state taken before
-    the step, its stores pointed at the journals' `before` versions (the
-    stores as the step found them, which every oracle compares `after`
-    against), and the outcome is `after`, the state the step returned.
-    A store replaced outright is journaled afresh, and journaling stops
-    with the observers.
+    After every step each `observer(before, after)` is called in order,
+    until one returns a violation (anything but None).  From then on the
+    machine runs on unobserved, so the final status never depends on the
+    observers.  A step advances its state in place, so a run that nothing
+    observes or mutates builds one state in all.  Otherwise `before` is
+    one copy of the state taken before the step, and `after` is what the
+    step returned.  While observers listen, both stores are `Journal`s
+    and `before`'s stores are pointed at the journals' `before` versions
+    (the stores as the step found them, which every oracle compares
+    `after` against).  A store replaced outright is journaled afresh, and
+    journaling stops with the observers.
 
-    `mutations` names `MUTANTS` entries, composed in sorted order around
-    `step` as this module's globals hold it when `run` is called; with
-    none, `run` steps that `step` itself.
+    `mutations` names `MUTANTS` entries: `after` is passed through each
+    one's `rewrite(ct, before, after)`, in sorted order, before any
+    observer sees it.  `run` calls `step` as this module's globals hold
+    it when `run` is called.
 
     A caller that wants the trace passes a `TraceObserver`.  `collect_trace`
     and `RunResult.trace` are kept only for `perfbench/`: the flag makes
@@ -698,19 +691,19 @@ def run(
     """
     st = MachineState(main, {}, {})
     stepper = step
-    for name in sorted(mutations):
-        stepper = _rewritten(stepper, MUTANTS[name])
+    rewrites = [MUTANTS[name] for name in sorted(mutations)]
     trace: list[TraceEvent] = []
     if collect_trace:
         observers = [TraceObserver(ct, trace.append), *observers]
     violation = None
     while st.steps < fuel:
         watching = observers and violation is None
-        if watching:
-            if type(st.store) is not Journal or type(st.handlers) is not Journal:
-                st.store, st.handlers = Journal(st.store), Journal(st.handlers)
-            st.store.undo.clear()
-            st.handlers.undo.clear()
+        if watching or rewrites:
+            if watching:
+                if type(st.store) is not Journal or type(st.handlers) is not Journal:
+                    st.store, st.handlers = Journal(st.store), Journal(st.handlers)
+                st.store.undo.clear()
+                st.handlers.undo.clear()
             before = st.copy()
         try:
             out = stepper(ct, st)
@@ -718,10 +711,12 @@ def run(
             return RunResult("stuck", st, trace, stuck_message=str(err), violation=violation)
         if out is None:
             return RunResult("terminal", st, trace, violation=violation)
+        for rewrite in rewrites:
+            out = rewrite(ct, before, out)
         if watching:
             before.store, before.handlers = before.store.before, before.handlers.before
             for observe in observers:
-                violation = observe(before, out, out)
+                violation = observe(before, out)
                 if violation is not None:  # journaling stops with the observers
                     out.store, out.handlers = dict(out.store), dict(out.handlers)
                     break

@@ -19,7 +19,7 @@ about the two propagation styles:
                       downstream shows up in what its brace expands to
 
 There is one stepping loop, `interp.run`; every oracle is one of its
-per-step observers `(before, outcome, after) -> violation | None`.
+per-step observers `(before, after) -> violation | None`.
 `audit_run` attaches them all: rule counts, subject reduction, then the
 four property classes.  It re-derives the per-step theorems from the
 public interpreter and checker APIs only, keeping its own store typing,
@@ -280,7 +280,7 @@ class SubjectReduction:
             frames[id(cell)] = (cell, hole, t)
         return t
 
-    def __call__(self, before, out, after):
+    def __call__(self, before, after):
         ct, sigma, store = self.ct, self.sigma, after.store
         # Σ learns new locations, and a changed entry whose class differs
         # from Σ's is a retyped location
@@ -293,9 +293,9 @@ class SubjectReduction:
         try:
             t_now = self.type_state(after)
         except TypingError as err:
-            return self.fail(after, f"untypable after {out.rule}: {err.message}")
+            return self.fail(after, f"untypable after {after.rule}: {err.message}")
         if not is_subtype(ct, t_now, self.type):
-            return self.fail(after, f"type grew from {self.type} to {t_now} on {out.rule}")
+            return self.fail(after, f"type grew from {self.type} to {t_now} on {after.rule}")
         # every stored location is in Σ now, so Σ is larger only if one was dropped
         if retyped or len(sigma) != len(store):
             lost = next(l for l, c in sigma.items() if l not in store or store[l].cls != c)
@@ -304,7 +304,7 @@ class SubjectReduction:
         # the stores as the previous step passed with them
         msg = check_store_typing(ct, store, after.handlers, sigma, (old, before.handlers))
         if msg is not None:
-            return self.fail(after, f"after {out.rule}: {msg}")
+            return self.fail(after, f"after {after.rule}: {msg}")
         self.type = t_now
         return None
 
@@ -326,8 +326,8 @@ def audit_run(
     """
     rules: Counter = Counter()
 
-    def count_rule(before, out, after):
-        rules[out.rule] += 1
+    def count_rule(before, after):
+        rules[after.rule] += 1
 
     properties = (PullPreservesStores, SourceOnlyWrites, PlainWriteSilent, HandlerDelivery)
     observers = [count_rule, SubjectReduction(ct, subject, type_expr(ct, {}, {}, main))]
@@ -424,8 +424,8 @@ class PullPreservesStores(Scenario):
     prop = P_PULL_PURE
     vacuous = "scenario exercised no pull"
 
-    def __call__(self, before, out, after):
-        if out.rule != "R-FIELDS":
+    def __call__(self, before, after):
+        if after.rule != "R-FIELDS":
             return None
         self.exercised += 1
         if before.store != after.store or before.handlers != after.handlers:
@@ -438,10 +438,10 @@ class SourceOnlyWrites(Scenario):
 
     prop = P_SOURCE_ONLY
 
-    def __call__(self, before, out, after):
+    def __call__(self, before, after):
         match _write(self.ct, before):
             case (_, f, cls, None):
-                return self.fail(after, f"{out.rule} wrote initialized field {cls}.{f}")
+                return self.fail(after, f"{after.rule} wrote initialized field {cls}.{f}")
         return None
 
 
@@ -451,11 +451,11 @@ class PlainWriteSilent(Scenario):
     prop = P_PLAIN_SILENT
     vacuous = "scenario exercised no plain write"
 
-    def __call__(self, before, out, after):
+    def __call__(self, before, after):
         match _write(self.ct, before):
             case (_, f, cls, Modifier.PLAIN):
                 self.exercised += 1
-                if out.rule != "R-ASSIGN" or before.handlers != after.handlers:
+                if after.rule != "R-ASSIGN" or before.handlers != after.handlers:
                     msg = f"write to unmodified field {cls}.{f} scheduled notification work"
                     return self.fail(after, msg)
         return None
@@ -480,7 +480,7 @@ class HandlerDelivery(Scenario):
         super().__init__(ct, subject)
         self.registered: dict[Key, list[Expr]] = {}
 
-    def __call__(self, before, out, after):
+    def __call__(self, before, after):
         match before.focus:
             case Subscribe(recv=Loc(loc=l), fname=f, handler=h):
                 self.registered.setdefault((l, f), []).append(h)
@@ -488,11 +488,11 @@ class HandlerDelivery(Scenario):
                 return self._pushed(before, after, key)
         match _write(self.ct, before):
             case (l, f, cls, Modifier.SIGNAL):
-                return self._direct(before, out, after, (l, f), cls)
+                return self._direct(before, after, (l, f), cls)
         return None
 
-    def _direct(self, before, out, after, key: Key, cls: str):
-        brace = _contractum(before, after) if out.rule == "R-ASSIGNS" else None
+    def _direct(self, before, after, key: Key, cls: str):
+        brace = _contractum(before, after) if after.rule == "R-ASSIGNS" else None
         if not isinstance(brace, EffectBrace) or brace.key != key:
             msg = f"write to signal field {cls}.{key[1]} scheduled no notification"
             return self.fail(after, msg)

@@ -4,7 +4,7 @@ attribute name, so a rename or deletion of one of them breaks
 
 import importlib.util
 
-from conftest import ROOT
+from conftest import ROOT, load_corpus_file
 
 from fsj import classtable, gen, interp, metatheory, syntax, typecheck
 
@@ -55,3 +55,21 @@ def test_install_layers_wraps_each_hook_and_uninstall_restores_it():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is o for (owner, attr), o in zip(WRAPPED, originals))
+
+
+def test_the_step_hook_reads_each_steps_rule_and_store():
+    """The `interp.step` hook counts rules off each step's result and reads
+    its store, so renaming `MachineState.rule` or dropping
+    `MachineState.state` breaks it."""
+    run = load("_fsj_perfbench_run", "run.py")
+    tracer = load("_fsj_perfbench_tracer", "tracer.py").Tracer()
+    ct, program = load_corpus_file("subscribe_push.fsj")
+    try:
+        run.install_layers(tracer)
+        res = interp.run(ct, program.main)
+    finally:
+        tracer.uninstall()
+    rules = {k: n for k, n in tracer.counts.items() if k.startswith("rule.")}
+    assert res.status == "terminal"
+    assert sum(rules.values()) == res.state.steps == 18
+    assert tracer.maxima["store"] == len(res.state.store) == 7

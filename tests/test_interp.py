@@ -34,7 +34,7 @@ from fsj.interp import (
     effect,
     handlers_of,
 )
-from fsj.metatheory import load_corpus
+from fsj.metatheory import audit_run, load_corpus
 from fsj.syntax import (
     EMPTY,
     Assign,
@@ -113,7 +113,7 @@ CELL = "let c = new Cell(new Nat(), new Nat()) in "  # @0 src, @1 plain, @2 the 
 def test_rule_field_reads_store(ct):
     out = step(ct, cell_state(FieldAccess(Loc(0), "src")))
     assert out.rule == "R-FIELD"
-    assert out.state.expr == Loc(1)
+    assert out.expr == Loc(1)
 
 
 def test_rule_fields_substitutes_this(ct):
@@ -121,25 +121,25 @@ def test_rule_fields_substitutes_this(ct):
     store, handlers = dict(st0.store), dict(st0.handlers)
     out = step(ct, st0)
     assert out.rule == "R-FIELDS"
-    assert out.state.expr == FieldAccess(Loc(0), "src")
-    assert out.state.store == store
-    assert out.state.handlers == handlers
+    assert out.expr == FieldAccess(Loc(0), "src")
+    assert out.store == store
+    assert out.handlers == handlers
 
 
 def test_rule_invk_binds_this_and_params(ct):
     out = step(ct, cell_state(Invoke(Loc(1), "id", (Loc(2),))))
     assert out.rule == "R-INVK"
-    assert out.state.expr == Loc(2)
+    assert out.expr == Loc(2)
     out = step(ct, cell_state(Invoke(Loc(1), "self", ())))
-    assert out.state.expr == Loc(1)
+    assert out.expr == Loc(1)
 
 
 def test_rule_new_allocates(ct):
     out = step(ct, cell_state(New("Nat", ())))
     assert out.rule == "R-NEW"
-    assert out.state.expr == Loc(3)
-    assert out.state.store[3] == StoredObject("Nat", ())
-    assert len(out.state.store) == 4
+    assert out.expr == Loc(3)
+    assert out.store[3] == StoredObject("Nat", ())
+    assert len(out.store) == 4
     [(alloc,)] = events_of(traced_steps(ct, "new Nat()"), "R-NEW")
     assert (alloc.kind, alloc.loc, alloc.cls) == ("alloc", 0, "Nat")
 
@@ -147,9 +147,9 @@ def test_rule_new_allocates(ct):
 def test_rule_assign_plain_is_silent(ct):
     out = step(ct, cell_state(Assign(Loc(0), "plain", Loc(1))))
     assert out.rule == "R-ASSIGN"
-    assert isinstance(out.state.expr, Empty)
-    assert out.state.store[0].fields == (1, 1)
-    assert out.state.handlers == {}
+    assert isinstance(out.expr, Empty)
+    assert out.store[0].fields == (1, 1)
+    assert out.handlers == {}
     steps = traced_steps(ct, CELL + "c.plain = c.src")
     [(write,)] = events_of(steps, "R-ASSIGN")
     assert (write.kind, write.loc, write.fname) == ("plain-write", 2, "plain")
@@ -162,8 +162,8 @@ def test_rule_assigns_writes_then_braces(ct):
     out = step(ct, st0)
     assert out.rule == "R-ASSIGNS"
     # store updated before the scheduled work runs
-    assert out.state.store[0].fields == (2, 2)
-    assert out.state.expr == EffectBrace(Seq(EMPTY, h), (0, "src"))
+    assert out.store[0].fields == (2, 2)
+    assert out.expr == EffectBrace(Seq(EMPTY, h), (0, "src"))
     steps = traced_steps(ct, CELL + "(c.src.subscribe(c.plain = c.src); c.src = new Nat())")
     [events] = events_of(steps, "R-ASSIGNS")
     assert [e.kind for e in events] == ["signal-write", "handler-enqueue"]
@@ -174,7 +174,7 @@ def test_rule_assigns_writes_then_braces(ct):
 def test_rule_assigns_without_listeners(ct):
     out = step(ct, cell_state(Assign(Loc(0), "src", Loc(2))))
     assert out.rule == "R-ASSIGNS"
-    assert out.state.expr == EffectBrace(EMPTY, (0, "src"))
+    assert out.expr == EffectBrace(EMPTY, (0, "src"))
 
 
 def test_rule_assigncont_expands_downstream(ct):
@@ -183,13 +183,13 @@ def test_rule_assigncont_expands_downstream(ct):
     out = step(ct, st0)
     assert out.rule == "R-ASSIGNCONT"
     # echo depends on src, so its handlers are spliced in
-    assert out.state.expr == Seq(EMPTY, h)
+    assert out.expr == Seq(EMPTY, h)
 
 
 def test_rule_assigncont_no_downstream(ct):
     out = step(ct, cell_state(EffectBrace(EMPTY, (0, "plain"))))
     assert out.rule == "R-ASSIGNCONT"
-    assert isinstance(out.state.expr, Empty)
+    assert isinstance(out.expr, Empty)
 
 
 def test_rule_subscribe_appends(ct):
@@ -198,12 +198,12 @@ def test_rule_subscribe_appends(ct):
     st0 = cell_state(Subscribe(Loc(0), "src", h1))
     out = step(ct, st0)
     assert out.rule == "R-SUBSCRIBE"
-    assert isinstance(out.state.expr, Empty)
-    assert out.state.handlers[(0, "src")] == Seq(EMPTY, h1)
-    st = out.state
+    assert isinstance(out.expr, Empty)
+    assert out.handlers[(0, "src")] == Seq(EMPTY, h1)
+    st = out
     st1 = MachineState(Subscribe(Loc(0), "src", h2), st.store, st.handlers, st.steps)
     out = step(ct, st1)
-    assert out.state.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
+    assert out.handlers[(0, "src")] == Seq(Seq(EMPTY, h1), h2)
     # a write reports one registration per subscription on its key
     source = "(c.src.subscribe(c.plain = c.src); (c.src.subscribe(unit); c.src = new Nat()))"
     steps = traced_steps(ct, CELL + source)
@@ -228,8 +228,8 @@ def test_trace_reads_each_write_as_its_step_found_the_stores(ct):
 def test_rule_subscribe_keeps_handler_unevaluated(ct):
     h = Assign(Loc(0), "plain", New("Nat", ()))
     out = step(ct, cell_state(Subscribe(Loc(0), "src", h)))
-    assert out.state.handlers[(0, "src")].second == h
-    assert out.state.store == cell_state(EMPTY).store  # no allocation happened
+    assert out.handlers[(0, "src")].second == h
+    assert out.store == cell_state(EMPTY).store  # no allocation happened
 
 
 @pytest.mark.parametrize(
@@ -248,26 +248,26 @@ def test_writes_update_both_stores_in_place(ct, expr, rule):
     st0 = cell_state(expr)
     out = step(ct, st0)
     assert out.rule == rule
-    assert out.state.store is st0.store
-    assert out.state.handlers is st0.handlers
+    assert out.store is st0.store
+    assert out.handlers is st0.handlers
 
 
 def test_rule_cat(ct):
     out = step(ct, cell_state(Seq(EMPTY, Loc(1))))
     assert out.rule == "R-CAT"
-    assert out.state.expr == Loc(1)
+    assert out.expr == Loc(1)
 
 
 def test_rule_let_substitutes_value(ct):
     out = step(ct, cell_state(Let("x", Loc(1), FieldAccess(Var("x"), "src"))))
     assert out.rule == "R-LET"
-    assert out.state.expr == FieldAccess(Loc(1), "src")
+    assert out.expr == FieldAccess(Loc(1), "src")
 
 
 def test_let_bound_evaluated_first(ct):
     out = step(ct, cell_state(Let("x", FieldAccess(Loc(0), "src"), Var("x"))))
     assert out.rule == "R-FIELD"
-    assert out.state.expr == Let("x", Loc(1), Var("x"))
+    assert out.expr == Let("x", Loc(1), Var("x"))
 
 
 def test_terminal_states_do_not_step(ct):
@@ -281,7 +281,7 @@ def test_terminal_states_do_not_step(ct):
 def test_receiver_before_arguments(ct):
     e = Invoke(New("Nat", ()), "id", (New("Nat", ()),))
     out = step(ct, cell_state(e))
-    assert out.state.expr == Invoke(Loc(3), "id", (New("Nat", ()),))
+    assert out.expr == Invoke(Loc(3), "id", (New("Nat", ()),))
 
 
 def test_no_descent_into_seq_right(ct):
@@ -289,7 +289,7 @@ def test_no_descent_into_seq_right(ct):
     e = Seq(Seq(EMPTY, EMPTY), Var("junk"))
     out = step(ct, cell_state(e))
     assert out.rule == "R-CAT"
-    assert out.state.expr == Seq(EMPTY, Var("junk"))
+    assert out.expr == Seq(EMPTY, Var("junk"))
 
 
 def test_no_descent_into_handler(ct):
@@ -301,7 +301,7 @@ def test_no_descent_into_handler(ct):
 def test_assign_receiver_then_value(ct):
     e = Assign(FieldAccess(Loc(0), "src"), "plain", New("Nat", ()))
     out = step(ct, cell_state(e))
-    assert out.state.expr == Assign(Loc(1), "plain", New("Nat", ()))
+    assert out.expr == Assign(Loc(1), "plain", New("Nat", ()))
 
 
 # ----------------------------------------------------------- stuck states
@@ -452,7 +452,7 @@ def stores_of(name, fuel=300):
         out = step(ct, st)
         if out is None:
             break
-        st = out.state
+        st = out
         stores.append(dict(st.store))
     return ct, stores
 
@@ -675,18 +675,18 @@ def stores_differ_on_each_write(seen):
     """An observer that finds every allocation, write and subscription as
     a difference between before's stores and after's, counted in seen."""
 
-    def observe(before, out, after):
-        if out.rule == "R-NEW":
+    def observe(before, after):
+        if after.rule == "R-NEW":
             l = len(after.store) - 1
             assert l in after.store and l not in before.store, after.steps
-        elif out.rule == "R-ASSIGNS":
+        elif after.rule == "R-ASSIGNS":
             l = before.focus.recv.loc
             assert after.store[l] != before.store[l], after.steps
-        elif out.rule == "R-SUBSCRIBE":
+        elif after.rule == "R-SUBSCRIBE":
             assert after.handlers != before.handlers, after.steps
         else:
             return None
-        seen[out.rule] += 1
+        seen[after.rule] += 1
         return None
 
     return observe
@@ -705,12 +705,14 @@ def test_run_shows_observers_the_stores_from_before_each_step():
 
 
 def test_a_step_advances_the_state_it_is_handed(monkeypatch):
-    """A plain run hands `step` one state throughout and gets it back
-    advanced; an observed run shows its observers a new copy of the state
-    as the step found it, its stores the journals' versions, and the state
-    the step returned as both outcome and `after`."""
-    handed, focus, returned = [], [], []
-    real = interp.step
+    """A plain run hands `step` one state throughout, gets it back advanced
+    and copies nothing; an observed run shows its observers a new copy of
+    the state as the step found it, its stores the journals' versions, and
+    the state the step returned as `after`.  A mutated run, observed or
+    not, copies the state once per step call, and its observers and
+    mutants share that copy."""
+    handed, focus, returned, copies = [], [], [], []
+    real, real_copy = interp.step, MachineState.copy
 
     def recording(ct, st):
         handed.append(st)
@@ -718,16 +720,22 @@ def test_a_step_advances_the_state_it_is_handed(monkeypatch):
         returned.append(real(ct, st))
         return returned[-1]
 
+    def counting(st):
+        copies.append(real_copy(st))
+        return copies[-1]
+
     monkeypatch.setattr(interp, "step", recording)
+    monkeypatch.setattr(MachineState, "copy", counting)
     ct, program = load_corpus_file("loop_handler.fsj")
     res = run(ct, program.main, fuel=2000)
     assert res.status == "fuel" and len(handed) == 2000
     assert all(st is res.state for st in handed + returned)
+    assert copies == []
 
     befores = []
 
-    def copied(before, out, after):
-        assert after is out and out is returned[-1] is handed[-1], after.steps
+    def copied(before, after):
+        assert after is returned[-1] is handed[-1], after.steps
         assert before is not after and before.focus is focus[-1], after.steps
         assert before.steps + 1 == after.steps
         for old, store in ((before.store, after.store), (before.handlers, after.handlers)):
@@ -742,6 +750,18 @@ def test_a_step_advances_the_state_it_is_handed(monkeypatch):
     assert all(st is res.state for st in handed)
     assert len({id(before) for before in befores}) == 2000
     assert seen == {"R-NEW": 667, "R-ASSIGNS": 665, "R-SUBSCRIBE": 1}
+    assert befores == copies
+
+    ct, program = load_corpus_file("peano_pull.fsj")
+    mutations = frozenset({MUT_SWAP_ASSIGN})
+    del handed[:], copies[:]
+    res = audit_run(ct, program.main, "peano_pull.fsj", mutations=mutations).run
+    assert res.violation is not None and res.status == "terminal"
+    assert len(copies) == len(handed) == 43
+    del handed[:], copies[:]
+    res = run(ct, program.main, mutations=mutations)
+    assert res.status == "terminal"
+    assert len(copies) == len(handed) == 43
 
 
 JOURNAL_MUTATORS = {
@@ -794,7 +814,7 @@ def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):
     monkeypatch.setattr(interp, "subst", counting)
     rules = Counter()
     res = run(
-        ct, program.main, observers=[lambda before, out, after: rules.update([out.rule])]
+        ct, program.main, observers=[lambda before, after: rules.update([after.rule])]
     )
     assert res.status == "terminal"
     assert rules["R-INVK"] and rules["R-FIELDS"] and rules["R-LET"]
@@ -882,7 +902,7 @@ def test_mutation_no_this_subst(ct):
     before = st.copy()
     out = MUTANTS[MUT_NO_THIS_SUBST](ct, before, step(ct, st))
     assert out.rule == "R-FIELDS"
-    assert out.state.expr == FieldAccess(Var("this"), "src")
+    assert out.expr == FieldAccess(Var("this"), "src")
 
 
 def test_mutation_swap_assign(ct):
@@ -890,12 +910,12 @@ def test_mutation_swap_assign(ct):
     before = st.copy()
     out = MUTANTS[MUT_SWAP_ASSIGN](ct, before, step(ct, st))
     assert out.rule == "R-ASSIGNS"
-    assert isinstance(out.state.expr, EffectBrace)
+    assert isinstance(out.expr, EffectBrace)
     st = cell_state(Assign(Loc(0), "src", Loc(1)))
     before = st.copy()
     out = MUTANTS[MUT_SWAP_ASSIGN](ct, before, step(ct, st))
     assert out.rule == "R-ASSIGN"
-    assert isinstance(out.state.expr, Empty)
+    assert isinstance(out.expr, Empty)
 
 
 # the rules whose outcome each mutant rewrites
@@ -908,14 +928,39 @@ MUTANT_TARGETS = {
 def test_a_mutant_rewrites_only_the_outcome():
     """On every step of every corpus program at fuel 300, each mutant keeps
     the plain outcome's store dicts and their contents, leaves the rules it
-    does not target alone, and changes some program's rule sequence."""
+    does not target alone, and changes some program's rule sequence.  All
+    of them at once give the rules and final expression of a machine that
+    nests each around `step` with a pre-step copy of its own."""
     assert MUTANT_TARGETS.keys() == MUTANTS.keys()
 
     def rules(ct, main, mutations=frozenset()):
         seen = []
-        run(ct, main, 300, mutations,
-            observers=[lambda before, out, after: seen.append(out.rule)])
-        return seen
+        res = run(ct, main, 300, mutations,
+                  observers=[lambda before, after: seen.append(after.rule)])
+        return seen, res.state.expr
+
+    def nested(inner, rewrite):
+        def stepped(ct, st):
+            before = st.copy()
+            out = inner(ct, st)
+            return None if out is None else rewrite(ct, before, out)
+        return stepped
+
+    def composed(ct, main):
+        """`rules` of every mutant, nested in sorted order, innermost first."""
+        stepper, seen, st = step, [], MachineState(main, {}, {})
+        for name in sorted(MUTANTS):
+            stepper = nested(stepper, MUTANTS[name])
+        while st.steps < 300:
+            try:
+                out = stepper(ct, st)
+            except StuckError:
+                break
+            if out is None:
+                break
+            seen.append(out.rule)
+            st = out
+        return seen, st.expr
 
     changed = set()
     for path in sorted(CORPUS.glob("*.fsj")):
@@ -925,18 +970,19 @@ def test_a_mutant_rewrites_only_the_outcome():
             before = st.copy()
             if (out := step(ct, st)) is None:
                 break
-            after = out.state
-            store, handlers = dict(after.store), dict(after.handlers)
+            store, handlers = dict(out.store), dict(out.handlers)
             for name, rewrite in MUTANTS.items():
                 mutated = rewrite(ct, before, out)
-                got = mutated.state
-                assert got.store is after.store and got.handlers is after.handlers, name
-                assert got.store == store and got.handlers == handlers, name
+                assert mutated.store is out.store and mutated.handlers is out.handlers, name
+                assert mutated.store == store and mutated.handlers == handlers, name
                 if out.rule not in MUTANT_TARGETS[name]:
-                    assert mutated.rule == out.rule and got.expr == after.expr, name
-            st = after
-        plain = rules(ct, program.main)
-        changed |= {name for name in MUTANTS if rules(ct, program.main, frozenset({name})) != plain}
+                    assert mutated.rule == out.rule and mutated.expr == out.expr, name
+            st = out
+        plain, _ = rules(ct, program.main)
+        changed |= {
+            name for name in MUTANTS if rules(ct, program.main, frozenset({name}))[0] != plain
+        }
+        assert rules(ct, program.main, frozenset(MUTANTS)) == composed(ct, program.main), path.name
     assert changed == MUTANTS.keys()
 
 
@@ -950,7 +996,7 @@ def rendered_against_reference(ct, main, fuel, mutations=frozenset()) -> int:
     reference = []
     _, trace = traced_run(
         ct, main, fuel, mutations,
-        observers=[lambda before, out, after: reference.append(render_expr(after.expr))],
+        observers=[lambda before, after: reference.append(render_expr(after.expr))],
     )
     assert [e.expr for e in trace if e.kind == "step"] == reference
     return len(reference)

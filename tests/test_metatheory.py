@@ -233,8 +233,8 @@ def test_audit_store_typing_only_grows(monkeypatch):
     """Σ remembers every location it has seen, so dropping one is caught."""
 
     def drop_first(st, out):
-        if len(out.state.store) > 1:
-            out.state.store = {l: o for l, o in out.state.store.items() if l != min(st.store)}
+        if len(out.store) > 1:
+            out.store = {l: o for l, o in out.store.items() if l != min(st.store)}
 
     corrupting_step(monkeypatch, "R-NEW", drop_first)
     ct, program = load_corpus_file("peano_pull.fsj")
@@ -249,8 +249,8 @@ def test_audit_catches_a_step_whose_type_grows(monkeypatch):
     in its place leaves an expression that types only to the larger A."""
 
     def allocate_the_parent(st, out):
-        l = len(out.state.store) - 1
-        out.state.store[l] = StoredObject("A", ())
+        l = len(out.store) - 1
+        out.store[l] = StoredObject("A", ())
 
     corrupting_step(monkeypatch, "R-NEW", allocate_the_parent)
     program = parse_program(
@@ -272,8 +272,8 @@ def test_audit_catches_a_location_retyped_in_place(monkeypatch):
     still has every location and the expression still types."""
 
     def retype_first(st, out):
-        if len(out.state.store) == 2:
-            out.state.store[0] = StoredObject("B", ())
+        if len(out.store) == 2:
+            out.store[0] = StoredObject("B", ())
 
     corrupting_step(monkeypatch, "R-NEW", retype_first)
     program = parse_program(
@@ -296,7 +296,7 @@ def replace_once(monkeypatch, rule, replace_entry):
 
     def corrupt(st, out):
         if not hit and replace_entry(out):
-            hit.append(out.state.steps)
+            hit.append(out.steps)
 
     corrupting_step(monkeypatch, rule, corrupt)
     return hit
@@ -304,7 +304,7 @@ def replace_once(monkeypatch, rule, replace_entry):
 
 def untouched_object(out):
     """A location with fields that this allocation did not create, or None."""
-    store = out.state.store
+    store = out.store
     fresh = len(store) - 1
     return next((l for l in sorted(store) if l != fresh and store[l].fields), None)
 
@@ -317,8 +317,8 @@ def test_audit_retypes_an_untouched_object_replaced_in_place(monkeypatch):
         l = untouched_object(out)
         if l is None:
             return False
-        obj = out.state.store[l]
-        out.state.store[l] = StoredObject(obj.cls, (999,) * len(obj.fields))
+        obj = out.store[l]
+        out.store[l] = StoredObject(obj.cls, (999,) * len(obj.fields))
         return True
 
     hit = replace_once(monkeypatch, "R-NEW", dangle)
@@ -334,10 +334,10 @@ def test_audit_retypes_an_untouched_handler_replaced_in_place(monkeypatch):
     """Same for a handler entry: an allocation never touches the handler store."""
 
     def retype_handler(out):
-        if not out.state.handlers:
+        if not out.handlers:
             return False
-        key = next(iter(out.state.handlers))
-        out.state.handlers[key] = New("Nat", ())
+        key = next(iter(out.handlers))
+        out.handlers[key] = New("Nat", ())
         return True
 
     hit = replace_once(monkeypatch, "R-NEW", retype_handler)
@@ -355,9 +355,9 @@ def test_audit_accepts_an_equal_copy_of_an_object(monkeypatch):
         l = untouched_object(out)
         if l is None:
             return False
-        obj = out.state.store[l]
-        out.state.store[l] = StoredObject(obj.cls, tuple(obj.fields))
-        assert out.state.store[l] == obj and out.state.store[l] is not obj
+        obj = out.store[l]
+        out.store[l] = StoredObject(obj.cls, tuple(obj.fields))
+        assert out.store[l] == obj and out.store[l] is not obj
         return True
 
     hit = replace_once(monkeypatch, "R-NEW", copy)
@@ -375,7 +375,7 @@ def test_audit_refuses_an_object_deleted_in_place(monkeypatch):
         l = untouched_object(out)
         if l is None:
             return False
-        del out.state.store[l]
+        del out.store[l]
         return True
 
     hit = replace_once(monkeypatch, "R-NEW", delete)
@@ -548,9 +548,9 @@ def differential_audit(ct, main, fuel, mutations=frozenset()):
     incremental, full = SubjectReduction(ct, "<main>", t0), FullRecheck(ct, t0)
     compared = []
 
-    def observe(before, out, after):
-        got = incremental(before, out, after)
-        want = full(out, after)
+    def observe(before, after):
+        got = incremental(before, after)
+        want = full(after, after)
         assert (got and got.detail) == want, after.steps
         assert (incremental.type, incremental.sigma) == (full.type, full.sigma), after.steps
         compared.append(got is None)
