@@ -170,9 +170,13 @@ def cmd_meta(args) -> int:
     if not result.violations:
         return EXIT_OK
     seed, report = result.violations[0]
-    shrunk = shrink_campaign_failure(seed, report.prop, fuel=args.fuel, mutations=mutations)
-    out = Path(f"fsj-violation-seed{seed}.fsj")
     print(f"violation seed={seed} theorem={report.prop} detail={report.detail}", file=sys.stderr)
+    try:
+        shrunk = shrink_campaign_failure(seed, report.prop, fuel=args.fuel, mutations=mutations)
+    except Exception as err:  # generation raised: there is no program to shrink
+        print(f"seed {seed} has no program to shrink: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    out = Path(f"fsj-violation-seed{seed}.fsj")
     try:
         out.write_text(render_program(shrunk))
     except OSError as err:

@@ -24,9 +24,9 @@ per-step observers `(before, after) -> violation | None`.
 four property classes.  It re-derives the per-step theorems from the
 public interpreter and checker APIs only, keeping its own store typing,
 so an interpreter bug cannot silently excuse itself.  The campaign
-audits each seeded program once and reads its first violation and its
-progress report off that run; `scenario_suite` runs the property classes
-on curated corpus programs and fails one that judged nothing.
+records `judge`'s verdict on each seeded program, which the shrinker's
+predicate reads too; `scenario_suite` runs the property classes on
+curated corpus programs and fails one that judged nothing.
 
 A step reports only the state it reached and its rule, and no oracle
 reads the trace, which is `run`'s observer too (`interp.TraceObserver`).
@@ -40,8 +40,8 @@ reach under a binder, and the store typing only grows.  The property
 classes read what a step wrote or subscribed off its redex, and what the
 redex reduced to off the frames the step pushed.
 
-A seed whose generation, checking or audit raises becomes a `crash`
-report of its own, and the campaign carries on.
+A seed whose checking, audit or generation raises (the last leaves no
+program to shrink) becomes a `crash` report, and the campaign goes on.
 """
 
 from __future__ import annotations
@@ -552,6 +552,32 @@ class CampaignResult:
         return out
 
 
+def judge(ct: ClassTable, program: Program, seed: int, fuel: int = CAMPAIGN_FUEL,
+          mutations: frozenset[str] = frozenset()) -> tuple[list[PropertyReport], Counter]:
+    """The one verdict on a seed's program: its reports, from one audited
+    run, and that run's rules.  An ill-typed program is a violation of
+    `well_typed_generation`, and one whose check or audit raises is a
+    `crash` of `no_crash`.
+    """
+    label, stage = f"seed={seed}", "checking"
+    try:
+        report = check_program(ct, program)
+        if report.ok:
+            stage = "audit"
+            res = audit_run(ct, program.main, label, fuel, mutations)
+    except Exception as err:
+        return [_crash(seed, stage, err)], Counter()
+    if report.ok:
+        return res.reports(), res.rules
+    detail = "; ".join(str(e) for e in report.errors[:3])
+    return [PropertyReport("well_typed_generation", label, "violation", None, detail)], Counter()
+
+
+def _crash(seed: int, stage: str, err: Exception) -> PropertyReport:
+    detail = f"{type(err).__name__} in {stage} of seed {seed}: {err}"
+    return PropertyReport(P_NO_CRASH, f"seed={seed}", "crash", None, detail)
+
+
 def campaign(
     count: int,
     base_seed: int = 0,
@@ -559,42 +585,25 @@ def campaign(
     config: GenConfig | None = None,
     mutations: frozenset[str] = frozenset(),
 ) -> CampaignResult:
-    """Generate `count` seeded programs and audit each one.
+    """Generate `count` seeded programs and record each one's `judge`.
 
-    Each program is checked and audited against the class table the
-    generator built for it, which equals a fresh build, so the campaign
-    builds no table of its own.  Each program is stepped once; its
-    subject-reduction and its progress reports both come from that
-    audited run.  An exception raised while generating, checking or
-    auditing a seed becomes that seed's one report, a `crash` of
-    `no_crash`, and the campaign goes on.
+    A program is judged against the table the generator built for it,
+    which equals a fresh build.  A seed whose generation raises gets one
+    report, a `crash` of `no_crash`, and the campaign goes on.
     """
     started = time.perf_counter()
     reports: list[tuple[int, PropertyReport]] = []
     rules: Counter = Counter()
     base_cfg = config or GenConfig()
     for seed in range(base_seed, base_seed + count):
-        label = f"seed={seed}"
-        stage = "generation"
         try:
             program, ct = generate_program(replace(base_cfg, seed=seed))
-            stage = "checking"
-            report = check_program(ct, program)
-            if report.ok:
-                stage = "audit"
-                res = audit_run(ct, program.main, label, fuel, mutations)
         except Exception as err:
-            detail = f"{type(err).__name__} in {stage} of seed {seed}: {err}"
-            reports.append((seed, PropertyReport(P_NO_CRASH, label, "crash", None, detail)))
+            reports.append((seed, _crash(seed, "generation", err)))
             continue
-        if not report.ok:
-            detail = "; ".join(str(e) for e in report.errors[:3])
-            reports.append(
-                (seed, PropertyReport("well_typed_generation", label, "violation", None, detail))
-            )
-            continue
-        rules.update(res.rules)
-        reports += [(seed, r) for r in res.reports()]
+        judged, stepped = judge(ct, program, seed, fuel, mutations)
+        rules.update(stepped)
+        reports += [(seed, r) for r in judged]
     return CampaignResult(count, reports, time.perf_counter() - started, rules)
 
 
@@ -603,31 +612,16 @@ def shrink_campaign_failure(seed: int, prop: str, fuel: int = CAMPAIGN_FUEL,
                             mutations: frozenset[str] = frozenset()) -> Program:
     """Re-derive and minimize the failing program for one campaign seed.
 
-    A `no_crash` failure still fails when checking or auditing a
-    candidate raises.  Any other exception rejects the candidate, as
-    `shrink` reads a raising predicate as false.  `shrink` deletes no
-    class that another class extends, so the candidates of a generated
-    program all build a class table; the guard on that build stays for
-    a program that `shrink` is handed from elsewhere.
+    A candidate still fails when the campaign's own `judge` of it fails
+    `prop`; a table error, outside that verdict, rejects it, as `shrink`
+    reads a raising predicate as false.  A seed whose generation raises
+    has no program to shrink, and this raises what generation raised.
     """
-    cfg = replace(config or GenConfig(), seed=seed)
-    program, _ = generate_program(cfg)
+    program, _ = generate_program(replace(config or GenConfig(), seed=seed))
 
     def still_fails(p: Program) -> bool:
-        ct = build_class_table(p)  # a table error rejects the candidate
-        if prop == P_NO_CRASH:
-            try:
-                if check_program(ct, p).ok:
-                    audit_run(ct, p.main, fuel=fuel, mutations=mutations)
-            except Exception:
-                return True
-            return False
-        if not check_program(ct, p).ok:
-            return prop == "well_typed_generation"
-        res = audit_run(ct, p.main, fuel=fuel, mutations=mutations)
-        if prop == P_PROGRESS:
-            return res.status == "stuck"
-        return res.status == "violated" and res.violation.prop == prop
+        reports, _ = judge(build_class_table(p), p, seed, fuel, mutations)
+        return any(r.prop == prop and not r.ok for r in reports)
 
     return shrink(program, still_fails)
 

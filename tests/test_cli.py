@@ -521,6 +521,27 @@ def test_meta_reports_a_witness_it_cannot_write(tmp_path, monkeypatch, capsys):
     assert len(lines) == 2
 
 
+def test_meta_reports_a_generation_crash_it_cannot_shrink(tmp_path, monkeypatch, capsys):
+    """A first violation that is a crash in generation leaves no program
+    to shrink; it once escaped `fsj meta` as a traceback."""
+    from fsj import metatheory
+
+    def explode(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(metatheory, "generate_program", explode)
+    code, out, err = run_cli(["meta", "--n", "2"], capsys)
+    assert code == EXIT_SEMANTIC
+    assert out.splitlines()[-1].startswith("programs=2 violations=2 ")
+    assert err.splitlines() == [
+        "violation seed=0 theorem=no_crash"
+        " detail=RuntimeError in generation of seed 0: boom",
+        "seed 0 has no program to shrink: RuntimeError: boom",
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_meta_swap_mutation_detected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

@@ -88,6 +88,11 @@ def test_store_typing_domain_mismatch():
     store.pop(max(store))
     msg = check_store_typing(ct, store, state.handlers, typing_of(state))
     assert msg is not None and "domain" in msg
+    # as many locations as Σ, but the first is one Σ lacks
+    typing = typing_of(state)
+    typing[max(typing) + 1] = typing.pop(min(typing))
+    msg = check_store_typing(ct, state.store, state.handlers, typing)
+    assert msg == "object store and store typing have different domains"
 
 
 def test_store_typing_wrong_class():
@@ -140,6 +145,9 @@ def test_store_typing_types_only_the_handler_a_subscription_appends():
     handlers = {key: Seq(chain, New("Nat", ()))}
     msg = check_store_typing(ct, state.store, handlers, typing, checked)
     assert msg == f"handlers on @{key[0]}.v have type Nat, expected Unit"
+    # the very entry checked is not typed again, even one that would fail
+    checked = (state.store, handlers)
+    assert check_store_typing(ct, state.store, handlers, typing, checked) is None
 
 
 # ---------------------------------------------------------------- corpus
@@ -1111,6 +1119,58 @@ def test_shrink_campaign_failure_reproduces():
     res = audit_run(ct, shrunk.main, mutations=frozenset({MUT_NO_THIS_SUBST}))
     assert res.status == "violated"
     assert res.violation.prop == "subject_reduction"
+
+
+def test_shrink_predicate_is_the_campaigns_verdict(mutated_campaigns, monkeypatch):
+    """On both broken machines, the predicate the shrinker is handed
+    accepts each violating seed's own program for every property the
+    campaign saw it fail, and rejects it for every property whose report
+    passed."""
+    predicates = []
+
+    def unshrunk(program, predicate):
+        predicates.append(predicate)
+        return program
+
+    def still_fails(p):  # a raising predicate rejects, as in `shrink`
+        try:
+            return predicates[-1](p)
+        except Exception:
+            return False
+
+    monkeypatch.setattr(metatheory, "shrink", unshrunk)
+    failing, disagreements = Counter(), []
+    for mutation, res in sorted(mutated_campaigns.items()):
+        mutations = frozenset({mutation})
+        violating = {seed for seed, _ in res.violations}
+        for seed, report in res.reports:
+            if seed not in violating:
+                continue
+            failing[mutation, report.prop] += not report.ok
+            program = shrink_campaign_failure(seed, report.prop, mutations=mutations)
+            if still_fails(program) == report.ok:
+                disagreements.append((mutation, seed, report.prop, report.outcome))
+    assert +failing == {
+        (MUT_NO_THIS_SUBST, "subject_reduction"): 48,
+        (MUT_NO_THIS_SUBST, P_PROGRESS): 48,
+        (MUT_SWAP_ASSIGN, "handler_delivery"): 31,
+        (MUT_SWAP_ASSIGN, "plain_write_silent"): 23,
+    }
+    assert disagreements == []
+
+
+def test_shrink_campaign_failure_minimizes_progress_after_a_violation():
+    """A run that an oracle flags before the machine wedges fails progress
+    too, and its witness for progress is smaller and still wedges; the
+    shrinker once read the audit's "violated" status as a pass and
+    returned seed 0's program unshrunk."""
+    mutations = frozenset({MUT_NO_THIS_SUBST})
+    shrunk = shrink_campaign_failure(0, P_PROGRESS, mutations=mutations)
+    program, _ = generate_program(GenConfig(seed=0))
+    assert _size(shrunk) < _size(program)
+    ct = build_class_table(shrunk)
+    assert check_program(ct, shrunk).ok
+    assert audit_run(ct, shrunk.main, mutations=mutations).run.status == "stuck"
 
 
 @pytest.mark.parametrize("mutation", sorted(interp.MUTANTS))
