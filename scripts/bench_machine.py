@@ -206,9 +206,9 @@ def resubscribe(workloads, root: Path, fuels=RESUBSCRIBE_FUELS,
             return workloads.interp.run(ct, program.main, fuel=fuel, collect_trace=False)
 
         def check(res):
-            state = (res.run if audited else res).state
-            got = (res.status, state.steps, res.violation)
-            return state.steps, None if got == ("fuel", fuel, None) else f"{got}, want fuel at {fuel}"
+            out = res.run if audited else res
+            got = (out.status, out.state.steps, out.violation)
+            return out.state.steps, None if got == ("fuel", fuel, None) else f"{got}, want fuel at {fuel}"
 
         key = f"{'audited' if audited else 'plain'} fuel={fuel}"
         return workloads.Op("resubscribe", key, work, check, size=fuel)
@@ -248,11 +248,10 @@ def operations(root: Path):
 
     def checker(fuel: int, audited: bool = False):
         def check(res):
-            # an audit's status reads "violated" once an oracle fails
-            state = (res.run if audited else res).state
-            got = (res.status, state.steps, len(state.store))
-            want = ("fuel", fuel, workloads.loop_handler_store(fuel))
-            return state.steps, None if got == want else f"{got}, want {want}"
+            out = res.run if audited else res
+            got = (out.status, out.violation, out.state.steps, len(out.state.store))
+            want = ("fuel", None, fuel, workloads.loop_handler_store(fuel))
+            return out.state.steps, None if got == want else f"{got}, want {want}"
 
         return check
 

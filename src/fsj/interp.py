@@ -381,21 +381,24 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
     empty) gives None.  A node whose subterms do not fit its rule is
     stuck (a free variable, or a finished form where the node needs
     something else) and raises StuckError where the rule finds it,
-    before the step changes st or either store.  What the step did is
-    read off the redex and the stores of a copy of st taken before it,
-    which `run` hands observers and mutants as `before`.
+    before the step changes st or either store: R-NEW and R-INVK find a
+    unit argument as they collect their arguments' locations (R-INVK
+    by parameter name, which the class table keeps distinct).  What the
+    step did is read off the redex and the stores of a copy of st taken
+    before it, which `run` hands observers and mutants as `before`.
     """
     e = st.focus
     t = type(e)
     store, handlers = st.store, st.handlers
     if t is New:
         c, args = e.cls, e.args
-        if c not in ct or len(ct[c].source) != len(args) or _first_open(args) is not None:
+        locs = tuple(a.loc for a in args if type(a) is Loc)
+        if c not in ct or len(ct[c].source) != len(args) or len(locs) != len(args):
             raise StuckError(st)
         # Fresh: locations are allocated densely from 0, a Journal refuses
         # deletion, and nothing in fsj deletes from a plain store dict.
         l = len(store)
-        store[l] = StoredObject(c, tuple(a.loc for a in args))
+        store[l] = StoredObject(c, locs)
         out, rule = Loc(l), "R-NEW"
 
     elif t is Seq:
@@ -439,15 +442,15 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
 
     elif t is Invoke:
         recv, m, args = e.recv, e.method, e.args
-        if type(recv) is not Loc or _first_open(args) is not None:
-            raise StuckError(st)
-        obj = store.get(recv.loc)
+        obj = store.get(recv.loc) if type(recv) is Loc else None
         if obj is None:
             raise StuckError(st)
         md = ct[obj.cls].methods.get(m)
         if md is None or len(md.params) != len(args):
             raise StuckError(st)
-        mapping: dict[str, Expr] = {p.name: a for p, a in zip(md.params, args)}
+        mapping: dict[str, Expr] = {p.name: a for p, a in zip(md.params, args) if type(a) is Loc}
+        if len(mapping) != len(args):
+            raise StuckError(st)
         mapping["this"] = recv
         out, rule = subst(md.body, mapping), "R-INVK"
 

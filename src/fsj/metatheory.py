@@ -186,16 +186,12 @@ def check_store_typing(
 @dataclass
 class AuditResult:
     subject: str
-    run: RunResult  # the machine's own outcome, which observers never change
+    run: RunResult  # the machine's own status, which observers never change, and their first violation
     rules: Counter
 
     @property
     def violation(self) -> PropertyReport | None:
         return self.run.violation
-
-    @property
-    def status(self) -> str:  # "terminal" | "fuel" | "stuck" | "violated"
-        return "violated" if self.violation is not None else self.run.status
 
     def reports(self) -> list[PropertyReport]:
         """Subject reduction (or the first violation), then progress."""

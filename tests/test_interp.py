@@ -59,6 +59,7 @@ class Nat extends Object {
   Nat() { super(); }
   Nat id(Nat m) { m }
   Nat self() { this }
+  Nat pair(Nat a, Nat b) { b }
 }
 
 class Cell extends Object {
@@ -327,6 +328,7 @@ WEDGES = {
     "free-variable": Var("ghost"),
     "location-left-of-seq": Seq(Loc(1), EMPTY),
     "new-with-unit-argument": New("Cell", (EMPTY, Loc(1))),
+    "new-with-unit-after-a-location": New("Cell", (Loc(1), EMPTY)),
     "new-of-undeclared-class": New("Ghost", ()),
     "new-with-wrong-arity": New("Cell", (Loc(1),)),
     "assign-to-unit": Assign(EMPTY, "src", Loc(1)),
@@ -339,6 +341,8 @@ WEDGES = {
     "read-of-unknown-field": FieldAccess(Loc(0), "ghost"),
     "call-on-unit": Invoke(EMPTY, "id", (Loc(2),)),
     "call-with-unit-argument": Invoke(Loc(1), "id", (EMPTY,)),
+    "call-with-unit-before-a-location": Invoke(Loc(1), "pair", (EMPTY, Loc(2))),
+    "call-with-unit-after-a-location": Invoke(Loc(1), "pair", (Loc(2), EMPTY)),
     "call-on-dangling-location": Invoke(Loc(99), "id", (Loc(2),)),
     "call-of-unknown-method": Invoke(Loc(1), "ghost", ()),
     "call-with-wrong-arity": Invoke(Loc(1), "id", ()),

@@ -233,7 +233,7 @@ def test_audit_sees_a_pull_that_changes_handlers_in_place(monkeypatch):
     corrupting_step(monkeypatch, "R-FIELDS", add_handler)
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
-    assert res.status == "violated"
+    assert res.violation is not None
     assert res.violation.prop == "pull_preserves_stores", res.violation.line()
 
 
@@ -247,7 +247,7 @@ def test_audit_store_typing_only_grows(monkeypatch):
     corrupting_step(monkeypatch, "R-NEW", drop_first)
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
-    assert res.status == "violated"
+    assert res.violation is not None
     assert res.violation.prop == "subject_reduction"
     assert "dropped or retyped @0" in res.violation.detail
 
@@ -332,7 +332,7 @@ def test_audit_retypes_an_untouched_object_replaced_in_place(monkeypatch):
     hit = replace_once(monkeypatch, "R-NEW", dangle)
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
-    assert res.status == "violated"
+    assert res.violation is not None
     assert (res.violation.prop, res.violation.step) == ("subject_reduction", hit[0])
     assert "after R-NEW: @" in res.violation.detail
     assert "holds an ill-typed object: location @999 not in store typing" in res.violation.detail
@@ -351,7 +351,7 @@ def test_audit_retypes_an_untouched_handler_replaced_in_place(monkeypatch):
     hit = replace_once(monkeypatch, "R-NEW", retype_handler)
     ct, program = load_corpus_file("handler_delivery.fsj")
     res = audit_run(ct, program.main, "handler_delivery.fsj")
-    assert res.status == "violated"
+    assert res.violation is not None
     assert (res.violation.prop, res.violation.step) == ("subject_reduction", hit[0])
     assert res.violation.detail.endswith("have type Nat, expected Unit")
 
@@ -371,7 +371,7 @@ def test_audit_accepts_an_equal_copy_of_an_object(monkeypatch):
     hit = replace_once(monkeypatch, "R-NEW", copy)
     ct, program = load_corpus_file("peano_pull.fsj")
     res = audit_run(ct, program.main, "peano_pull.fsj")
-    assert hit and res.status == "terminal" and res.violation is None
+    assert hit and (res.violation, res.run.status) == (None, "terminal")
 
 
 def test_audit_refuses_an_object_deleted_in_place(monkeypatch):
@@ -416,7 +416,7 @@ def whole_store_passes(monkeypatch, fuel):
     monkeypatch.setattr(interp, "Journal", counting)
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, "loop_handler.fsj", fuel=fuel)
-    assert (res.status, res.violation) == ("fuel", None)
+    assert (res.violation, res.run.status) == (None, "fuel")
     store, made = res.run.state.store, passes.total()
     assert type(store) is counting
     dict(store)
@@ -443,7 +443,7 @@ def test_audit_refocuses_once_per_step(monkeypatch):
     monkeypatch.setattr(interp, "_refocus", counted)
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, "loop_handler.fsj", fuel=500)
-    assert (res.status, res.violation) == ("fuel", None)
+    assert (res.violation, res.run.status) == (None, "fuel")
     assert calls["refocus"] == 501
 
 
@@ -452,7 +452,7 @@ def test_audit_of_a_long_loop_runs_to_fuel():
     fuel = 10_000
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, "loop_handler.fsj", fuel=fuel)
-    assert (res.status, res.violation) == ("fuel", None)
+    assert (res.violation, res.run.status) == (None, "fuel")
     assert len(res.run.state.store) == 3 + (fuel - 6) // 3
 
 
@@ -460,7 +460,7 @@ def test_audit_types_a_deep_context_to_fuel():
     """loop_handler nests one brace deeper per loop: 1667 frames at fuel 5000."""
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, "loop_handler.fsj", fuel=5000)
-    assert (res.status, res.run.state.steps) == ("fuel", 5000)
+    assert (res.violation, res.run.status, res.run.state.steps) == (None, "fuel", 5000)
     depth, k = 0, res.run.state.stack
     while k is not None:
         depth, k = depth + 1, k[2]
@@ -711,10 +711,10 @@ def test_untraced_runs_build_no_trace_events(monkeypatch, corpus_audits, scenari
 def test_audit_statuses():
     ct, program = load_corpus_file("loop_handler.fsj")
     res = audit_run(ct, program.main, fuel=300)
-    assert res.status == "fuel"
+    assert (res.violation, res.run.status) == (None, "fuel")
     ct, program = load_corpus_file("plain_assign.fsj")
     res = audit_run(ct, program.main)
-    assert res.status == "terminal"
+    assert (res.violation, res.run.status) == (None, "terminal")
     assert res.rules["R-ASSIGN"] == 1
 
 
@@ -1012,7 +1012,8 @@ def test_shrink_campaign_failure_minimizes_a_stuck_machine(monkeypatch):
     assert _size(shrunk) < _size(program)
     ct = build_class_table(shrunk)
     assert check_program(ct, shrunk).ok
-    assert audit_run(ct, shrunk.main).status == "stuck"
+    res = audit_run(ct, shrunk.main)
+    assert (res.violation, res.run.status) == (None, "stuck")
 
 
 def test_report_line_format():
@@ -1117,7 +1118,7 @@ def test_shrink_campaign_failure_reproduces():
     ct = build_class_table(shrunk)
     assert check_program(ct, shrunk).ok
     res = audit_run(ct, shrunk.main, mutations=frozenset({MUT_NO_THIS_SUBST}))
-    assert res.status == "violated"
+    assert res.violation is not None
     assert res.violation.prop == "subject_reduction"
 
 
