@@ -49,9 +49,10 @@ how deep the focus sits, and neither walks the context by recursion.
 Both, like `syntax.with_child` and `syntax.subst` that they call, read
 the node's exact type once and branch on it in an if-chain, the most
 frequent node type first; `match` with class patterns would pay an
-`isinstance` and attribute reads for every case it tries.  `step`
-dispatches on the focus itself: a rule that finds the focus wedged
-raises StuckError on the spot, before any store write.  It calls
+`isinstance` and attribute reads for every case it tries.  `_refocus`
+alone scans a redex's arguments.  `step` dispatches on the focus: a
+wedged focus raises StuckError before any store write, and a write
+builds its record by `tuple.__new__`, with no Python frame.  It calls
 `subst` and `handlers_of`, and `handlers_of` calls `effect`, through
 this module's globals, so a wrapper installed at one of those
 attributes sees every call.
@@ -125,14 +126,6 @@ class StoredObject(NamedTuple):
     fields: tuple[int, ...]  # locations, ordered like source(cls)
 
 
-def _first_open(args: tuple[Expr, ...]) -> int | None:
-    """Index of the first argument that is not yet a location."""
-    for i, a in enumerate(args):
-        if not isinstance(a, Loc):
-            return i
-    return None
-
-
 def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
     """Decompose e, sitting in context k, down to the next redex.
 
@@ -143,8 +136,9 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
     which includes a node whose next subterm is a finished form of the
     wrong kind, such as a location left of `;`), or, with the context
     used up, a terminal.  Dispatch is on the exact node type, most
-    frequent first; each branch picks the subterm to evaluate next, and
-    a subterm that is already a location or unit ends the descent.
+    frequent first.  Each branch picks the next subterm, for a `New` or
+    a located receiver's `Invoke` by the machine's only argument scan,
+    and a subterm already a location or unit ends the descent.
     """
     while True:
         t = type(e)
@@ -155,10 +149,11 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
             e = with_child(node, slot, e)
             continue
         if t is New:
-            slot = _first_open(e.args)
-            if slot is None:
+            for slot, c in enumerate(e.args):
+                if type(c) is not Loc:
+                    break
+            else:
                 return e, k
-            c = e.args[slot]
         elif t is Assign:
             c, slot = e.recv, 0
             if type(c) is Loc:
@@ -170,10 +165,11 @@ def _refocus(e: Expr, k: Stack) -> tuple[Expr, Stack]:
         elif t is Invoke:
             c, slot = e.recv, 0
             if type(c) is Loc:
-                i = _first_open(e.args)
-                if i is None:
+                for slot, c in enumerate(e.args, 1):
+                    if type(c) is not Loc:
+                        break
+                else:
                     return e, k
-                c, slot = e.args[i], i + 1
         elif t is Let:
             c, slot = e.bound, 0
         elif t is FieldAccess or t is Subscribe:
@@ -383,22 +379,25 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
     something else) and raises StuckError where the rule finds it,
     before the step changes st or either store: R-NEW and R-INVK find a
     unit argument as they collect their arguments' locations (R-INVK
-    by parameter name, which the class table keeps distinct).  What the
-    step did is read off the redex and the stores of a copy of st taken
-    before it, which `run` hands observers and mutants as `before`.
+    by parameter name, which the class table keeps distinct).  A write
+    builds its record by `tuple.__new__`, in no Python frame, and keeps
+    `StoredObject`'s fields, repr, `==` and hash.  What the step did is
+    read off the redex and the stores of a copy of st taken before it,
+    which `run` hands observers and mutants as `before`.
     """
     e = st.focus
     t = type(e)
     store, handlers = st.store, st.handlers
     if t is New:
         c, args = e.cls, e.args
-        locs = tuple(a.loc for a in args if type(a) is Loc)
-        if c not in ct or len(ct[c].source) != len(args) or len(locs) != len(args):
+        info = ct.get(c)
+        locs = [a.loc for a in args if type(a) is Loc]
+        if info is None or len(info.source) != len(args) or len(locs) != len(args):
             raise StuckError(st)
         # Fresh: locations are allocated densely from 0, a Journal refuses
         # deletion, and nothing in fsj deletes from a plain store dict.
         l = len(store)
-        store[l] = StoredObject(c, locs)
+        store[l] = tuple.__new__(StoredObject, (c, tuple(locs)))
         out, rule = Loc(l), "R-NEW"
 
     elif t is Seq:
@@ -417,7 +416,7 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
         i, sf = ct[obj.cls].fields.get(f) or (None, None)
         if i is None:
             raise StuckError(st)
-        store[l] = StoredObject(obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:])
+        store[l] = tuple.__new__(StoredObject, (obj.cls, obj.fields[:i] + (v,) + obj.fields[i + 1:]))
         if sf.modifier is Modifier.SIGNAL:
             key = (l, f)
             out, rule = EffectBrace(handlers.get(key, EMPTY), key), "R-ASSIGNS"
@@ -428,8 +427,7 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
         recv, f = e.recv, e.fname
         if type(recv) is not Loc:
             raise StuckError(st)
-        l = recv.loc
-        obj = store.get(l)
+        obj = store.get(recv.loc)
         if obj is None:
             raise StuckError(st)
         i, cf = ct[obj.cls].fields.get(f) or (None, None)
@@ -438,7 +436,7 @@ def step(ct: ClassTable, st: MachineState) -> MachineState | None:
         if i is not None:
             out, rule = Loc(obj.fields[i]), "R-FIELD"
         else:
-            out, rule = subst(cf.init, {"this": Loc(l)}), "R-FIELDS"
+            out, rule = subst(cf.init, {"this": recv}), "R-FIELDS"
 
     elif t is Invoke:
         recv, m, args = e.recv, e.method, e.args

@@ -691,3 +691,24 @@ def test_bench_machine_resubscribe_operations_pass_their_checks(monkeypatch):
     assert [op.key for op in ops] == ["plain fuel=2000", "audited fuel=2000"]
     for op in ops:
         assert op.check(op.run()) == (2000, None), op.key
+
+
+def test_bench_machine_timed_operations_pass_their_checks(monkeypatch):
+    """Each operation of the `machine`, `long_loop`, `audited` and `traced`
+    families that `operations()` builds, run once untimed, passes the
+    check the script times it with."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    load_file(monkeypatch, "workloads", ROOT / "perfbench" / "workloads.py")
+    bench = load_file(monkeypatch, "_fsj_bench_machine", ROOT / "scripts" / "bench_machine.py")
+    machine = ("deep_handler", "peano_push")
+    ops = [
+        op for op in bench.operations(ROOT)
+        if op.family in (*machine, "long_loop", "audited", "traced")
+    ]
+    families = [op.family for op in ops]
+    assert sum(family in machine for family in families) == 6
+    assert (families.count("long_loop"), families.count("audited")) == (1, len(bench.AUDIT_FUELS))
+    assert [op.size for op in ops if op.family == "traced"][-3:] == list(bench.TRACE_FUELS)
+    for op in ops:
+        _, err = op.check(op.run())
+        assert err is None, (op.family, op.key, err)

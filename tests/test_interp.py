@@ -305,6 +305,43 @@ def test_assign_receiver_then_value(ct):
     assert out.expr == Assign(Loc(1), "plain", New("Nat", ()))
 
 
+SRC = FieldAccess(Loc(0), "src")  # reads @1
+
+# (expr, the slot of its one open argument, expr with @1 plugged there)
+ARGUMENT_SCANS = {
+    "new-open-first": (New("Cell", (SRC, Loc(2))), 0, New("Cell", (Loc(1), Loc(2)))),
+    "new-open-last": (New("Cell", (Loc(2), SRC)), 1, New("Cell", (Loc(2), Loc(1)))),
+    "call-open-first": (
+        Invoke(Loc(1), "pair", (SRC, Loc(2))), 1, Invoke(Loc(1), "pair", (Loc(1), Loc(2)))
+    ),
+    "call-open-last": (
+        Invoke(Loc(1), "pair", (Loc(2), SRC)), 2, Invoke(Loc(1), "pair", (Loc(2), Loc(1)))
+    ),
+}
+
+
+@pytest.mark.parametrize("e, slot, plugged", ARGUMENT_SCANS.values(), ids=ARGUMENT_SCANS.keys())
+def test_refocus_stops_at_the_first_open_argument(ct, e, slot, plugged):
+    """A `New`'s argument i sits in slot i, an `Invoke`'s in slot i + 1
+    (slot 0 is the receiver), and the read location goes back there."""
+    st0 = cell_state(e)
+    assert (st0.focus, st0.stack) == (SRC, (e, slot, None))
+    out = step(ct, st0)
+    assert out.rule == "R-FIELD"
+    assert (out.focus, out.stack) == (plugged, None)
+
+
+@pytest.mark.parametrize(
+    "e, rule",
+    [(New("Cell", (Loc(1), Loc(2))), "R-NEW"), (Invoke(Loc(1), "pair", (Loc(1), Loc(2))), "R-INVK")],
+    ids=["new", "call"],
+)
+def test_refocus_stops_at_a_node_whose_arguments_are_all_locations(ct, e, rule):
+    st0 = cell_state(e)
+    assert (st0.focus, st0.stack) == (e, None)
+    assert step(ct, st0).rule == rule
+
+
 # ----------------------------------------------------------- stuck states
 
 
@@ -823,6 +860,32 @@ def test_substituting_steps_call_subst_through_the_interp_module(monkeypatch):
     assert res.status == "terminal"
     assert rules["R-INVK"] and rules["R-FIELDS"] and rules["R-LET"]
     assert len(calls) == rules["R-INVK"] + rules["R-FIELDS"] + rules["R-LET"]
+
+
+def test_store_writes_run_no_python_new(monkeypatch):
+    """R-NEW, R-ASSIGN and R-ASSIGNS build their records without calling
+    `StoredObject.__new__`, plain, observed or audited, and each record
+    is a `StoredObject` like the one that call would build."""
+    calls, rules, results = [], Counter(), []
+    real = StoredObject.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(interp.StoredObject, "__new__", counting)
+    for name, program, ct in load_corpus(CORPUS):
+        results.append(run(ct, program.main, fuel=2000))
+        observed = run(ct, program.main, fuel=2000, observers=[lambda b, a: rules.update([a.rule])])
+        results += [observed, audit_run(ct, program.main, name, fuel=2000).run]
+    monkeypatch.undo()
+    assert calls == []
+    assert rules["R-NEW"] and rules["R-ASSIGN"] and rules["R-ASSIGNS"]
+    for res in results:
+        for v in res.state.store.values():
+            made = StoredObject(v.cls, v.fields)
+            assert type(v) is StoredObject, v
+            assert (repr(v), v, hash(v)) == (repr(made), made, hash(made))
 
 
 def test_fuel_on_terminating_program():
