@@ -169,7 +169,8 @@ def mutated(workloads, root: Path) -> list:
     which are where each seed's machine stopped."""
     interp, metatheory = workloads.interp, workloads.metatheory
     golden = json.loads((root / "tests" / "golden" / "campaign_reports.json").read_text())
-    record = runpy.run_path(str(root / "scripts" / "regen_campaign_reports.py"))["record"]
+    # from this checkout's script: an older root keeps `record` under another name
+    record = runpy.run_path(str(HERE / "scripts" / "regen_golden.py"))["record"]
 
     def op(name: str):
         def work():

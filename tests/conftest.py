@@ -1,3 +1,4 @@
+import runpy
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,10 @@ def corpus_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def golden_dir() -> Path:
-    return GOLDEN
+def regen():
+    """The namespace of scripts/regen_golden.py, the one writer of every
+    file under tests/golden/."""
+    return runpy.run_path(str(ROOT / "scripts" / "regen_golden.py"))
 
 
 @pytest.fixture(scope="session")
@@ -80,12 +83,3 @@ def traced_run(ct, main, *args, observers=(), **kwargs):
     events = []
     res = run(ct, main, *args, observers=[TraceObserver(ct, events.append), *observers], **kwargs)
     return res, events
-
-
-def run_cli(argv, capsys):
-    """Invoke the CLI in-process and return (exit_code, stdout, stderr)."""
-    from fsj.cli import main
-
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err

@@ -3,7 +3,6 @@ against brute-force oracles, then whole-program behaviors."""
 
 import json
 import operator
-import runpy
 from collections import Counter
 from dataclasses import replace
 
@@ -921,18 +920,22 @@ def test_pending_key_names_innermost_brace(ct):
     assert MachineState(Loc(1), {}, {}).pending_key is None
 
 
-def test_rule_sequences_match_golden():
+def test_rule_sequences_match_golden(regen):
     """Every corpus program and campaign seed steps through the recorded
-    rule sequence (scripts/regen_rule_sequences.py)."""
-    digests = runpy.run_path(str(ROOT / "scripts" / "regen_rule_sequences.py"))["digests"]
-    assert digests() == json.loads((GOLDEN / "rule_sequences.json").read_text())
+    rule sequence (scripts/regen_golden.py)."""
+    assert regen["rule_sequences"]() == json.loads((GOLDEN / "rule_sequences.json").read_text())
 
 
-def test_traces_match_golden_digests():
+def test_traces_match_golden_digests(regen):
     """Every traced corpus run, generated program and mutated corpus run
     emits the recorded events (scripts/regen_golden.py)."""
-    digests = runpy.run_path(str(ROOT / "scripts" / "regen_golden.py"))["trace_digests"]
-    assert digests() == json.loads((GOLDEN / "trace_digests.json").read_text())
+    assert regen["trace_digests"]() == json.loads((GOLDEN / "trace_digests.json").read_text())
+
+
+def test_every_golden_file_has_a_writer(regen):
+    """scripts/regen_golden.py writes each file under tests/golden/, and
+    nothing else there."""
+    assert sorted(regen["WRITERS"]) == sorted(p.name for p in GOLDEN.iterdir())
 
 
 def test_peano_push_512_terminates():

@@ -1,9 +1,7 @@
 """Soundness oracles: store typing, per-step audits, the generator, and
 the seeded campaign."""
 
-import hashlib
 import json
-import runpy
 from collections import Counter
 from dataclasses import replace
 
@@ -61,7 +59,7 @@ from fsj.syntax import (
 )
 from fsj.typecheck import TypingError
 
-from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file, traced_run
+from conftest import CORPUS, GOLDEN, load_corpus_file, traced_run
 
 # ------------------------------------------------------------ store typing
 
@@ -727,30 +725,18 @@ def test_generator_is_deterministic():
     assert render_program(a) == render_program(b)
 
 
-GENERATED = json.loads((GOLDEN / "generated_programs.json").read_text())
-GEN_CONFIGS = {"default": GenConfig(), "handlers_write_signals": GenConfig(handlers_write_signals=True)}
-
-
 @pytest.fixture(scope="module")
-def generated():
+def generated(regen):
     """generate_program's pair for each golden seed, per config name."""
-    first, last = GENERATED["seeds"]
-    return {
-        name: [generate_program(replace(cfg, seed=s)) for s in range(first, last + 1)]
-        for name, cfg in GEN_CONFIGS.items()
-    }
+    return {name: regen["generated"](name) for name in regen["GEN_CONFIGS"]}
 
 
-def test_generated_programs_match_golden(generated):
+def test_generated_programs_match_golden(generated, regen):
     """One sha256 per config over every golden seed's rendered program,
-    each text ended by a NUL byte, pins the generator's output itself."""
-    digests = {}
-    for name, pairs in generated.items():
-        h = hashlib.sha256()
-        for program, _ in pairs:
-            h.update(render_program(program).encode() + b"\0")
-        digests[name] = h.hexdigest()
-    assert digests == GENERATED["sha256"]
+    each text ended by a NUL byte, pins the generator's output itself
+    (scripts/regen_golden.py)."""
+    digests = regen["generated_programs"](generated.__getitem__)
+    assert digests == json.loads((GOLDEN / "generated_programs.json").read_text())
 
 
 def test_generated_table_equals_a_fresh_build(generated):
@@ -942,11 +928,10 @@ def test_campaign_reports_match_separate_checks(mutation):
     assert violated > 0
 
 
-def test_campaign_reports_match_golden(big_campaign, mutated_campaigns):
+def test_campaign_reports_match_golden(big_campaign, mutated_campaigns, regen):
     """Every report of the default campaign and of both broken machines is
-    the recorded one (scripts/regen_campaign_reports.py)."""
-    script = runpy.run_path(str(ROOT / "scripts" / "regen_campaign_reports.py"))
-    digests = script["digests"](
+    the recorded one (scripts/regen_golden.py)."""
+    digests = regen["campaign_reports"](
         lambda name: big_campaign if name == "default" else mutated_campaigns[name]
     )
     assert digests == json.loads((GOLDEN / "campaign_reports.json").read_text())

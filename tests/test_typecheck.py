@@ -1,7 +1,6 @@
 """Checker behaviors that sit outside the per-rule table."""
 
 import json
-import runpy
 
 import pytest
 
@@ -17,7 +16,7 @@ from fsj import (
     type_expr,
 )
 from fsj.syntax import EMPTY, Assign, EffectBrace, FieldAccess, Loc, Seq, iter_subexprs
-from conftest import CORPUS, GOLDEN, ROOT, load_corpus_file
+from conftest import CORPUS, GOLDEN, load_corpus_file
 
 HIERARCHY = """
 class A extends Object { A() { super(); } }
@@ -189,9 +188,8 @@ def test_type_expr_recurses_through_its_module_attribute(monkeypatch):
     assert calls == list(iter_subexprs(term))
 
 
-def test_checker_errors_match_golden():
+def test_checker_errors_match_golden(regen):
     """Every typing-table row and every corpus program, ill-typed ones
     included, reports the recorded errors (scripts/regen_golden.py):
     each error's kind, message and span, in order, and the main type."""
-    checker_errors = runpy.run_path(str(ROOT / "scripts" / "regen_golden.py"))["checker_errors"]
-    assert checker_errors() == json.loads((GOLDEN / "checker_errors.json").read_text())
+    assert regen["checker_errors"]() == json.loads((GOLDEN / "checker_errors.json").read_text())
